@@ -2,7 +2,7 @@
 
 Consistency of a partial reach Venn diagram is equivalent to the existence of
 a non-negative region allocation reproducing every observation.  That gives
-three tools: a consistency check (maximize the minimum region reach), tight
+three tools: a consistency check (phase-1 feasibility of that system), tight
 lower/upper bounds on any subset's reach (optimize the target's incidence
 functional over the feasible polytope), and a least-squares repair that
 projects noisy observations back onto the consistent set.
@@ -24,7 +24,7 @@ from .core import (
     SubsetMask,
     incidence_vector,
 )
-from .lp import UNBOUNDED, EqualityFormSolver, LinearProgram, solve_lp
+from .lp import UNBOUNDED, EqualityFormSolver, solve_lp
 from .lsq import nnls, simplex_lstsq
 
 
@@ -32,15 +32,15 @@ from .lsq import nnls, simplex_lstsq
 class ConsistencyReport:
     """Outcome of the consistency check.
 
-    ``t_star`` is the optimum of the max-min-region program in reach units;
-    the data is consistent iff the scaled optimum is >= -TOL_FEAS, in which
-    case ``witness`` realizes every observation.
+    ``consistent`` is the phase-1 verdict that BoundsSolver also acts on.
+    ``t_star`` is the optimum of the max-min-region program in reach units,
+    negative when no non-negative allocation fits; when the data is
+    consistent, ``witness`` realizes every observation.
     """
 
     consistent: bool
     t_star: float
     witness: RegionAllocation | None = None
-    diagnostic: str = ""
 
 
 def _incidence_rows(dataset: ReachDataset, sort: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -50,50 +50,40 @@ def _incidence_rows(dataset: ReachDataset, sort: bool = True) -> tuple[np.ndarra
     return a, b
 
 
+def _feasibility_solver(dataset: ReachDataset) -> EqualityFormSolver:
+    """Phase 1 over the observation equalities: the package's one feasibility test."""
+    if dataset.n == 0:
+        raise ValueError("dataset has no observations")
+    return EqualityFormSolver(*_incidence_rows(dataset))
+
+
 def check_consistency(dataset: ReachDataset) -> ConsistencyReport:
     """Decide whether the observations admit a non-negative region allocation.
 
-    Solves max t subject to the observation equalities and t <= x_j for every
-    region j, after substituting y_j = x_j - t so that only t stays free.  The
-    optimum equals the best achievable minimum region reach; t is capped at
-    the scaled universe to keep degenerate programs bounded.
+    The verdict is phase-1 feasibility of A x = b, x >= 0, the same test that
+    BoundsSolver runs.  ``t_star`` is max t subject to A x = b and t <= x_j
+    for every region j, with t capped at the scaled universe: the best
+    achievable minimum region reach.  Substituting x = y + t and t = 1 - s
+    gives the equality form A y - (A 1) s = b - A 1 over y, s >= 0, minimized
+    in s.  Distinct masks make A's rows independent, so that program is
+    always feasible and bounded.
     """
-    if dataset.n == 0:
-        raise ValueError("dataset has no observations")
-    scale = dataset.scale
+    consistent = _feasibility_solver(dataset).feasible
     a, b = _incidence_rows(dataset)
-    n, m = a.shape
-
-    matrix = np.hstack([a, a.sum(axis=1, keepdims=True)])
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
-    lower = np.zeros(m + 1)
-    lower[m] = -np.inf
-    upper = np.full(m + 1, np.inf)
-    upper[m] = 1.0
-    result = solve_lp(
-        LinearProgram(
-            objective=objective,
-            sense="max",
-            eq_matrix=matrix,
-            eq_rhs=b,
-            lower_bounds=lower,
-            upper_bounds=upper,
-        )
-    )
+    row_sums = a.sum(axis=1)
+    objective = np.zeros(a.shape[1] + 1)
+    objective[-1] = 1.0
+    result = solve_lp(np.column_stack([a, -row_sums]), b - row_sums, objective)
     if not result.is_optimal:
-        return ConsistencyReport(
-            consistent=False,
-            t_star=float("-inf") if result.status == UNBOUNDED else float("nan"),
-            diagnostic=f"observation equality system unsolvable ({result.status})",
-        )
-    t_scaled = result.value
-    consistent = t_scaled >= -TOL_FEAS
+        raise RuntimeError(f"max-min region program ended {result.status}")
+    t_scaled = 1.0 - result.value
     witness = None
     if consistent:
-        regions = np.clip(result.solution[:m] + t_scaled, 0.0, None) * scale
+        regions = np.clip(result.solution[:-1] + t_scaled, 0.0, None) * dataset.scale
         witness = RegionAllocation.from_values(dataset.num_bgs, regions)
-    return ConsistencyReport(consistent=consistent, t_star=float(t_scaled * scale), witness=witness)
+    return ConsistencyReport(
+        consistent=consistent, t_star=float(t_scaled * dataset.scale), witness=witness
+    )
 
 
 class BoundsSolver:
@@ -105,12 +95,9 @@ class BoundsSolver:
     """
 
     def __init__(self, dataset: ReachDataset):
-        if dataset.n == 0:
-            raise ValueError("dataset has no observations")
+        self._solver = _feasibility_solver(dataset)
         self.dataset = dataset
         self.scale = dataset.scale
-        a, b = _incidence_rows(dataset)
-        self._solver = EqualityFormSolver(a, b)
         if not self._solver.feasible:
             raise InconsistencyError(
                 "observations are inconsistent; run repair_dataset first"

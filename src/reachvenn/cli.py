@@ -24,7 +24,6 @@ from .bounds import (
 from .core import (
     BoundInterval,
     InconsistencyError,
-    ReachDataset,
     SubsetMask,
     UnavailableError,
     enumerate_masks,
@@ -36,10 +35,10 @@ from .model import predict
 from .pipeline import (
     EstimateOptions,
     SelectionState,
-    _effective_d,
+    effective_d,
     estimate_subset,
+    resolve_d,
     select_next_point,
-    tune_d,
 )
 from .synth import GeneratorSpec
 
@@ -92,8 +91,6 @@ def cmd_check(args) -> int:
     report = check_consistency(dataset)
     print(f"{'consistent' if report.consistent else 'inconsistent'}", file=sys.stdout)
     print(f"t_star: {report.t_star}", file=sys.stdout)
-    if report.diagnostic:
-        print(f"diagnostic: {report.diagnostic}", file=sys.stdout)
     if args.repair is not None:
         io.save_dataset(repair_dataset(dataset), args.repair)
         print(f"repaired dataset written to {args.repair}", file=sys.stdout)
@@ -137,22 +134,14 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _resolve_d(dataset: ReachDataset, d_arg: float | None) -> tuple[float, str]:
-    if d_arg is not None:
-        return d_arg, "given"
-    if dataset.n > dataset.num_bgs + 1:
-        return tune_d(dataset), "cross_validated"
-    return math.inf, "default_inf"
-
-
 def cmd_fit(args) -> int:
     dataset = io.load_dataset(args.dataset)
     repaired = False
     if not check_consistency(dataset).consistent:
         dataset = repair_dataset(dataset)
         repaired = True
-    d, policy = _resolve_d(dataset, _parse_d(args.d))
-    model = fit_model(dataset, _effective_d(d))
+    d, policy = resolve_d(dataset, _parse_d(args.d))
+    model = fit_model(dataset, effective_d(d))
     payload = model.to_json_dict()
     payload["d_policy"] = policy
     payload["repaired"] = repaired

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bounds import BoundsSolver, repair_dataset
 from .core import ReachDataset, ReachObservation, SubsetMask, enumerate_masks
 from .model import fit, predict
-from .pipeline import _effective_d, nearest_rank_percentile, tune_d
+from .pipeline import effective_d, nearest_rank_percentile, tune_d
 from .synth import (
     GeneratorSpec,
     add_measurement_noise,
@@ -98,7 +98,7 @@ def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[f
 
     repaired = repair_dataset(dataset)
     d = tune_d(repaired)
-    model = fit(repaired, _effective_d(d))
+    model = fit(repaired, effective_d(d))
     solver = BoundsSolver(repaired)
 
     errors = []

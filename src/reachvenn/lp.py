@@ -22,45 +22,6 @@ UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min/max objective @ x subject to eq_matrix @ x == eq_rhs and box bounds.
-
-    ``lower_bounds`` entries may be finite or -inf (free below);
-    ``upper_bounds`` entries may be finite or +inf.
-    """
-
-    objective: np.ndarray
-    sense: str
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower_bounds: np.ndarray
-    upper_bounds: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.objective, dtype=np.float64)
-        a = np.atleast_2d(np.asarray(self.eq_matrix, dtype=np.float64))
-        b = np.asarray(self.eq_rhs, dtype=np.float64)
-        lb = np.asarray(self.lower_bounds, dtype=np.float64)
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        if a.shape != (b.size, c.size) or lb.size != c.size:
-            raise ValueError("inconsistent LP dimensions")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("objective, matrix, and rhs must be finite")
-        if self.upper_bounds is not None:
-            ub = np.asarray(self.upper_bounds, dtype=np.float64)
-            if ub.size != c.size:
-                raise ValueError("inconsistent LP dimensions")
-            if np.any(ub < lb):
-                raise ValueError("upper bound below lower bound")
-            object.__setattr__(self, "upper_bounds", ub)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", b)
-        object.__setattr__(self, "lower_bounds", lb)
-
-
-@dataclass(frozen=True)
 class LpResult:
     status: str
     value: float | None = None
@@ -155,8 +116,12 @@ class EqualityFormSolver:
         tableau[-1, :n] = -a.sum(axis=0)
         tableau[-1, -1] = -b.sum()
         status = _run_simplex(tableau, basis, n + m, max_iter=200 * (n + m) + 1000)
-        assert status == OPTIMAL  # the artificial sum is bounded below by 0
-        self.feasible = -tableau[-1, -1] <= _PHASE1_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+        # The artificial sum is bounded below by 0, so phase 1 must end optimal.
+        if status != OPTIMAL:
+            raise RuntimeError(f"phase 1 ended {status}")
+        self.feasible = bool(
+            -tableau[-1, -1] <= _PHASE1_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+        )
         if not self.feasible:
             return
 
@@ -204,56 +169,11 @@ class EqualityFormSolver:
         return LpResult(OPTIMAL, value=value, solution=x)
 
 
-def solve_lp(lp: LinearProgram) -> LpResult:
-    """Solve a general LP; never raises for infeasible or unbounded programs.
+def solve_lp(
+    a_eq: np.ndarray, b_eq: np.ndarray, objective: np.ndarray, sense: str = "min"
+) -> LpResult:
+    """One-shot min/max objective @ x s.t. a_eq @ x == b_eq, x >= 0.
 
-    Finite lower bounds are shifted out, free variables are split into
-    positive and negative parts, and finite upper bounds become slack rows,
-    which reduces everything to equality standard form.
+    Never raises for infeasible or unbounded programs; the status says so.
     """
-    n = lp.objective.size
-    lb = lp.lower_bounds
-    ub = lp.upper_bounds if lp.upper_bounds is not None else np.full(n, np.inf)
-    free = ~np.isfinite(lb)
-
-    # Column layout: one column per variable, then one extra (negated) column
-    # per free variable, then one slack per finite upper bound.
-    nfree = int(free.sum())
-    nub = int(np.isfinite(ub).sum())
-    width = n + nfree + nub
-    shift = np.where(free, 0.0, lb)
-
-    a_eq = np.zeros((lp.eq_matrix.shape[0] + nub, width))
-    b_eq = np.zeros(lp.eq_matrix.shape[0] + nub)
-    a_eq[: lp.eq_matrix.shape[0], :n] = lp.eq_matrix
-    b_eq[: lp.eq_matrix.shape[0]] = lp.eq_rhs - lp.eq_matrix @ shift
-    neg_col = {}
-    k = n
-    for j in np.flatnonzero(free):
-        a_eq[: lp.eq_matrix.shape[0], k] = -lp.eq_matrix[:, j]
-        neg_col[j] = k
-        k += 1
-    row = lp.eq_matrix.shape[0]
-    for j in np.flatnonzero(np.isfinite(ub)):
-        a_eq[row, j] = 1.0
-        if free[j]:
-            a_eq[row, neg_col[j]] = -1.0
-        a_eq[row, k] = 1.0
-        b_eq[row] = ub[j] - shift[j]
-        row += 1
-        k += 1
-
-    c = np.zeros(width)
-    c[:n] = lp.objective
-    for j, kk in neg_col.items():
-        c[kk] = -lp.objective[j]
-
-    solver = EqualityFormSolver(a_eq, b_eq)
-    result = solver.optimize(c, sense=lp.sense)
-    if not result.is_optimal:
-        return result
-    u = result.solution
-    x = u[:n] + shift
-    for j, kk in neg_col.items():
-        x[j] -= u[kk]
-    return LpResult(OPTIMAL, value=float(lp.objective @ x), solution=x)
+    return EqualityFormSolver(a_eq, b_eq).optimize(objective, sense)

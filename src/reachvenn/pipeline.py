@@ -34,7 +34,8 @@ DEFAULT_D_GRID = 10
 _D_ONE_NUDGE = 1e-9
 
 
-def _effective_d(d: float) -> float:
+def effective_d(d: float) -> float:
+    """The d the model is fitted at: d itself, nudged just above 1."""
     return d if d > 1.0 else 1.0 + _D_ONE_NUDGE
 
 
@@ -178,7 +179,7 @@ def _holdout_errors(
         interval = BoundsSolver(rest).bounds(mask)
         truth = dataset.reach_of(mask)
         for d in d_values:
-            model = fit(rest, _effective_d(d))
+            model = fit(rest, effective_d(d))
             err = relative_error(predict(model, mask), truth, interval, scale=universe)
             errors[d].append(err)
     return errors
@@ -219,12 +220,18 @@ def tune_d(
 def alpha_interval(
     estimate: float, interval: BoundInterval, q_alpha: float
 ) -> BoundInterval:
-    """[estimate -/+ q_alpha/2 * gap] intersected with the 100% interval."""
+    """[estimate -/+ q_alpha/2 * gap] intersected with the 100% interval.
+
+    When the two are disjoint (the estimate lies more than q_alpha/2 * gap
+    outside the 100% interval), the result is the degenerate interval at the
+    100% endpoint nearest the estimate.
+    """
     half = q_alpha / 2.0 * interval.gap
-    return BoundInterval(
-        lower=max(interval.lower, estimate - half),
-        upper=min(interval.upper, estimate + half),
-    )
+    lower = max(interval.lower, estimate - half)
+    upper = min(interval.upper, estimate + half)
+    if lower > upper:
+        lower = upper = interval.lower if estimate < interval.lower else interval.upper
+    return BoundInterval(lower=lower, upper=upper)
 
 
 def error_bar(
@@ -249,10 +256,24 @@ def error_bar(
     errors = _holdout_errors(dataset, [d], universe)[d]
     q_alpha = nearest_rank_percentile([abs(e) for e in errors], alpha)
     if model is None:
-        model = fit(dataset, _effective_d(d))
+        model = fit(dataset, effective_d(d))
     estimate = predict(model, target)
     interval = subset_bounds(dataset, target)
     return alpha_interval(estimate, interval, q_alpha)
+
+
+def resolve_d(dataset: ReachDataset, d: float | None) -> tuple[float, str]:
+    """Settle d and name the policy that chose it.
+
+    A given d is kept ("given"); otherwise d is cross-validated when there
+    are spare points beyond the basics ("cross_validated") and is infinity
+    when there are none ("default_inf").
+    """
+    if d is not None:
+        return d, "given"
+    if dataset.n > dataset.num_bgs + 1:
+        return tune_d(dataset), "cross_validated"
+    return math.inf, "default_inf"
 
 
 @dataclass(frozen=True)
@@ -296,14 +317,8 @@ def estimate_subset(
         dataset = repair_dataset(dataset)
         repaired = True
 
-    if options.d is not None:
-        d, policy = options.d, "given"
-    elif dataset.n > dataset.num_bgs + 1:
-        d, policy = tune_d(dataset), "cross_validated"
-    else:
-        d, policy = math.inf, "default_inf"
-
-    model = fit(dataset, _effective_d(d))
+    d, policy = resolve_d(dataset, options.d)
+    model = fit(dataset, effective_d(d))
     point = predict(model, target)
     interval = subset_bounds(dataset, target)
     if options.clamp:

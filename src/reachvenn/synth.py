@@ -13,7 +13,7 @@ derived as seed XOR replicate_index so runs parallelize reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,16 +63,7 @@ class GeneratorSpec:
             raise ValueError("universe_size must be positive")
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
-        return GeneratorSpec(
-            kind=self.kind,
-            num_bgs=self.num_bgs,
-            universe_size=self.universe_size,
-            seed=seed,
-            num_groups=self.num_groups,
-            reach_beta_a=self.reach_beta_a,
-            reach_beta_b=self.reach_beta_b,
-            alpha=self.alpha,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

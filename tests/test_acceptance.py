@@ -24,7 +24,7 @@ from reachvenn.core import (
 )
 from reachvenn.experiment import run_experiment
 from reachvenn.model import build_segment_matrix, estimate_universe, fit, min_perfect_fit_d, segment_row
-from reachvenn.pipeline import SelectionState, d_grid, select_next_point, _effective_d
+from reachvenn.pipeline import SelectionState, d_grid, effective_d, select_next_point
 from reachvenn.synth import (
     GeneratorSpec,
     add_measurement_noise,
@@ -260,7 +260,7 @@ def test_criterion_8_residual_monotone_in_d():
     for _ in range(50):
         num_bgs = int(rng.integers(2, 6))
         ds, _ = random_consistent_dataset(rng, num_bgs, extra=int(rng.integers(0, 4)))
-        residuals = [fit(ds, _effective_d(d)).training_residual for d in grid]
+        residuals = [fit(ds, effective_d(d)).training_residual for d in grid]
         for smaller_d_resid, larger_d_resid in zip(residuals, residuals[1:]):
             assert larger_d_resid <= smaller_d_resid + 1e-9
     elapsed = time.perf_counter() - started

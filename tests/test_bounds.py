@@ -1,6 +1,9 @@
 """Consistency detection, subset bounds, repair, and curve tracing."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachvenn.bounds import (
     BoundsSolver,
@@ -17,6 +20,7 @@ from reachvenn.core import (
     oracle_bounds_by_grid,
     subset_reach_from_allocation,
 )
+from reachvenn.pipeline import estimate_subset
 
 from conftest import random_consistent_dataset
 
@@ -27,6 +31,18 @@ def triangle_dataset(claim=None):
     if claim is not None:
         pairs.append(("101", claim))
     return ReachDataset.from_pairs(3, pairs)
+
+
+def epsilon_triangle(eps, universe=10000.0):
+    """Disjoint G2, G3 (singles 3000) with R(G2 u G3) claimed eps * U too high."""
+    pairs = [
+        ("100", 3000),
+        ("010", 3000),
+        ("001", 3000),
+        ("111", 7000),
+        ("011", 6000 + eps * universe),
+    ]
+    return ReachDataset.from_pairs(3, pairs, universe_size=universe)
 
 
 def five_bg_basics(union=336160.0, single=100000.0):
@@ -80,6 +96,43 @@ class TestCheckConsistency:
     def test_single_observation_consistent(self):
         ds = ReachDataset.from_pairs(2, [("10", 5.0)])
         assert check_consistency(ds).consistent
+
+    @pytest.mark.parametrize("eps", [1e-8, 2e-8, 5e-8, 9e-8, 1e-7])
+    def test_epsilon_window_inconsistent_and_repaired(self, eps):
+        # The excess is far below TOL_FEAS yet above phase 1's tolerance: the
+        # check must agree with BoundsSolver so estimate_subset repairs first.
+        ds = epsilon_triangle(eps)
+        assert not check_consistency(ds).consistent
+        with pytest.raises(InconsistencyError):
+            BoundsSolver(ds)
+        est = estimate_subset(ds, SubsetMask.from_string("101"))
+        assert est.repaired
+        assert est.interval_100.contains(est.point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 5),
+        extra=st.integers(0, 31),
+        pick=st.integers(0, 10**6),
+        half_decades=st.integers(-20, -10),
+    )
+    def test_verdict_matches_bounds_solver(self, seed, num_bgs, extra, pick, half_decades):
+        # Grid truths have empty regions, so with enough observations a push
+        # of one reach by eps * U, eps = 10**(half_decades / 2), can leave the
+        # feasible set; both verdicts get exercised.
+        ds, alloc = random_consistent_dataset(
+            np.random.default_rng(seed), num_bgs, extra=extra, grid_step=0.125
+        )
+        reaches = [o.reach for o in ds.observations]
+        reaches[pick % len(reaches)] += 10.0 ** (half_decades / 2) * alloc.values.sum()
+        pushed = ds.replace_reaches(reaches)
+        try:
+            BoundsSolver(pushed)
+            constructs = True
+        except InconsistencyError:
+            constructs = False
+        assert check_consistency(pushed).consistent == constructs
 
 
 class TestSubsetBounds:

@@ -7,102 +7,49 @@ from reachvenn.lp import (
     INFEASIBLE,
     UNBOUNDED,
     EqualityFormSolver,
-    LinearProgram,
     solve_lp,
 )
 
 
-def lp_max_t_two_ceilings():
-    # max t s.t. t <= 3, t <= 5 (slack rows s1, s2).
-    return LinearProgram(
-        objective=np.array([1.0, 0.0, 0.0]),
-        sense="max",
-        eq_matrix=np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]),
-        eq_rhs=np.array([3.0, 5.0]),
-        lower_bounds=np.array([-np.inf, 0.0, 0.0]),
-    )
-
-
 class TestSolveLp:
     def test_max_with_two_ceilings(self):
-        result = solve_lp(lp_max_t_two_ceilings())
+        # max t s.t. t <= 3, t <= 5 (slack columns s1, s2).
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        result = solve_lp(a, np.array([3.0, 5.0]), np.array([1.0, 0.0, 0.0]), "max")
         assert result.is_optimal
         assert result.value == pytest.approx(3.0, abs=1e-9)
 
     def test_negative_optimum_is_not_infeasible(self):
-        # max t s.t. x1 = -1, t <= x1.
-        lp = LinearProgram(
-            objective=np.array([0.0, 1.0, 0.0]),
-            sense="max",
-            eq_matrix=np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 1.0]]),
-            eq_rhs=np.array([-1.0, 0.0]),
-            lower_bounds=np.array([-np.inf, -np.inf, 0.0]),
+        # max -x1 s.t. x1 - x2 = 1: the best value is -1, not a failure.
+        result = solve_lp(
+            np.array([[1.0, -1.0]]), np.array([1.0]), np.array([-1.0, 0.0]), "max"
         )
-        result = solve_lp(lp)
         assert result.is_optimal
         assert result.value == pytest.approx(-1.0, abs=1e-9)
 
     def test_min_on_split_resource(self):
-        lp = LinearProgram(
-            objective=np.array([1.0, 0.0]),
-            sense="min",
-            eq_matrix=np.array([[1.0, 1.0]]),
-            eq_rhs=np.array([10.0]),
-            lower_bounds=np.zeros(2),
-        )
-        result = solve_lp(lp)
+        result = solve_lp(np.array([[1.0, 1.0]]), np.array([10.0]), np.array([1.0, 0.0]))
         assert result.is_optimal
         assert result.value == pytest.approx(0.0, abs=1e-9)
         assert result.solution[1] == pytest.approx(10.0, abs=1e-7)
 
     def test_infeasible(self):
-        lp = LinearProgram(
-            objective=np.array([1.0, 1.0]),
-            sense="min",
-            eq_matrix=np.array([[1.0, 1.0], [1.0, 1.0]]),
-            eq_rhs=np.array([1.0, 2.0]),
-            lower_bounds=np.zeros(2),
-        )
-        assert solve_lp(lp).status == INFEASIBLE
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        result = solve_lp(a, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        assert result.status == INFEASIBLE
 
     def test_unbounded(self):
-        lp = LinearProgram(
-            objective=np.array([1.0, 0.0]),
-            sense="max",
-            eq_matrix=np.array([[1.0, -1.0]]),
-            eq_rhs=np.array([0.0]),
-            lower_bounds=np.zeros(2),
+        result = solve_lp(
+            np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0, 0.0]), "max"
         )
-        assert solve_lp(lp).status == UNBOUNDED
-
-    def test_upper_bounds_and_shifts(self):
-        # max x + 2y, 1 <= x <= 4, 0 <= y <= 2, x + y = 5 -> x=3, y=2.
-        lp = LinearProgram(
-            objective=np.array([1.0, 2.0]),
-            sense="max",
-            eq_matrix=np.array([[1.0, 1.0]]),
-            eq_rhs=np.array([5.0]),
-            lower_bounds=np.array([1.0, 0.0]),
-            upper_bounds=np.array([4.0, 2.0]),
-        )
-        result = solve_lp(lp)
-        assert result.is_optimal
-        assert result.value == pytest.approx(7.0, abs=1e-9)
-        assert result.solution == pytest.approx([3.0, 2.0], abs=1e-7)
+        assert result.status == UNBOUNDED
 
     def test_degenerate_program_terminates(self):
         # Many redundant rows around a single vertex.
         n = 12
         a = np.vstack([np.eye(n), np.ones((3, n))])
-        b = np.concatenate([np.zeros(n), np.zeros(3)])
-        lp = LinearProgram(
-            objective=np.ones(n),
-            sense="min",
-            eq_matrix=a,
-            eq_rhs=b,
-            lower_bounds=np.zeros(n),
-        )
-        result = solve_lp(lp)
+        b = np.zeros(n + 3)
+        result = solve_lp(a, b, np.ones(n))
         assert result.is_optimal
         assert result.value == pytest.approx(0.0, abs=1e-10)
 
@@ -113,14 +60,7 @@ class TestSolveLp:
             a = rng.uniform(0, 1, size=(m, n))
             x_feas = rng.uniform(0, 1, size=n)
             b = a @ x_feas
-            lp = LinearProgram(
-                objective=rng.normal(size=n),
-                sense="min",
-                eq_matrix=a,
-                eq_rhs=b,
-                lower_bounds=np.zeros(n),
-            )
-            result = solve_lp(lp)
+            result = solve_lp(a, b, rng.normal(size=n))
             assert result.is_optimal
             assert np.max(np.abs(a @ result.solution - b)) < 1e-7
             assert np.min(result.solution) > -1e-9
@@ -130,11 +70,8 @@ class TestSolveLp:
         a = rng.uniform(0, 1, size=(5, 12))
         b = a @ rng.uniform(0, 1, size=12)
         c = rng.normal(size=12)
-        lp = LinearProgram(
-            objective=c, sense="min", eq_matrix=a, eq_rhs=b, lower_bounds=np.zeros(12)
-        )
-        first = solve_lp(lp)
-        second = solve_lp(lp)
+        first = solve_lp(a, b, c)
+        second = solve_lp(a, b, c)
         assert first.value == second.value
         assert np.array_equal(first.solution, second.solution)
 

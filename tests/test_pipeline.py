@@ -195,6 +195,12 @@ class TestAlphaInterval:
         interval = BoundInterval(0.0, 200.0)
         assert alpha_interval(100.0, interval, 2.5) == interval
 
+    def test_estimate_far_outside_gives_nearest_endpoint(self):
+        # q/2 * gap = 20, so [estimate -/+ 20] misses [0, 200] on either side.
+        interval = BoundInterval(0.0, 200.0)
+        assert alpha_interval(300.0, interval, 0.2) == BoundInterval(200.0, 200.0)
+        assert alpha_interval(-50.0, interval, 0.2) == BoundInterval(0.0, 0.0)
+
 
 class TestErrorBar:
     def test_subset_of_100_interval_and_contains_point(self, rng):
