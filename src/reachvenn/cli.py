@@ -19,7 +19,6 @@ from .bounds import (
     check_consistency,
     incremental_curve_bounds,
     repair_dataset,
-    subset_bounds,
 )
 from .core import (
     BoundInterval,
@@ -30,12 +29,10 @@ from .core import (
     subset_reach_from_allocation,
 )
 from .experiment import run_experiment
-from .model import fit as fit_model
-from .model import predict
 from .pipeline import (
     EstimateOptions,
     SelectionState,
-    effective_d,
+    Session,
     estimate_subset,
     resolve_d,
     select_next_point,
@@ -135,16 +132,12 @@ def cmd_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset = io.load_dataset(args.dataset)
-    repaired = False
-    if not check_consistency(dataset).consistent:
-        dataset = repair_dataset(dataset)
-        repaired = True
-    d, policy = resolve_d(dataset, _parse_d(args.d))
-    model = fit_model(dataset, effective_d(d))
+    session = Session(io.load_dataset(args.dataset))
+    d, policy = resolve_d(session, _parse_d(args.d))
+    model = session.model(d)
     payload = model.to_json_dict()
     payload["d_policy"] = policy
-    payload["repaired"] = repaired
+    payload["repaired"] = session.repaired
     if args.out is not None:
         io.save_model(model, args.out)
     _emit(payload)
@@ -156,24 +149,16 @@ def cmd_predict(args) -> int:
     target = _parse_mask(args.target, dataset.num_bgs)
     if args.model is not None:
         model = io.load_model(args.model)
-        interval = subset_bounds(dataset, target)
-        point = predict(model, target)
-        if not args.no_clamp:
-            point = min(max(point, interval.lower), interval.upper)
-        payload = {
-            "target": target.to_string(),
-            "point": point,
-            "interval_100": _interval_dict(interval),
-            "d": "inf" if math.isinf(model.d) else model.d,
-            "d_policy": "loaded",
-            "universe_size": model.universe_size,
-        }
-        _emit(payload)
-        return EXIT_OK
-    options = EstimateOptions(
-        clamp=not args.no_clamp, alpha=args.alpha, d=_parse_d(args.d)
-    )
-    estimate = estimate_subset(dataset, target, options)
+        if model.num_bgs != dataset.num_bgs:
+            raise ValueError(
+                f"model has num_bgs={model.num_bgs}, dataset has {dataset.num_bgs}"
+            )
+        estimate = Session(dataset).estimate(model, target, clamp=not args.no_clamp)
+    else:
+        options = EstimateOptions(
+            clamp=not args.no_clamp, alpha=args.alpha, d=_parse_d(args.d)
+        )
+        estimate = estimate_subset(dataset, target, options)
     payload = {
         "target": target.to_string(),
         "point": estimate.point,
@@ -183,7 +168,7 @@ def cmd_predict(args) -> int:
         "universe_size": estimate.universe_size,
         "repaired": estimate.repaired,
     }
-    if args.alpha is not None:
+    if args.alpha is not None and args.model is None:
         if estimate.interval_alpha is None:
             payload["interval_alpha"] = None
             payload["alpha_note"] = "unavailable: no spare training points (n = P+1)"
@@ -224,9 +209,8 @@ def cmd_select(args) -> int:
             "measured_reach": state.measurements.reach_of(selected),
         }
         if track:
-            solver = BoundsSolver(state.measurements)
             entry["tracked"] = {
-                m.to_string(): _interval_dict(solver.bounds(m)) for m in track
+                m.to_string(): _interval_dict(state.solver.bounds(m)) for m in track
             }
         rounds.append(entry)
     payload = {"rounds": rounds, "chosen": [m.to_string() for m in state.chosen]}

@@ -385,6 +385,10 @@ class BoundInterval:
     def contains(self, value: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= value <= self.upper + tol
 
+    def clamp(self, value: float) -> float:
+        """The point of the interval nearest ``value``."""
+        return min(max(value, self.lower), self.upper)
+
 
 # --- Brute-force grid oracle -------------------------------------------------
 #

@@ -19,10 +19,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bounds import BoundsSolver, repair_dataset
+from .bounds import repair_dataset
 from .core import ReachDataset, ReachObservation, SubsetMask, enumerate_masks
-from .model import fit, predict
-from .pipeline import effective_d, nearest_rank_percentile, tune_d
+from .pipeline import Session, nearest_rank_percentile, tune_d
 from .synth import (
     GeneratorSpec,
     add_measurement_noise,
@@ -96,15 +95,13 @@ def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[f
     noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
     dataset = ReachDataset(spec.num_bgs, universe, tuple(noisy))
 
-    repaired = repair_dataset(dataset)
-    d = tune_d(repaired)
-    model = fit(repaired, effective_d(d))
-    solver = BoundsSolver(repaired)
+    # The design repairs every replicate, consistent or not.
+    session = Session(repair_dataset(dataset))
+    model = session.model(tune_d(session))
 
     errors = []
     for target in testing_masks(spec.num_bgs):
-        interval = solver.bounds(target)
-        point = min(max(predict(model, target), interval.lower), interval.upper)
+        point = session.estimate(model, target).point
         clean_truth = true_reach(truth, target)
         if clean_truth > 0:
             errors.append((point - clean_truth) / clean_truth)

@@ -35,6 +35,11 @@ def dataset_to_dict(dataset: ReachDataset) -> dict:
 
 
 def dataset_from_dict(payload: dict) -> ReachDataset:
+    if not isinstance(payload, dict):
+        raise ValueError("a dataset document must be a JSON object")
+    missing = [key for key in ("num_bgs", "observations") if key not in payload]
+    if missing:
+        raise ValueError(f"dataset document lacks {', '.join(missing)}")
     num_bgs = int(payload["num_bgs"])
     universe = payload.get("universe_size")
     pairs = []

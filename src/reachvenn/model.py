@@ -113,11 +113,14 @@ def segment_row(
 @dataclass(frozen=True)
 class SegmentMatrix:
     """Segment-probability matrix: one row per training subset, one column
-    per activity segment, both in ascending canonical order."""
+    per activity segment, both in ascending canonical order, with the
+    universe size and single-BG proportions it was built from."""
 
     d: float
     rows: tuple[SubsetMask, ...]
     entries: np.ndarray = field(repr=False)
+    universe_size: float
+    single_bg_proportions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -148,7 +151,7 @@ def build_segment_matrix(
         singles.append(reach)
     proportions = np.array(singles, dtype=np.float64) / universe
     entries = np.array([segment_row(m, proportions, d) for m in rows])
-    return SegmentMatrix(d=d, rows=tuple(rows), entries=entries)
+    return SegmentMatrix(d, tuple(rows), entries, float(universe), proportions)
 
 
 @dataclass(frozen=True)
@@ -216,28 +219,18 @@ def fit(dataset: ReachDataset, d: float) -> CiModel:
     """
     if not dataset.has_basic_points:
         raise ValueError("fitting needs all single-BG reaches and the union reach")
-    universe = dataset.universe_size
-    if universe is None:
-        universe = estimate_universe(dataset)
     obs = dataset.sorted_observations()
-    rows = [o.subset for o in obs]
-    target = np.array([o.reach for o in obs]) / universe
-    matrix = build_segment_matrix(dataset, d, rows)
-    padded = np.hstack([matrix.entries, np.zeros((len(rows), 1))])
+    matrix = build_segment_matrix(dataset, d, [o.subset for o in obs])
+    target = np.array([o.reach for o in obs]) / matrix.universe_size
+    padded = np.hstack([matrix.entries, np.zeros((len(obs), 1))])
     v, _ = simplex_lstsq(padded, target)
     weights = v[:-1]
     resid = target - matrix.entries @ weights
-    singles = np.array(
-        [
-            dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
-            for i in range(1, dataset.num_bgs + 1)
-        ]
-    )
     return CiModel(
         num_bgs=dataset.num_bgs,
         d=d,
-        universe_size=float(universe),
-        single_bg_proportions=singles / universe,
+        universe_size=matrix.universe_size,
+        single_bg_proportions=matrix.single_bg_proportions,
         weights=weights,
         training_residual=float(resid @ resid),
     )

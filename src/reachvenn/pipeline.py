@@ -4,20 +4,23 @@ Glues the model-free and model-based halves together: adaptive selection of
 the next subset to measure (largest bound gap first), leave-one-out cross
 validation of the tuning parameter d on the non-basic training points, error
 bars from the validation-error quantiles, and a one-call estimator returning
-a point estimate inside its 100%-confidence interval.
+a point estimate inside its 100%-confidence interval.  All of these read one
+``Session`` per dataset, which computes each fact they share once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import BoundsSolver, check_consistency, repair_dataset, subset_bounds
+from .bounds import BoundsSolver, repair_dataset
 from .core import (
     BoundInterval,
+    InconsistencyError,
     ReachDataset,
     SubsetMask,
     UnavailableError,
@@ -95,6 +98,11 @@ class SelectionState:
             measurements=measurements,
         )
 
+    @functools.cached_property
+    def solver(self) -> BoundsSolver:
+        """Bounds over the measurements; raises InconsistencyError (no repair)."""
+        return BoundsSolver(self.measurements)
+
 
 def select_next_point(
     state: SelectionState, measure: Callable[[SubsetMask], float]
@@ -107,11 +115,10 @@ def select_next_point(
     """
     if not state.candidates:
         raise UnavailableError("selection exhausted: no candidates remain")
-    solver = BoundsSolver(state.measurements)
     best_mask = None
     best_gap = -1.0
     for mask in sorted(state.candidates, key=lambda m: m.index):
-        gap = solver.bounds(mask).gap
+        gap = state.solver.bounds(mask).gap
         if gap > best_gap + 1e-12 * max(1.0, best_gap):
             best_gap = gap
             best_mask = mask
@@ -157,36 +164,87 @@ def nearest_rank_percentile(values: Sequence[float], alpha: float) -> float:
     return ordered[rank - 1]
 
 
-def _validation_masks(dataset: ReachDataset) -> list[SubsetMask]:
-    basics = {m.index for m in basic_masks(dataset.num_bgs)}
-    return [m for m in dataset.masks() if m.index not in basics]
+class Session:
+    """Every fact estimation needs about one dataset, each computed once.
 
-
-def _holdout_errors(
-    dataset: ReachDataset,
-    d_values: Sequence[float],
-    universe: float,
-) -> dict[float, list[float]]:
-    """Leave-one-out relative errors per d over the non-basic points.
-
-    The held-out point's bounds come from the remaining n-1 points and are
-    shared across the d grid.
+    The constructor runs one phase 1 and repairs the data if that finds it
+    inconsistent; ``dataset`` is the data used from then on.  The rest is
+    computed on first use, so bounds-only use needs no basic points.
     """
-    holdouts = _validation_masks(dataset)
-    errors: dict[float, list[float]] = {d: [] for d in d_values}
-    for mask in holdouts:
-        rest = dataset.without(mask)
-        interval = BoundsSolver(rest).bounds(mask)
-        truth = dataset.reach_of(mask)
-        for d in d_values:
-            model = fit(rest, effective_d(d))
-            err = relative_error(predict(model, mask), truth, interval, scale=universe)
-            errors[d].append(err)
-    return errors
+
+    def __init__(self, dataset: ReachDataset):
+        self.repaired = False
+        try:
+            self.solver = BoundsSolver(dataset)
+        except InconsistencyError:
+            dataset = repair_dataset(dataset)
+            self.solver = BoundsSolver(dataset)
+            self.repaired = True
+        self.dataset = dataset
+        self.has_spare_points = dataset.n > dataset.num_bgs + 1
+        self._errors: dict[float, list[float]] = {}
+        self._models: dict[float, CiModel] = {}
+
+    @functools.cached_property
+    def universe(self) -> float:
+        """The declared universe size, else the independence estimate."""
+        if self.dataset.universe_size is not None:
+            return self.dataset.universe_size
+        return estimate_universe(self.dataset)
+
+    @functools.cached_property
+    def holdouts(self) -> list[tuple[SubsetMask, ReachDataset, BoundInterval, float]]:
+        """(mask, the other points, the mask's bounds under them, its reach)
+        for each non-basic point; the basics are never held out."""
+        basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
+        result = []
+        for mask in self.dataset.masks():
+            if mask.index not in basics:
+                rest = self.dataset.without(mask)
+                interval = BoundsSolver(rest).bounds(mask)
+                result.append((mask, rest, interval, self.dataset.reach_of(mask)))
+        return result
+
+    def loo_errors(self, d: float) -> list[float]:
+        """Leave-one-out relative errors at d, one per held-out point."""
+        if d not in self._errors:
+            errors = self._errors[d] = []
+            for mask, rest, interval, truth in self.holdouts:
+                estimate = predict(fit(rest, effective_d(d)), mask)
+                errors.append(relative_error(estimate, truth, interval, self.universe))
+        return self._errors[d]
+
+    def model(self, d: float) -> CiModel:
+        """The model fitted to all points at d (nudged by ``effective_d``)."""
+        if d not in self._models:
+            self._models[d] = fit(self.dataset, effective_d(d))
+        return self._models[d]
+
+    def estimate(
+        self,
+        model: CiModel,
+        target: SubsetMask,
+        clamp: bool = True,
+        d: float | None = None,
+        d_policy: str = "loaded",
+    ) -> Estimate:
+        """The model's point for target (clamped unless told not to) beside
+        target's 100% interval; by default the model counts as loaded at its d."""
+        interval = self.solver.bounds(target)
+        point = predict(model, target)
+        return Estimate(
+            target=target,
+            point=interval.clamp(point) if clamp else point,
+            interval_100=interval,
+            d=model.d if d is None else d,
+            d_policy=d_policy,
+            universe_size=model.universe_size,
+            repaired=self.repaired,
+        )
 
 
 def tune_d(
-    dataset: ReachDataset,
+    session: Session,
     d_min: float = DEFAULT_D_MIN,
     d_max: float = DEFAULT_D_MAX,
     grid_size: int = DEFAULT_D_GRID,
@@ -198,19 +256,15 @@ def tune_d(
     bound gap under those n-1 points.  Ties go to the smaller d.  Requires
     n > P+1; the basics are never held out.
     """
-    if dataset.n <= dataset.num_bgs + 1:
+    if not session.has_spare_points:
         raise UnavailableError("no validation points; use default_d")
-    universe = dataset.universe_size
-    if universe is None:
-        universe = estimate_universe(dataset)
     grid = d_grid(d_min, d_max, grid_size)
-    errors = _holdout_errors(dataset, grid, universe)
     best_d = grid[0]
     best_score = math.inf
     # Scores within 1e-8 (solver noise, e.g. the d=1 nudge) count as ties,
     # and ties -- including all-infinite columns -- keep the smaller d.
     for d in grid:
-        score = float(np.mean(np.abs(errors[d])))
+        score = float(np.mean(np.abs(session.loo_errors(d))))
         if not math.isnan(score) and score < best_score - 1e-8:
             best_score = score
             best_d = d
@@ -235,11 +289,7 @@ def alpha_interval(
 
 
 def error_bar(
-    dataset: ReachDataset,
-    d: float,
-    target: SubsetMask,
-    alpha: float,
-    model: CiModel | None = None,
+    session: Session, d: float, target: SubsetMask, alpha: float
 ) -> BoundInterval:
     """alpha%-confidence interval around the model estimate for ``target``.
 
@@ -248,21 +298,14 @@ def error_bar(
     [estimate - q/2*gap, estimate + q/2*gap] intersected with the
     100%-confidence interval.  Requires n > P+1.
     """
-    if dataset.n <= dataset.num_bgs + 1:
+    if not session.has_spare_points:
         raise UnavailableError("error bar unavailable: no validation points")
-    universe = dataset.universe_size
-    if universe is None:
-        universe = estimate_universe(dataset)
-    errors = _holdout_errors(dataset, [d], universe)[d]
-    q_alpha = nearest_rank_percentile([abs(e) for e in errors], alpha)
-    if model is None:
-        model = fit(dataset, effective_d(d))
-    estimate = predict(model, target)
-    interval = subset_bounds(dataset, target)
-    return alpha_interval(estimate, interval, q_alpha)
+    q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_errors(d)], alpha)
+    estimate = session.estimate(session.model(d), target, clamp=False)
+    return alpha_interval(estimate.point, estimate.interval_100, q_alpha)
 
 
-def resolve_d(dataset: ReachDataset, d: float | None) -> tuple[float, str]:
+def resolve_d(session: Session, d: float | None) -> tuple[float, str]:
     """Settle d and name the policy that chose it.
 
     A given d is kept ("given"); otherwise d is cross-validated when there
@@ -271,8 +314,8 @@ def resolve_d(dataset: ReachDataset, d: float | None) -> tuple[float, str]:
     """
     if d is not None:
         return d, "given"
-    if dataset.n > dataset.num_bgs + 1:
-        return tune_d(dataset), "cross_validated"
+    if session.has_spare_points:
+        return tune_d(session), "cross_validated"
     return math.inf, "default_inf"
 
 
@@ -293,7 +336,7 @@ class Estimate:
     interval_alpha: BoundInterval | None = None
     alpha: float | None = None
     d: float = math.inf
-    d_policy: str = "default_inf"  # "given" | "cross_validated" | "default_inf"
+    d_policy: str = "default_inf"  # "given" | "cross_validated" | "default_inf" | "loaded"
     universe_size: float | None = None
     repaired: bool = False
 
@@ -312,29 +355,10 @@ def estimate_subset(
     options = options or EstimateOptions()
     if not dataset.has_basic_points:
         raise ValueError("estimation needs the basic observations")
-    repaired = False
-    if not check_consistency(dataset).consistent:
-        dataset = repair_dataset(dataset)
-        repaired = True
-
-    d, policy = resolve_d(dataset, options.d)
-    model = fit(dataset, effective_d(d))
-    point = predict(model, target)
-    interval = subset_bounds(dataset, target)
-    if options.clamp:
-        point = min(max(point, interval.lower), interval.upper)
-
-    interval_alpha = None
-    if options.alpha is not None and dataset.n > dataset.num_bgs + 1:
-        interval_alpha = error_bar(dataset, d, target, options.alpha, model=model)
-    return Estimate(
-        target=target,
-        point=point,
-        interval_100=interval,
-        interval_alpha=interval_alpha,
-        alpha=options.alpha if interval_alpha is not None else None,
-        d=d,
-        d_policy=policy,
-        universe_size=model.universe_size,
-        repaired=repaired,
-    )
+    session = Session(dataset)
+    d, policy = resolve_d(session, options.d)
+    estimate = session.estimate(session.model(d), target, options.clamp, d, policy)
+    if options.alpha is None or not session.has_spare_points:
+        return estimate
+    interval_alpha = error_bar(session, d, target, options.alpha)
+    return replace(estimate, interval_alpha=interval_alpha, alpha=options.alpha)

@@ -204,6 +204,38 @@ class TestFitPredict:
         assert payload["d_policy"] == "loaded"
         assert payload["d"] == 2.5
 
+    def test_saved_model_on_inconsistent_data_is_repaired(self, capsys, tmp_path):
+        data = tmp_path / "noisy.json"
+        model_path = tmp_path / "model.json"
+        io.save_dataset(triangle_dataset(claim=3500), data)
+        code, out, _ = run_cli(capsys, "fit", data, "--d", "2", "--out", model_path)
+        assert code == 0 and json.loads(out)["repaired"]
+        code, out, _ = run_cli(
+            capsys, "predict", data, "--target", "110", "--model", model_path
+        )
+        assert code == 0
+        loaded = json.loads(out)
+        assert loaded["repaired"] is True
+        code, out, _ = run_cli(capsys, "predict", data, "--target", "110", "--d", "2")
+        fitted = json.loads(out)
+        assert code == 0
+        assert loaded["point"] == fitted["point"]
+        assert loaded["interval_100"] == fitted["interval_100"]
+
+    def test_saved_model_with_other_num_bgs_is_usage_error(
+        self, capsys, tmp_path, rng, triangle_file
+    ):
+        small, _ = random_consistent_dataset(rng, 2, extra=1, universe=1000.0)
+        small_path = tmp_path / "small.json"
+        model_path = tmp_path / "model.json"
+        io.save_dataset(small, small_path)
+        run_cli(capsys, "fit", small_path, "--d", "inf", "--out", model_path)
+        code, _, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
+        )
+        assert code == 64
+        assert "num_bgs" in err
+
 
 class TestSelect:
     def test_selection_log_and_budget_overrun(self, capsys, tmp_path):
@@ -296,3 +328,17 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "check", "/nonexistent/file.json")
         assert code == 64
         assert "error" in err
+
+    def test_dataset_that_is_a_json_array(self, capsys, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text('[{"subset": "10", "reach": 1.0}]')
+        code, _, err = run_cli(capsys, "check", path)
+        assert code == 64
+        assert "JSON object" in err
+
+    def test_dataset_without_observations(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"num_bgs": 2}')
+        code, _, err = run_cli(capsys, "check", path)
+        assert code == 64
+        assert "observations" in err

@@ -11,9 +11,11 @@ from reachvenn.core import (
     UnavailableError,
     enumerate_masks,
 )
+from reachvenn.model import fit
 from reachvenn.pipeline import (
     EstimateOptions,
     SelectionState,
+    Session,
     alpha_interval,
     d_grid,
     error_bar,
@@ -166,18 +168,18 @@ class TestTuneD:
         truth = independent_truth(3, 0.2, 1000.0)
         ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
         with pytest.raises(UnavailableError, match="default_d"):
-            tune_d(ds)
+            tune_d(Session(ds))
 
     def test_independence_data_selects_smallest_d(self):
         # Exact independence fits perfectly already at the grid's d = 1.
         ds, _ = independence_p3_dataset()
-        assert tune_d(ds) == 1.0
+        assert tune_d(Session(ds)) == 1.0
 
     def test_choice_lies_on_grid_and_is_deterministic(self, rng):
         ds, _ = random_consistent_dataset(rng, 4, extra=3)
-        first = tune_d(ds)
+        first = tune_d(Session(ds))
         assert first in d_grid()
-        assert tune_d(ds) == first
+        assert tune_d(Session(ds)) == first
 
 
 class TestAlphaInterval:
@@ -215,10 +217,29 @@ class TestErrorBar:
         truth = independent_truth(3, 0.2, 1000.0)
         ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
         with pytest.raises(UnavailableError, match="error bar"):
-            error_bar(ds, math.inf, SubsetMask.from_string("110"), 90.0)
+            error_bar(Session(ds), math.inf, SubsetMask.from_string("110"), 90.0)
 
 
 class TestEstimateSubset:
+    def test_alpha_reuses_the_tuning_fits(self, rng, monkeypatch):
+        # Ten grid values times k holdouts, plus the final model: the error
+        # bar reads its leave-one-out errors from the tuning pass.
+        from reachvenn import pipeline
+
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
+        spare = ds.n - (ds.num_bgs + 1)
+        calls = []
+
+        def counting_fit(dataset, d):
+            calls.append(d)
+            return fit(dataset, d)
+
+        monkeypatch.setattr(pipeline, "fit", counting_fit)
+        target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
+        est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
+        assert est.interval_alpha is not None
+        assert len(calls) == 10 * spare + 1
+
     def test_observed_target_degenerate(self, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=1000.0)
         target = ds.masks()[0]
