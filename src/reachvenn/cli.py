@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, bounds, curve, fit, predict, select, experiment.
-Exit codes: 0 ok, 2 inconsistent data, 3 infeasible/unavailable, 64 usage.
+Exit codes: 0 ok, 2 inconsistent data, 3 infeasible/unavailable (or a solver
+that stopped before converging), 64 usage.
 Structured output goes to stdout (JSON, or CSV for curves); diagnostics to
 stderr.  REACH_VENN_THREADS caps experiment parallelism.
 """
@@ -67,8 +68,8 @@ def _parse_mask(text: str, num_bgs: int) -> SubsetMask:
     return mask
 
 
-def _parse_d(text: str) -> float | None:
-    if text == "auto":
+def _parse_d(text: str | None) -> float | None:
+    if text is None or text == "auto":
         return None
     if text == "inf":
         return math.inf
@@ -148,6 +149,8 @@ def cmd_predict(args) -> int:
     dataset = io.load_dataset(args.dataset)
     target = _parse_mask(args.target, dataset.num_bgs)
     if args.model is not None:
+        if args.alpha is not None or args.d is not None:
+            raise ValueError("--model takes neither --alpha nor --d")
         model = io.load_model(args.model)
         if model.num_bgs != dataset.num_bgs:
             raise ValueError(
@@ -168,7 +171,7 @@ def cmd_predict(args) -> int:
         "universe_size": estimate.universe_size,
         "repaired": estimate.repaired,
     }
-    if args.alpha is not None and args.model is None:
+    if args.alpha is not None:
         if estimate.interval_alpha is None:
             payload["interval_alpha"] = None
             payload["alpha_note"] = "unavailable: no spare training points (n = P+1)"
@@ -278,7 +281,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="estimate one subset's reach")
     p.add_argument("dataset")
     p.add_argument("--target", required=True)
-    p.add_argument("--d", default="auto")
+    p.add_argument("--d", help="'auto' (the default), 'inf', or a number > 1")
     p.add_argument("--alpha", type=float, help="confidence level for the error bar")
     p.add_argument("--no-clamp", action="store_true", help="skip clamping into bounds")
     p.add_argument("--model", help="reuse a saved model instead of fitting")
@@ -319,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except UnavailableError as exc:
+    except (UnavailableError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     except (ValueError, OSError, json.JSONDecodeError) as exc:

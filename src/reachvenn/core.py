@@ -97,10 +97,6 @@ class SubsetMask:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    def has_bg(self, bg: int) -> bool:
-        """Membership of 1-indexed BG ``bg``."""
-        return bool(self.bits >> (bg - 1) & 1)
-
     def bg_indices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.num_bgs) if self.bits >> i & 1)
 
@@ -114,10 +110,6 @@ class SubsetMask:
     def is_subset_of(self, other: "SubsetMask") -> bool:
         self._check_compatible(other)
         return self.bits & ~other.bits == 0
-
-    def intersects(self, other: "SubsetMask") -> bool:
-        self._check_compatible(other)
-        return self.bits & other.bits != 0
 
     def _check_compatible(self, other: "SubsetMask") -> None:
         if self.num_bgs != other.num_bgs:

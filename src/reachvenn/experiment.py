@@ -60,18 +60,9 @@ class ExperimentReport:
         return sum(len(row) for row in self.errors)
 
     def to_json_dict(self) -> dict:
-        spec = self.generator
         return {
-            "generator": {
-                "kind": spec.kind,
-                "num_bgs": spec.num_bgs,
-                "universe_size": spec.universe_size,
-                "num_groups": spec.num_groups,
-                "reach_beta_a": spec.reach_beta_a,
-                "reach_beta_b": spec.reach_beta_b,
-                "alpha": spec.alpha,
-            },
-            "num_bgs": spec.num_bgs,
+            "generator": self.generator.to_json_dict(),
+            "num_bgs": self.generator.num_bgs,
             "replicates": self.replicates,
             "seed": self.seed,
             "q90": self.q90,

@@ -81,14 +81,7 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
             for m in basic_masks(spec.num_bgs)
         ],
         "allocation": truth.allocation.values.tolist(),
-        "generator": {
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "num_groups": spec.num_groups,
-            "reach_beta_a": spec.reach_beta_a,
-            "reach_beta_b": spec.reach_beta_b,
-            "alpha": spec.alpha,
-        },
+        "generator": spec.to_json_dict(),
     }
 
 

@@ -8,7 +8,8 @@ Two solvers:
   Callers that want sum(v) <= 1 append a zero column and discard its weight.
 
 Both run to a KKT tolerance that puts the squared-residual objective within
-~1e-10 of the true constrained optimum on unit-scale data.
+~1e-10 of the true constrained optimum on unit-scale data, and raise
+RuntimeError when ``max_iter`` outer or inner iterations end before that.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.
                 x = np.zeros(n)
                 break
         else:
-            break
+            raise RuntimeError("nnls: inner iteration limit exceeded")
+    else:
+        raise RuntimeError("nnls: iteration limit exceeded")
     resid = b - a @ x
     return x, float(resid @ resid)
 
@@ -139,6 +142,8 @@ def simplex_lstsq(
                 v[start] = 1.0
                 break
         else:
-            break
+            raise RuntimeError("simplex_lstsq: inner iteration limit exceeded")
+    else:
+        raise RuntimeError("simplex_lstsq: iteration limit exceeded")
     resid = b - a @ v
     return v, float(resid @ resid)

@@ -8,16 +8,22 @@ parameter).  A subset's reach proportion is then a convex combination over
 segments, and fitting reduces to least squares under w >= 0, sum(w) <= 1.
 As d grows the segment rows approach the subset/region incidence pattern, so
 consistent data is always perfectly fittable in the limit.
+
+Fitting is split in two: ``build_segment_matrix`` builds Z(d) and
+``fit_segments`` solves for the weights on it.  A leave-one-out fit deletes
+one row of the full matrix (``SegmentMatrix.without``), which equals the
+smaller dataset's own matrix bit for bit: the basics, and so the universe and
+single-BG proportions, are never held out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bounds import check_consistency
+from .bounds import BoundsSolver
 from .core import (
     InconsistencyError,
     ReachDataset,
@@ -128,30 +134,32 @@ class SegmentMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
+    def without(self, row: int) -> "SegmentMatrix":
+        """The matrix with row number ``row`` deleted."""
+        rows = self.rows[:row] + self.rows[row + 1 :]
+        return replace(self, rows=rows, entries=np.delete(self.entries, row, axis=0))
 
-def build_segment_matrix(
-    dataset: ReachDataset, d: float, rows: list[SubsetMask] | None = None
-) -> SegmentMatrix:
-    """Segment matrix for the dataset's training subsets at parameter ``d``.
 
-    ``rows`` defaults to the observed masks in ascending canonical order.
-    The single-BG proportions come from the declared universe size, or from
+def build_segment_matrix(dataset: ReachDataset, d: float) -> SegmentMatrix:
+    """Segment matrix for the dataset's observed masks at parameter ``d``.
+
+    The rows are the masks in ascending canonical order.  The single-BG
+    proportions come from the declared universe size, or from
     ``estimate_universe`` when none is declared.
     """
-    if rows is None:
-        rows = list(dataset.masks())
+    if not dataset.has_basic_points:
+        raise ValueError("fitting needs all single-BG reaches and the union reach")
+    rows = dataset.masks()
     universe = dataset.universe_size
     if universe is None:
         universe = estimate_universe(dataset)
-    singles = []
-    for i in range(1, dataset.num_bgs + 1):
-        reach = dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
-        if reach is None:
-            raise ValueError("segment matrix needs every single-BG reach")
-        singles.append(reach)
+    singles = [
+        dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
+        for i in range(1, dataset.num_bgs + 1)
+    ]
     proportions = np.array(singles, dtype=np.float64) / universe
     entries = np.array([segment_row(m, proportions, d) for m in rows])
-    return SegmentMatrix(d, tuple(rows), entries, float(universe), proportions)
+    return SegmentMatrix(d, rows, entries, float(universe), proportions)
 
 
 @dataclass(frozen=True)
@@ -209,31 +217,34 @@ class CiModel:
         )
 
 
-def fit(dataset: ReachDataset, d: float) -> CiModel:
-    """Fit segment weights to the training points at parameter ``d``.
+def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
+    """Fit segment weights to ``reaches``, the reaches of ``matrix``'s rows.
 
     Solves min ||r - Z(d) w||^2 over w >= 0, sum(w) <= 1 (a slack weight for
     the never-reached remainder turns this into least squares on a simplex).
     The returned objective is within ~1e-10 of the constrained optimum; when
     several weight vectors are optimal, any one of them may be returned.
     """
-    if not dataset.has_basic_points:
-        raise ValueError("fitting needs all single-BG reaches and the union reach")
-    obs = dataset.sorted_observations()
-    matrix = build_segment_matrix(dataset, d, [o.subset for o in obs])
-    target = np.array([o.reach for o in obs]) / matrix.universe_size
-    padded = np.hstack([matrix.entries, np.zeros((len(obs), 1))])
+    target = np.asarray(reaches, dtype=np.float64) / matrix.universe_size
+    padded = np.hstack([matrix.entries, np.zeros((len(matrix.rows), 1))])
     v, _ = simplex_lstsq(padded, target)
     weights = v[:-1]
     resid = target - matrix.entries @ weights
     return CiModel(
-        num_bgs=dataset.num_bgs,
-        d=d,
+        num_bgs=len(matrix.single_bg_proportions),
+        d=matrix.d,
         universe_size=matrix.universe_size,
         single_bg_proportions=matrix.single_bg_proportions,
         weights=weights,
         training_residual=float(resid @ resid),
     )
+
+
+def fit(dataset: ReachDataset, d: float) -> CiModel:
+    """Fit segment weights to the dataset's training points at parameter ``d``
+    (``fit_segments`` on the dataset's segment matrix)."""
+    reaches = np.array([o.reach for o in dataset.sorted_observations()])
+    return fit_segments(build_segment_matrix(dataset, d), reaches)
 
 
 def predict(model: CiModel, target: SubsetMask) -> float:
@@ -262,8 +273,7 @@ def min_perfect_fit_d(
         InconsistencyError: the training points are not consistent (no d can
             reach a zero residual).
     """
-    if not check_consistency(dataset).consistent:
-        raise InconsistencyError("training points are inconsistent; repair first")
+    BoundsSolver(dataset)  # raises InconsistencyError
 
     def residual(d: float) -> float:
         return fit(dataset, d).training_residual

@@ -5,7 +5,9 @@ the next subset to measure (largest bound gap first), leave-one-out cross
 validation of the tuning parameter d on the non-basic training points, error
 bars from the validation-error quantiles, and a one-call estimator returning
 a point estimate inside its 100%-confidence interval.  All of these read one
-``Session`` per dataset, which computes each fact they share once.
+``Session`` per dataset, which computes each fact they share once: it holds
+one segment matrix per d, and each leave-one-out fit solves on that matrix
+with the held-out point's row deleted.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     UnavailableError,
     basic_masks,
 )
-from .model import CiModel, estimate_universe, fit, predict
+from .model import CiModel, SegmentMatrix, build_segment_matrix, fit_segments, predict
 
 DEFAULT_D_MIN = 1.0
 DEFAULT_D_MAX = 5.0
@@ -168,8 +170,9 @@ class Session:
     """Every fact estimation needs about one dataset, each computed once.
 
     The constructor runs one phase 1 and repairs the data if that finds it
-    inconsistent; ``dataset`` is the data used from then on.  The rest is
-    computed on first use, so bounds-only use needs no basic points.
+    inconsistent; ``dataset`` is the data used from then on, and ``reaches``
+    its reaches in the segment matrices' row order.  The rest is computed on
+    first use, so bounds-only use needs no basic points.
     """
 
     def __init__(self, dataset: ReachDataset):
@@ -181,43 +184,48 @@ class Session:
             self.solver = BoundsSolver(dataset)
             self.repaired = True
         self.dataset = dataset
+        self.reaches = np.array([o.reach for o in dataset.sorted_observations()])
         self.has_spare_points = dataset.n > dataset.num_bgs + 1
+        self._segments: dict[float, SegmentMatrix] = {}
         self._errors: dict[float, list[float]] = {}
         self._models: dict[float, CiModel] = {}
 
     @functools.cached_property
-    def universe(self) -> float:
-        """The declared universe size, else the independence estimate."""
-        if self.dataset.universe_size is not None:
-            return self.dataset.universe_size
-        return estimate_universe(self.dataset)
-
-    @functools.cached_property
-    def holdouts(self) -> list[tuple[SubsetMask, ReachDataset, BoundInterval, float]]:
-        """(mask, the other points, the mask's bounds under them, its reach)
-        for each non-basic point; the basics are never held out."""
+    def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval, float]]:
+        """(row number, mask, the mask's bounds under the other points, its
+        reach) for each non-basic point; the basics are never held out."""
         basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
         result = []
-        for mask in self.dataset.masks():
+        for row, mask in enumerate(self.dataset.masks()):
             if mask.index not in basics:
-                rest = self.dataset.without(mask)
-                interval = BoundsSolver(rest).bounds(mask)
-                result.append((mask, rest, interval, self.dataset.reach_of(mask)))
+                interval = BoundsSolver(self.dataset.without(mask)).bounds(mask)
+                result.append((row, mask, interval, self.dataset.reach_of(mask)))
         return result
 
+    def segments(self, d: float) -> SegmentMatrix:
+        """The segment matrix of all points at d (nudged by ``effective_d``)."""
+        if d not in self._segments:
+            self._segments[d] = build_segment_matrix(self.dataset, effective_d(d))
+        return self._segments[d]
+
     def loo_errors(self, d: float) -> list[float]:
-        """Leave-one-out relative errors at d, one per held-out point."""
+        """Leave-one-out relative errors at d, one per held-out point, each
+        from a fit on ``segments(d)`` without the point's row."""
         if d not in self._errors:
+            matrix = self.segments(d)
             errors = self._errors[d] = []
-            for mask, rest, interval, truth in self.holdouts:
-                estimate = predict(fit(rest, effective_d(d)), mask)
-                errors.append(relative_error(estimate, truth, interval, self.universe))
+            for row, mask, interval, truth in self.holdouts:
+                model = fit_segments(matrix.without(row), np.delete(self.reaches, row))
+                estimate = predict(model, mask)
+                errors.append(
+                    relative_error(estimate, truth, interval, matrix.universe_size)
+                )
         return self._errors[d]
 
     def model(self, d: float) -> CiModel:
         """The model fitted to all points at d (nudged by ``effective_d``)."""
         if d not in self._models:
-            self._models[d] = fit(self.dataset, effective_d(d))
+            self._models[d] = fit_segments(self.segments(d), self.reaches)
         return self._models[d]
 
     def estimate(

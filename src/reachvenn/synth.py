@@ -13,7 +13,7 @@ derived as seed XOR replicate_index so runs parallelize reproducibly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,9 @@ class GeneratorSpec:
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from reachvenn import io
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
+from reachvenn.lsq import simplex_lstsq
 from reachvenn.synth import independent_truth, true_dataset
 
 from conftest import random_consistent_dataset
@@ -235,6 +236,32 @@ class TestFitPredict:
         )
         assert code == 64
         assert "num_bgs" in err
+
+    @pytest.mark.parametrize("flag", [["--alpha", "90"], ["--d", "3"], ["--d", "auto"]])
+    def test_saved_model_rejects_fitting_flags(self, capsys, tmp_path, flag):
+        data = tmp_path / "ds.json"
+        model_path = tmp_path / "model.json"
+        io.save_dataset(triangle_dataset(), data)
+        run_cli(capsys, "fit", data, "--d", "2", "--out", model_path)
+        code, out, err = run_cli(
+            capsys, "predict", data, "--target", "101", "--model", model_path, *flag
+        )
+        assert code == 64
+        assert out == ""
+        assert "--model" in err
+
+    def test_solver_that_stops_early_exits_three(self, capsys, monkeypatch, triangle_file):
+        from reachvenn import model
+
+        def one_iteration(a, b):
+            return simplex_lstsq(a, b, max_iter=1)
+
+        monkeypatch.setattr(model, "simplex_lstsq", one_iteration)
+        code, out, err = run_cli(capsys, "fit", triangle_file, "--d", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: simplex_lstsq")
+        assert "Traceback" not in err
 
 
 class TestSelect:

@@ -43,6 +43,14 @@ class TestNnls:
         grad = a.T @ (b - a @ x)
         assert np.all(grad <= 1e-8)
 
+    def test_iteration_limit_raises(self):
+        # Three positive coordinates need at least three outer iterations.
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0, 1, size=(8, 5))
+        b = a @ np.array([0.0, 1.5, 0.0, 0.2, 3.0])
+        with pytest.raises(RuntimeError, match="nnls"):
+            nnls(a, b, max_iter=1)
+
 
 class TestSimplexLstsq:
     def test_recovers_interior_point(self):
@@ -53,6 +61,14 @@ class TestSimplexLstsq:
         assert rss < 1e-16
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(v) >= 0.0
+
+    def test_iteration_limit_raises(self):
+        # All four columns carry weight; the start holds one of them.
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0, 1, size=(6, 4))
+        b = a @ np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(RuntimeError, match="simplex_lstsq"):
+            simplex_lstsq(a, b, max_iter=1)
 
     def test_single_column(self):
         v, rss = simplex_lstsq(np.array([[2.0], [0.0]]), np.array([1.0, 1.0]))

@@ -4,20 +4,25 @@ import math
 
 import pytest
 
+from reachvenn import model, pipeline
+from reachvenn.bounds import BoundsSolver
 from reachvenn.core import (
     BoundInterval,
     ReachDataset,
+    ReachObservation,
     SubsetMask,
     UnavailableError,
+    basic_masks,
     enumerate_masks,
 )
-from reachvenn.model import fit
+from reachvenn.model import estimate_universe, fit, predict
 from reachvenn.pipeline import (
     EstimateOptions,
     SelectionState,
     Session,
     alpha_interval,
     d_grid,
+    effective_d,
     error_bar,
     estimate_subset,
     nearest_rank_percentile,
@@ -25,7 +30,14 @@ from reachvenn.pipeline import (
     select_next_point,
     tune_d,
 )
-from reachvenn.synth import independent_truth, true_dataset, true_reach
+from reachvenn.synth import (
+    GeneratorSpec,
+    add_measurement_noise,
+    generate,
+    independent_truth,
+    true_dataset,
+    true_reach,
+)
 
 from conftest import random_consistent_dataset
 
@@ -35,6 +47,33 @@ def five_bg_setup():
     truth = independent_truth(5, 0.2, 500000.0)
     masks = [m for m in enumerate_masks(5) if m.popcount in (1, 5)]
     return truth, true_dataset(truth, masks)
+
+
+def noisy_p5_dataset(declare_universe: bool) -> ReachDataset:
+    """Noisy reaches of the basics and 8 more masks of a P=5 ci_groups truth."""
+    universe = 100000.0
+    truth = generate(GeneratorSpec("ci_groups", 5, universe, seed=17))
+    masks = basic_masks(5) + [m for m in enumerate_masks(5) if m.popcount == 2][:8]
+    clean = [ReachObservation(m, true_reach(truth, m)) for m in masks]
+    noisy = [
+        ReachObservation(o.subset, min(o.reach, universe))
+        for o in add_measurement_noise(clean, seed=18)
+    ]
+    return ReachDataset(5, universe if declare_universe else None, tuple(noisy))
+
+
+def counting(monkeypatch, name, modules):
+    """Count calls to the function ``name`` through each module's binding."""
+    calls = []
+    original = getattr(model, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
 
 
 def independence_p3_dataset(extra_popcount2=2):
@@ -182,6 +221,40 @@ class TestTuneD:
         assert tune_d(Session(ds)) == first
 
 
+class TestSession:
+    @pytest.mark.parametrize("declare_universe", [True, False])
+    def test_loo_errors_equal_refitting_each_rest(self, declare_universe):
+        # Each held-out fit drops one row of the session's matrix; the
+        # reference refits the dataset without that point from scratch.
+        session = Session(noisy_p5_dataset(declare_universe))
+        ds = session.dataset
+        assert (ds.universe_size is not None) == declare_universe
+        universe = ds.universe_size or estimate_universe(ds)
+        basics = {m.index for m in basic_masks(5)}
+        held_out = [m for m in ds.masks() if m.index not in basics]
+        assert len(held_out) == 8
+        for d in d_grid():
+            expected = []
+            for mask in held_out:
+                rest = ds.without(mask)
+                estimate = predict(fit(rest, effective_d(d)), mask)
+                interval = BoundsSolver(rest).bounds(mask)
+                expected.append(
+                    relative_error(estimate, ds.reach_of(mask), interval, universe)
+                )
+            assert session.loo_errors(d) == expected
+
+    def test_one_segment_matrix_per_grid_d(self, monkeypatch):
+        ds = noisy_p5_dataset(declare_universe=False)
+        matrices = counting(monkeypatch, "build_segment_matrix", [model, pipeline])
+        universes = counting(monkeypatch, "estimate_universe", [model, pipeline])
+        target = next(m for m in enumerate_masks(5) if ds.reach_of(m) is None)
+        est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
+        assert est.d_policy == "cross_validated" and est.interval_alpha is not None
+        assert len(matrices) == 10
+        assert len(universes) <= 11
+
+
 class TestAlphaInterval:
     def test_hand_substitution(self):
         interval = BoundInterval(0.0, 200.0)
@@ -224,17 +297,9 @@ class TestEstimateSubset:
     def test_alpha_reuses_the_tuning_fits(self, rng, monkeypatch):
         # Ten grid values times k holdouts, plus the final model: the error
         # bar reads its leave-one-out errors from the tuning pass.
-        from reachvenn import pipeline
-
         ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
         spare = ds.n - (ds.num_bgs + 1)
-        calls = []
-
-        def counting_fit(dataset, d):
-            calls.append(d)
-            return fit(dataset, d)
-
-        monkeypatch.setattr(pipeline, "fit", counting_fit)
+        calls = counting(monkeypatch, "fit_segments", [pipeline])
         target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
         est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
         assert est.interval_alpha is not None
