@@ -4,7 +4,7 @@ Subcommands: check, bounds, curve, fit, predict, select, experiment.
 Exit codes: 0 ok, 2 inconsistent data, 3 infeasible/unavailable (or a solver
 that stopped before converging), 64 usage.
 Structured output goes to stdout (JSON, or CSV for curves); diagnostics to
-stderr.  REACH_VENN_THREADS caps experiment parallelism.
+stderr.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def _parse_d(text: str | None) -> float | None:
     if text == "inf":
         return math.inf
     value = float(text)
-    if value < 1.0:
+    if math.isnan(value) or value < 1.0:
         raise ValueError("d must be at least 1 (or 'inf'/'auto')")
     return value
 
@@ -305,7 +305,9 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-a", type=float, default=0.4)
     p.add_argument("--beta-b", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=2.0, help="dirichlet concentration")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument(
+        "--workers", type=int, default=1, help="processes to run replicates in"
+    )
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_experiment)
     return parser

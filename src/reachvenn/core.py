@@ -97,19 +97,12 @@ class SubsetMask:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    def bg_indices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.num_bgs) if self.bits >> i & 1)
-
     def union(self, other: "SubsetMask") -> "SubsetMask":
         self._check_compatible(other)
         return SubsetMask(self.bits | other.bits, self.num_bgs)
 
     def __or__(self, other: "SubsetMask") -> "SubsetMask":
         return self.union(other)
-
-    def is_subset_of(self, other: "SubsetMask") -> bool:
-        self._check_compatible(other)
-        return self.bits & ~other.bits == 0
 
     def _check_compatible(self, other: "SubsetMask") -> None:
         if self.num_bgs != other.num_bgs:
@@ -119,35 +112,11 @@ class SubsetMask:
         return self.to_string()
 
 
-def enumerate_masks(
-    num_bgs: int, select: str = "all", popcount: int | None = None
-) -> list[SubsetMask]:
-    """Enumerate subset masks in ascending canonical-index order.
-
-    Args:
-        num_bgs: P, the number of buying groups.
-        select: one of "all" (all non-zero masks), "single_bgs",
-            "full_union", or "popcount" (requires the ``popcount`` argument).
-        popcount: subset size when ``select == "popcount"``.
-
-    Returns:
-        Masks sorted by canonical index, ascending.
-    """
+def enumerate_masks(num_bgs: int) -> list[SubsetMask]:
+    """All non-zero subset masks of P = ``num_bgs`` BGs, ascending by index."""
     if num_bgs < 2:
         raise ValueError("num_bgs must be at least 2")
-    if select == "all":
-        indices = range(1, 1 << num_bgs)
-    elif select == "single_bgs":
-        indices = [1 << i for i in range(num_bgs)]
-    elif select == "full_union":
-        indices = [(1 << num_bgs) - 1]
-    elif select == "popcount":
-        if popcount is None:
-            raise ValueError("popcount filter requires the popcount argument")
-        indices = [j for j in range(1, 1 << num_bgs) if bin(j).count("1") == popcount]
-    else:
-        raise ValueError(f"unknown selector {select!r}")
-    return [SubsetMask(j, num_bgs) for j in sorted(indices)]
+    return [SubsetMask(j, num_bgs) for j in range(1, 1 << num_bgs)]
 
 
 def basic_masks(num_bgs: int) -> list[SubsetMask]:
@@ -310,11 +279,12 @@ class RegionAllocation:
 
     @classmethod
     def from_values(
-        cls, num_bgs: int, values: Sequence[float] | np.ndarray, tol: float = 1e-9
+        cls, num_bgs: int, values: Sequence[float] | np.ndarray
     ) -> "RegionAllocation":
-        """Build an allocation, clipping negative round-off up to ``tol``."""
+        """Build an allocation, clipping negative round-off up to 1e-9 of the
+        largest magnitude (or of 1)."""
         arr = np.asarray(values, dtype=np.float64)
-        if np.any(arr < -tol * max(1.0, float(np.max(np.abs(arr), initial=0.0)))):
+        if np.any(arr < -1e-9 * max(1.0, float(np.max(np.abs(arr), initial=0.0)))):
             raise ValueError("allocation entries must be non-negative")
         return cls(num_bgs=num_bgs, values=np.clip(arr, 0.0, None))
 

@@ -14,7 +14,6 @@ gap-normalized errors have no 10% regime).
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ from .synth import (
     noise_seed,
     true_reach,
 )
-
-THREADS_ENV_VAR = "REACH_VENN_THREADS"
 
 
 def training_masks(num_bgs: int) -> list[SubsetMask]:
@@ -101,20 +98,10 @@ def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[f
     return errors
 
 
-def default_worker_count() -> int:
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value is None:
-        return 1
-    return max(1, int(value))
-
-
 def run_experiment(
-    spec: GeneratorSpec,
-    replicates: int,
-    seed: int,
-    max_workers: int | None = None,
+    spec: GeneratorSpec, replicates: int, seed: int, max_workers: int = 1
 ) -> ExperimentReport:
-    """Run all replicates (optionally in parallel) and pool the errors.
+    """Run all replicates, in ``max_workers`` processes, and pool the errors.
 
     Replicate streams derive from (seed, replicate index), so the result is
     identical whatever the worker count, and a 1-replicate run reproduces the
@@ -124,8 +111,8 @@ def run_experiment(
         raise ValueError("the experiment design needs P >= 4")
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    if max_workers is None:
-        max_workers = default_worker_count()
+    if max_workers < 1:
+        raise ValueError("need at least one worker")
     started = time.perf_counter()
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:

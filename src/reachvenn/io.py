@@ -15,6 +15,7 @@ when produced by a generator, its parameters.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ import numpy as np
 from .core import ReachDataset, RegionAllocation
 from .model import CiModel
 from .synth import GroundTruth
+
+
+def _document(payload, keys: tuple[str, ...], what: str) -> dict:
+    """``payload``, checked to be a JSON object holding every key in ``keys``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    return payload
 
 
 def dataset_to_dict(dataset: ReachDataset) -> dict:
@@ -35,15 +46,14 @@ def dataset_to_dict(dataset: ReachDataset) -> dict:
 
 
 def dataset_from_dict(payload: dict) -> ReachDataset:
-    if not isinstance(payload, dict):
-        raise ValueError("a dataset document must be a JSON object")
-    missing = [key for key in ("num_bgs", "observations") if key not in payload]
-    if missing:
-        raise ValueError(f"dataset document lacks {', '.join(missing)}")
+    _document(payload, ("num_bgs", "observations"), "a dataset document")
     num_bgs = int(payload["num_bgs"])
     universe = payload.get("universe_size")
+    if not isinstance(payload["observations"], list):
+        raise ValueError("a dataset's observations must be a JSON array")
     pairs = []
     for entry in payload["observations"]:
+        _document(entry, ("subset", "reach"), "an observation")
         subset = str(entry["subset"])
         if len(subset) != num_bgs:
             raise ValueError(
@@ -94,7 +104,7 @@ def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
     """Read a ground-truth file down to (allocation, universe_size)."""
     with open(path) as handle:
-        payload = json.load(handle)
+        payload = _document(json.load(handle), ("num_bgs", "allocation"), "a truth file")
     num_bgs = int(payload["num_bgs"])
     values = np.asarray(payload["allocation"], dtype=np.float64)
     universe = payload.get("universe_size")
@@ -104,7 +114,8 @@ def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
 
 def load_model(path: str | Path) -> CiModel:
     with open(path) as handle:
-        return CiModel.from_json_dict(json.load(handle))
+        keys = tuple(f.name for f in fields(CiModel))
+        return CiModel.from_json_dict(_document(json.load(handle), keys, "a model"))
 
 
 def save_model(model: CiModel, path: str | Path) -> None:

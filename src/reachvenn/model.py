@@ -255,19 +255,14 @@ def predict(model: CiModel, target: SubsetMask) -> float:
     return min(max(raw, 0.0), model.universe_size)
 
 
-def min_perfect_fit_d(
-    dataset: ReachDataset,
-    eps: float = PERFECT_FIT_EPS,
-    d_tol: float = 1e-3,
-    floor: float = 1.0 + 1e-6,
-) -> float:
-    """Smallest d whose fit residual is at or below ``eps``.
+def min_perfect_fit_d(dataset: ReachDataset) -> float:
+    """Smallest d whose fit residual is at or below ``PERFECT_FIT_EPS``.
 
     The fit residual is non-increasing in d and reaches zero for consistent
     data (in the limit the segment rows become the incidence pattern), so a
-    doubling search brackets the threshold and bisection narrows it to
-    ``d_tol``.  Returns the search floor when even the near-independence
-    model already fits.
+    doubling search brackets the threshold and bisection narrows it to 1e-3.
+    Returns the search floor 1 + 1e-6 when even the near-independence model
+    already fits.
 
     Raises:
         InconsistencyError: the training points are not consistent (no d can
@@ -278,17 +273,18 @@ def min_perfect_fit_d(
     def residual(d: float) -> float:
         return fit(dataset, d).training_residual
 
-    if residual(floor) <= eps:
+    floor = 1.0 + 1e-6
+    if residual(floor) <= PERFECT_FIT_EPS:
         return floor
     hi = 2.0
-    while residual(hi) > eps:
+    while residual(hi) > PERFECT_FIT_EPS:
         hi *= 2.0
         if hi > 2.0**40:
             raise RuntimeError("no finite d reached a zero residual")
     lo = max(floor, hi / 2.0)
-    while hi - lo > d_tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
-        if residual(mid) <= eps:
+        if residual(mid) <= PERFECT_FIT_EPS:
             hi = mid
         else:
             lo = mid

@@ -30,10 +30,6 @@ from .core import (
 )
 from .model import CiModel, SegmentMatrix, build_segment_matrix, fit_segments, predict
 
-DEFAULT_D_MIN = 1.0
-DEFAULT_D_MAX = 5.0
-DEFAULT_D_GRID = 10
-
 # Definition of the segment probabilities degenerates at exactly d = 1, so the
 # grid point 1 is evaluated just above it.
 _D_ONE_NUDGE = 1e-9
@@ -44,16 +40,10 @@ def effective_d(d: float) -> float:
     return d if d > 1.0 else 1.0 + _D_ONE_NUDGE
 
 
-def d_grid(
-    d_min: float = DEFAULT_D_MIN,
-    d_max: float = DEFAULT_D_MAX,
-    size: int = DEFAULT_D_GRID,
-) -> list[float]:
-    """Evenly spaced candidate values: d_min + c*(d_max-d_min)/(size-1)."""
-    if size < 2 or d_max <= d_min:
-        raise ValueError("need size >= 2 and d_max > d_min")
-    step = (d_max - d_min) / (size - 1)
-    return [d_min + c * step for c in range(size)]
+def d_grid() -> list[float]:
+    """The candidate values of d: ten evenly spaced from 1 to 5."""
+    step = (5.0 - 1.0) / 9
+    return [1.0 + c * step for c in range(10)]
 
 
 @dataclass(frozen=True)
@@ -133,19 +123,14 @@ def select_next_point(
 
 
 def relative_error(
-    estimate: float,
-    truth: float,
-    interval: BoundInterval,
-    scale: float | None = None,
+    estimate: float, truth: float, interval: BoundInterval, scale: float
 ) -> float:
     """(estimate - truth) / (upper - lower), the bound-gap-normalized error.
 
-    When the bounds coincide (gap below 1e-9 of the working scale) the error
-    is 0 if the estimate matches the truth to the same tolerance and signed
-    infinity otherwise.
+    When the bounds coincide (gap below 1e-9 of ``scale``, the universe size)
+    the error is 0 if the estimate matches the truth to the same tolerance and
+    signed infinity otherwise.
     """
-    if scale is None:
-        scale = max(1.0, abs(interval.upper), abs(estimate), abs(truth))
     tol_gap = 1e-9 * scale
     gap = interval.gap
     if gap < tol_gap:
@@ -251,12 +236,7 @@ class Session:
         )
 
 
-def tune_d(
-    session: Session,
-    d_min: float = DEFAULT_D_MIN,
-    d_max: float = DEFAULT_D_MAX,
-    grid_size: int = DEFAULT_D_GRID,
-) -> float:
+def tune_d(session: Session) -> float:
     """Pick d from the grid by minimum mean absolute leave-one-out error.
 
     Each non-basic training point is held out once: the model fits on the
@@ -266,7 +246,7 @@ def tune_d(
     """
     if not session.has_spare_points:
         raise UnavailableError("no validation points; use default_d")
-    grid = d_grid(d_min, d_max, grid_size)
+    grid = d_grid()
     best_d = grid[0]
     best_score = math.inf
     # Scores within 1e-8 (solver noise, e.g. the d=1 nudge) count as ties,

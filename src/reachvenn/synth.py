@@ -133,16 +133,12 @@ def true_reach(truth: GroundTruth, subset: SubsetMask) -> float:
     return subset_reach_from_allocation(subset, truth.allocation)
 
 
-def true_dataset(
-    truth: GroundTruth,
-    masks: list[SubsetMask],
-    declare_universe: bool = True,
-) -> ReachDataset:
-    """Exact observations of ``masks`` under the ground truth."""
-    universe = truth.generator.universe_size if declare_universe else None
+def true_dataset(truth: GroundTruth, masks: list[SubsetMask]) -> ReachDataset:
+    """Exact observations of ``masks`` under the ground truth, with its
+    universe size declared."""
     return ReachDataset(
         num_bgs=truth.generator.num_bgs,
-        universe_size=universe,
+        universe_size=truth.generator.universe_size,
         observations=tuple(
             ReachObservation(m, true_reach(truth, m)) for m in masks
         ),

@@ -240,6 +240,67 @@ class TestSubsetBounds:
                 assert after.upper <= before.upper + tol
 
 
+def relabelled(mask, perm):
+    """``mask`` with BG i + 1 renamed to BG perm[i] + 1."""
+    bits = sum(1 << perm[i] for i in range(mask.num_bgs) if mask.bits >> i & 1)
+    return SubsetMask(bits, mask.num_bgs)
+
+
+class TestBoundsProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 5),
+        extra=st.integers(0, 6),
+        universe=st.sampled_from([1.0, None]),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabelling_bgs_permutes_bounds(
+        self, seed, num_bgs, extra, universe, perm_seed
+    ):
+        ds, _ = random_consistent_dataset(
+            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
+        )
+        perm = np.random.default_rng(perm_seed).permutation(num_bgs).tolist()
+        renamed = ReachDataset.from_pairs(
+            num_bgs,
+            [(relabelled(o.subset, perm), o.reach) for o in ds.observations],
+            universe_size=ds.universe_size,
+        )
+        solver, renamed_solver = BoundsSolver(ds), BoundsSolver(renamed)
+        tol = 1e-9 * ds.scale
+        for target in enumerate_masks(num_bgs):
+            before = solver.bounds(target)
+            after = renamed_solver.bounds(relabelled(target, perm))
+            assert abs(after.lower - before.lower) <= tol
+            assert abs(after.upper - before.upper) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 5),
+        extra=st.integers(0, 6),
+        universe=st.sampled_from([1.0, None]),
+        factor=st.sampled_from([1e-6, 1e9]),
+    )
+    def test_scaling_reaches_scales_bounds(self, seed, num_bgs, extra, universe, factor):
+        ds, _ = random_consistent_dataset(
+            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
+        )
+        scaled = ReachDataset.from_pairs(
+            num_bgs,
+            [(o.subset, o.reach * factor) for o in ds.observations],
+            universe_size=None if universe is None else universe * factor,
+        )
+        solver, scaled_solver = BoundsSolver(ds), BoundsSolver(scaled)
+        tol = 1e-9 * scaled.scale
+        for target in enumerate_masks(num_bgs):
+            before = solver.bounds(target)
+            after = scaled_solver.bounds(target)
+            assert abs(after.lower - before.lower * factor) <= tol
+            assert abs(after.upper - before.upper * factor) <= tol
+
+
 class TestRepairDataset:
     def test_consistent_input_is_identity(self, rng):
         for _ in range(10):

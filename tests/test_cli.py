@@ -250,6 +250,14 @@ class TestFitPredict:
         assert out == ""
         assert "--model" in err
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_nan_d_is_usage_error(self, capsys, triangle_file, command):
+        target = ["--target", "101"] if command == "predict" else []
+        code, out, err = run_cli(capsys, command, triangle_file, *target, "--d", "nan")
+        assert code == 64
+        assert out == ""
+        assert "d must be at least 1" in err
+
     def test_solver_that_stops_early_exits_three(self, capsys, monkeypatch, triangle_file):
         from reachvenn import model
 
@@ -345,6 +353,14 @@ class TestExperimentCommand:
         file_payload = json.loads(out_path.read_text())
         assert len(file_payload["errors"]) == 1
 
+    def test_zero_workers_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "--generator", "ci", "--p", "4", "--workers", "0"
+        )
+        assert code == 64
+        assert out == ""
+        assert "worker" in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
@@ -369,3 +385,36 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "check", path)
         assert code == 64
         assert "observations" in err
+
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({"num_bgs": 2, "observations": [{"reach": 1.0}]}, "subset"),
+            ({"num_bgs": 2, "observations": 5}, "observations"),
+        ],
+    )
+    def test_malformed_dataset(self, capsys, tmp_path, document, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, "bounds", path, "--all")
+        assert code == 64
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_truth_file_without_allocation(self, capsys, triangle_file):
+        code, out, err = run_cli(
+            capsys, "select", triangle_file, "--budget", "1", "--truth", triangle_file
+        )
+        assert code == 64
+        assert out == ""
+        assert "allocation" in err
+
+    def test_model_without_d(self, capsys, tmp_path, triangle_file):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"num_bgs": 3}')
+        code, out, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
+        )
+        assert code == 64
+        assert out == ""
+        assert "lacks d," in err

@@ -72,15 +72,3 @@ class TestReplicateQuality:
         # within a few tens of percent of the truth.
         errs = harness.run_replicate(spec_p4(), 0, 21)
         assert np.median(np.abs(errs)) < 0.5
-
-
-class TestWorkerConfig:
-    def test_defaults_to_one_without_env(self, monkeypatch):
-        monkeypatch.delenv(harness.THREADS_ENV_VAR, raising=False)
-        assert harness.default_worker_count() == 1
-
-    def test_env_var_caps_parallelism(self, monkeypatch):
-        monkeypatch.setenv(harness.THREADS_ENV_VAR, "4")
-        assert harness.default_worker_count() == 4
-        monkeypatch.setenv(harness.THREADS_ENV_VAR, "0")
-        assert harness.default_worker_count() == 1

@@ -191,7 +191,7 @@ class TestPredict:
         full = ReachDataset.from_pairs(3, alloc_pairs, universe_size=u)
         model = fit(full, math.inf)
         assert model.training_residual <= 1e-10
-        for mask in enumerate_masks(3, "popcount", popcount=2):
+        for mask in [m for m in enumerate_masks(3) if m.popcount == 2]:
             assert predict(model, mask) == pytest.approx(0.36 * u, abs=1e-6 * u)
         # With only the basics the fit is underdetermined: any zero-residual
         # weights are acceptable, and predictions must stay inside the
@@ -201,7 +201,7 @@ class TestPredict:
         )
         model_b = fit(basics, math.inf)
         assert model_b.training_residual <= 1e-10
-        for mask in enumerate_masks(3, "popcount", popcount=2):
+        for mask in [m for m in enumerate_masks(3) if m.popcount == 2]:
             assert 0.288 * u - 1e-6 <= predict(model_b, mask) <= 0.4 * u + 1e-6
 
     def test_monotone_in_target_at_inf(self, rng):
