@@ -90,8 +90,12 @@ class BoundsSolver:
     """Tight subset-reach bounds over one dataset's feasible polytope.
 
     The feasibility phase runs once at construction; each target costs two
-    warm-started simplex runs.  Construction raises InconsistencyError when
-    the polytope is empty.
+    simplex runs, each starting from the basis where the previous target's
+    run of the same sense stopped.  Bounds therefore depend on the targets
+    asked before, but only up to round-off, and are bit-identical for the
+    same sequence of calls.  ``bounds_many`` orders a batch so that
+    consecutive targets are close.  Construction raises InconsistencyError
+    when the polytope is empty.
     """
 
     def __init__(self, dataset: ReachDataset):
@@ -133,6 +137,26 @@ class BoundsSolver:
         return BoundInterval(
             lower=lower * self.scale, upper=upper * self.scale, upper_capped=capped
         )
+
+    def bounds_many(self, targets: Sequence[SubsetMask]) -> list[BoundInterval]:
+        """``bounds`` of every target, in the order given.
+
+        The targets are solved in Gray-code order of their masks, so
+        consecutive solves differ by about one BG and start near their optimum.
+        """
+        intervals: list[BoundInterval | None] = [None] * len(targets)
+        for i in sorted(range(len(targets)), key=lambda i: _gray_rank(targets[i].bits)):
+            intervals[i] = self.bounds(targets[i])
+        return intervals
+
+
+def _gray_rank(bits: int) -> int:
+    """Position of ``bits`` in the reflected binary Gray code."""
+    rank = 0
+    while bits:
+        rank ^= bits
+        bits >>= 1
+    return rank
 
 
 def subset_bounds(dataset: ReachDataset, target: SubsetMask) -> BoundInterval:

@@ -101,11 +101,13 @@ def cmd_bounds(args) -> int:
         targets = enumerate_masks(dataset.num_bgs)
     else:
         targets = [_parse_mask(args.target, dataset.num_bgs)]
-    solver = BoundsSolver(dataset)
+    intervals = BoundsSolver(dataset).bounds_many(targets)
     _emit(
         {
             "num_bgs": dataset.num_bgs,
-            "bounds": {m.to_string(): _interval_dict(solver.bounds(m)) for m in targets},
+            "bounds": {
+                m.to_string(): _interval_dict(iv) for m, iv in zip(targets, intervals)
+            },
         }
     )
     return EXIT_OK
@@ -212,8 +214,9 @@ def cmd_select(args) -> int:
             "measured_reach": state.measurements.reach_of(selected),
         }
         if track:
+            intervals = state.solver.bounds_many(track)
             entry["tracked"] = {
-                m.to_string(): _interval_dict(state.solver.bounds(m)) for m in track
+                m.to_string(): _interval_dict(iv) for m, iv in zip(track, intervals)
             }
         rounds.append(entry)
     payload = {"rounds": rounds, "chosen": [m.to_string() for m in state.chosen]}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import repair_dataset
@@ -115,6 +114,8 @@ def run_experiment(
         raise ValueError("need at least one worker")
     started = time.perf_counter()
     if max_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             rows = list(
                 pool.map(

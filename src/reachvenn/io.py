@@ -35,6 +35,20 @@ def _document(payload, keys: tuple[str, ...], what: str) -> dict:
     return payload
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, checked to be a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """``value``, checked to be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def dataset_to_dict(dataset: ReachDataset) -> dict:
     payload: dict = {"num_bgs": dataset.num_bgs}
     if dataset.universe_size is not None:
@@ -47,8 +61,10 @@ def dataset_to_dict(dataset: ReachDataset) -> dict:
 
 def dataset_from_dict(payload: dict) -> ReachDataset:
     _document(payload, ("num_bgs", "observations"), "a dataset document")
-    num_bgs = int(payload["num_bgs"])
+    num_bgs = _integer(payload["num_bgs"], "num_bgs")
     universe = payload.get("universe_size")
+    if universe is not None:
+        universe = _number(universe, "universe_size")
     if not isinstance(payload["observations"], list):
         raise ValueError("a dataset's observations must be a JSON array")
     pairs = []
@@ -59,10 +75,8 @@ def dataset_from_dict(payload: dict) -> ReachDataset:
             raise ValueError(
                 f"subset string {subset!r} does not have num_bgs={num_bgs} characters"
             )
-        pairs.append((subset, float(entry["reach"])))
-    return ReachDataset.from_pairs(
-        num_bgs, pairs, universe_size=None if universe is None else float(universe)
-    )
+        pairs.append((subset, _number(entry["reach"], "reach")))
+    return ReachDataset.from_pairs(num_bgs, pairs, universe_size=universe)
 
 
 def load_dataset(path: str | Path) -> ReachDataset:
@@ -105,11 +119,11 @@ def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
     """Read a ground-truth file down to (allocation, universe_size)."""
     with open(path) as handle:
         payload = _document(json.load(handle), ("num_bgs", "allocation"), "a truth file")
-    num_bgs = int(payload["num_bgs"])
+    num_bgs = _integer(payload["num_bgs"], "num_bgs")
     values = np.asarray(payload["allocation"], dtype=np.float64)
     universe = payload.get("universe_size")
     alloc = RegionAllocation.from_values(num_bgs, values)
-    return alloc, None if universe is None else float(universe)
+    return alloc, None if universe is None else _number(universe, "universe_size")
 
 
 def load_model(path: str | Path) -> CiModel:

@@ -4,6 +4,12 @@ Small and deterministic: Dantzig pricing with lowest-index tie breaks, and a
 permanent switch to Bland's rule whenever the objective stalls, so degenerate
 problems cannot cycle.  Problem sizes here are tiny (hundreds of columns at
 most), so the dense tableau is the right tool.
+
+One solver answers many objectives over a fixed constraint set, so each
+solve starts from the basis where the last solve of the same sense stopped:
+every basis the simplex visits is feasible.  A result therefore depends on
+the earlier calls, but only up to round-off, and the same sequence of calls
+gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -92,9 +98,12 @@ def _run_simplex(
 class EqualityFormSolver:
     """Reusable simplex for min/max c @ x s.t. A x = b, x >= 0.
 
-    Phase 1 runs once at construction; each ``optimize`` call restarts phase 2
-    from the stored feasible basis, which makes solving many objectives over
-    one constraint set cheap.
+    Phase 1 runs once at construction.  Each sense (``min``/``max``) keeps
+    one tableau, and each ``optimize`` call runs phase 2 in place from the
+    basis where that sense's last call stopped, so a run of similar
+    objectives costs a few pivots each.  The first sense to run takes the
+    phase-1 tableau itself; the other starts from a copy of wherever the
+    first one got to.
     """
 
     def __init__(self, a_eq: np.ndarray, b_eq: np.ndarray):
@@ -137,13 +146,27 @@ class EqualityFormSolver:
                 _pivot(tableau, i, int(structural[0]), basis)
                 keep.append(i)
         rows = np.array(keep, dtype=int)
-        self._tableau = np.ascontiguousarray(
-            tableau[np.append(rows, m)][:, np.append(np.arange(n), n + m)]
+        self._phase1 = (
+            np.ascontiguousarray(
+                tableau[np.append(rows, m)][:, np.append(np.arange(n), n + m)]
+            ),
+            basis[rows],
         )
-        self._basis = basis[rows]
+        self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _state(self, sense: str) -> tuple[np.ndarray, np.ndarray]:
+        """The tableau and basis that ``sense`` pivots in place."""
+        if sense not in self._by_sense:
+            if self._by_sense:
+                tableau, basis = next(iter(self._by_sense.values()))
+                self._by_sense[sense] = (tableau.copy(), basis.copy())
+            else:
+                self._by_sense[sense] = self._phase1
+                del self._phase1
+        return self._by_sense[sense]
 
     def optimize(self, objective: np.ndarray, sense: str = "min") -> LpResult:
-        """Optimize one objective from the stored feasible basis."""
+        """Optimize one objective from the last basis of the same sense."""
         if not self.feasible:
             return LpResult(INFEASIBLE)
         c = np.asarray(objective, dtype=np.float64)
@@ -151,12 +174,10 @@ class EqualityFormSolver:
             c = -c
         elif sense != "min":
             raise ValueError("sense must be 'min' or 'max'")
-        tableau = self._tableau.copy()
-        basis = self._basis.copy()
+        tableau, basis = self._state(sense)
         m = tableau.shape[0] - 1
         cost = np.append(c, 0.0)
-        for i in range(m):
-            cost -= cost[basis[i]] * tableau[i]
+        cost -= cost[basis] @ tableau[:m]
         tableau[-1] = cost
         status = _run_simplex(tableau, basis, self.n, max_iter=200 * (self.n + m) + 1000)
         if status == UNBOUNDED:

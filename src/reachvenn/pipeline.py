@@ -107,10 +107,11 @@ def select_next_point(
     """
     if not state.candidates:
         raise UnavailableError("selection exhausted: no candidates remain")
+    candidates = sorted(state.candidates, key=lambda m: m.index)
     best_mask = None
     best_gap = -1.0
-    for mask in sorted(state.candidates, key=lambda m: m.index):
-        gap = state.solver.bounds(mask).gap
+    for mask, interval in zip(candidates, state.solver.bounds_many(candidates)):
+        gap = interval.gap
         if gap > best_gap + 1e-12 * max(1.0, best_gap):
             best_gap = gap
             best_mask = mask

@@ -19,7 +19,6 @@ from reachvenn.core import (
     SubsetMask,
     enumerate_masks,
     incidence_vector,
-    oracle_bounds_by_grid,
     subset_reach_from_allocation,
 )
 from reachvenn.experiment import run_experiment
@@ -34,6 +33,7 @@ from reachvenn.synth import (
 )
 
 from conftest import random_consistent_dataset
+from grid_oracle import oracle_bounds_by_grid
 
 MIN_PERFECT_FIT_FLOOR = 1.0 + 1e-6
 

@@ -17,12 +17,12 @@ from reachvenn.core import (
     ReachDataset,
     SubsetMask,
     enumerate_masks,
-    oracle_bounds_by_grid,
     subset_reach_from_allocation,
 )
 from reachvenn.pipeline import estimate_subset
 
 from conftest import random_consistent_dataset
+from grid_oracle import oracle_bounds_by_grid
 
 
 def triangle_dataset(claim=None):
@@ -299,6 +299,50 @@ class TestBoundsProperties:
             after = scaled_solver.bounds(target)
             assert abs(after.lower - before.lower * factor) <= tol
             assert abs(after.upper - before.upper * factor) <= tol
+
+
+def gray_order(num_bgs):
+    """Every non-empty mask along the reflected binary Gray code."""
+    return [SubsetMask(r ^ (r >> 1), num_bgs) for r in range(1, 1 << num_bgs)]
+
+
+class TestWarmStartedBounds:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 6),
+        extra=st.integers(0, 8),
+        universe=st.sampled_from([1.0, None]),
+    )
+    def test_visiting_order_does_not_change_bounds(self, seed, num_bgs, extra, universe):
+        ds, _ = random_consistent_dataset(
+            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
+        )
+        masks = enumerate_masks(num_bgs)
+        cold = {m.index: BoundsSolver(ds).bounds(m) for m in masks}
+        solver = BoundsSolver(ds)
+        passes = [
+            {m.index: solver.bounds(m) for m in order}
+            for order in (masks, masks[::-1], gray_order(num_bgs))
+        ]
+        passes.append(dict(zip([m.index for m in masks], solver.bounds_many(masks))))
+        tol = 1e-9 * ds.scale
+        for warm in passes:
+            for m in masks:
+                assert abs(warm[m.index].lower - cold[m.index].lower) <= tol
+                assert abs(warm[m.index].upper - cold[m.index].upper) <= tol
+                assert warm[m.index].upper_capped == cold[m.index].upper_capped
+
+    def test_bounds_many_keeps_input_order(self, rng):
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=None)
+        targets = [SubsetMask(j, 4) for j in (9, 1, 15, 6, 9, 12)]
+        got = BoundsSolver(ds).bounds_many(targets)
+        assert len(got) == len(targets)
+        for target, interval in zip(targets, got):
+            cold = BoundsSolver(ds).bounds(target)
+            assert interval.lower == pytest.approx(cold.lower, abs=1e-9 * ds.scale)
+            assert interval.upper == pytest.approx(cold.upper, abs=1e-9 * ds.scale)
+        assert BoundsSolver(ds).bounds_many([]) == []
 
 
 class TestRepairDataset:

@@ -401,6 +401,31 @@ class TestUsageErrors:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ({"num_bgs": None, "observations": [{"subset": "10", "reach": 1.0}]}, "num_bgs"),
+            ({"num_bgs": 2.5, "observations": [{"subset": "10", "reach": 1.0}]}, "num_bgs"),
+            ({"num_bgs": 2, "observations": [{"subset": "10", "reach": None}]}, "reach"),
+            (
+                {
+                    "num_bgs": 2,
+                    "universe_size": {"value": 5.0},
+                    "observations": [{"subset": "10", "reach": 1.0}],
+                },
+                "universe_size",
+            ),
+        ],
+    )
+    def test_malformed_value(self, capsys, tmp_path, document, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run_cli(capsys, "bounds", path, "--all")
+        assert code == 64
+        assert out == ""
+        assert f"{named} must be" in err
+        assert "Traceback" not in err
+
     def test_truth_file_without_allocation(self, capsys, triangle_file):
         code, out, err = run_cli(
             capsys, "select", triangle_file, "--budget", "1", "--truth", triangle_file
@@ -408,6 +433,16 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert "allocation" in err
+
+    def test_truth_file_with_null_num_bgs(self, capsys, tmp_path, triangle_file):
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text('{"num_bgs": null, "allocation": [0, 1, 1, 1, 1, 1, 1, 1]}')
+        code, out, err = run_cli(
+            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
+        )
+        assert code == 64
+        assert out == ""
+        assert "num_bgs must be" in err
 
     def test_model_without_d(self, capsys, tmp_path, triangle_file):
         model_path = tmp_path / "model.json"

@@ -13,9 +13,10 @@ from reachvenn.core import (
     dataset_from_allocation,
     enumerate_masks,
     incidence_vector,
-    oracle_bounds_by_grid,
     subset_reach_from_allocation,
 )
+
+from grid_oracle import oracle_bounds_by_grid
 
 
 class TestSubsetMask:

@@ -1,4 +1,4 @@
-"""Simplex solver contract: hand-solved programs, statuses, determinism."""
+"""Simplex solver contract: hand-solved programs, statuses, determinism, warm starts."""
 
 import numpy as np
 import pytest
@@ -100,3 +100,47 @@ class TestEqualityFormSolver:
         assert solver.feasible
         result = solver.optimize(np.array([1.0, 0.0]), "max")
         assert result.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_after_unbounded_result_returns_cold_value(self):
+        # x1 - x2 = 1 and x3 + x4 = 2: x1 has no ceiling, x3 and x4 do.
+        a = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        b = np.array([1.0, 2.0])
+        solver = EqualityFormSolver(a, b)
+        assert solver.optimize(np.array([1.0, 0.0, 0.0, 0.0]), "max").status == UNBOUNDED
+        for objective, sense in (
+            (np.array([0.0, 0.0, 1.0, 0.0]), "max"),
+            (np.array([1.0, 0.0, 0.0, 1.0]), "max"),
+            (np.array([1.0, 0.0, 0.0, 0.0]), "min"),
+        ):
+            cold = EqualityFormSolver(a, b).optimize(objective, sense)
+            warm = solver.optimize(objective, sense)
+            assert warm.status == cold.status
+            if cold.is_optimal:
+                assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+    def test_alternating_senses_return_cold_values(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0, 1, size=(6, 20))
+        b = a @ rng.uniform(0, 1, size=20)
+        solver = EqualityFormSolver(a, b)
+        for k in range(30):
+            objective = rng.normal(size=20)
+            sense = "max" if k % 3 else "min"
+            cold = EqualityFormSolver(a, b).optimize(objective, sense)
+            warm = solver.optimize(objective, sense)
+            assert cold.is_optimal and warm.is_optimal
+            assert warm.value == pytest.approx(cold.value, abs=1e-9)
+            assert np.max(np.abs(a @ warm.solution - b)) < 1e-7
+            assert np.min(warm.solution) > -1e-9
+
+    def test_same_calls_give_identical_results(self):
+        rng = np.random.default_rng(9)
+        a = rng.uniform(0, 1, size=(5, 14))
+        b = a @ rng.uniform(0, 1, size=14)
+        objectives = [(rng.normal(size=14), "min" if k % 2 else "max") for k in range(12)]
+        first, second = EqualityFormSolver(a, b), EqualityFormSolver(a, b)
+        for objective, sense in objectives:
+            one = first.optimize(objective, sense)
+            two = second.optimize(objective, sense)
+            assert one.value == two.value
+            assert np.array_equal(one.solution, two.solution)
