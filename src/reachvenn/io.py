@@ -126,10 +126,25 @@ def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
     return alloc, None if universe is None else _number(universe, "universe_size")
 
 
+def _numbers(values, what: str) -> list[float]:
+    """``values`` as floats, checked to be a JSON array of numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON array, got {json.dumps(values)}")
+    return [_number(value, what) for value in values]
+
+
 def load_model(path: str | Path) -> CiModel:
     with open(path) as handle:
         keys = tuple(f.name for f in fields(CiModel))
-        return CiModel.from_json_dict(_document(json.load(handle), keys, "a model"))
+        payload = _document(json.load(handle), keys, "a model")
+    _integer(payload["num_bgs"], "num_bgs")
+    if payload["d"] != "inf":
+        _number(payload["d"], "d")
+    for key in ("universe_size", "training_residual"):
+        _number(payload[key], key)
+    for key in ("single_bg_proportions", "weights"):
+        _numbers(payload[key], key)
+    return CiModel.from_json_dict(payload)
 
 
 def save_model(model: CiModel, path: str | Path) -> None:

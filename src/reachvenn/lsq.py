@@ -6,18 +6,27 @@ Two solvers:
 * ``simplex_lstsq``: the same active-set idea with the extra equality
   sum(v) == 1, solved by eliminating an anchor coordinate in each subproblem.
   Callers that want sum(v) <= 1 append a zero column and discard its weight.
+  It takes a stack of same-shaped problems and steps them in lock-step, so a
+  round's face subproblems are one stacked QR factorization and one stacked
+  solve; each problem still gets the bits it gets when solved alone.
 
 Both run to a KKT tolerance that puts the squared-residual objective within
 ~1e-10 of the true constrained optimum on unit-scale data, and raise
 RuntimeError when ``max_iter`` outer or inner iterations end before that.
+``simplex_lstsq`` logs each call's problems, lock-step rounds and face solves
+at DEBUG level on this module's logger, which is silent by default.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
 _KKT_TOL = 1e-10
 _ZERO_TOL = 1e-13
+
+_logger = logging.getLogger(__name__)
 
 
 def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
@@ -62,88 +71,179 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.
     return x, float(resid @ resid)
 
 
-def _solve_on_face(a: np.ndarray, b: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
-    """Exact minimizer of ||a_F v_F - b||^2 with sum(v_F) == 1 (sign-free).
+def _solve_faces(
+    a: np.ndarray,
+    b: np.ndarray,
+    norms: np.ndarray,
+    free: np.ndarray,
+    problems: np.ndarray,
+) -> np.ndarray:
+    """Exact minimizers of ||a_F v_F - b||^2 with sum(v_F) == 1 (sign-free),
+    one for each listed problem of the stack, F being its row of ``free``.
 
-    The coordinate with the largest column norm is eliminated through the
-    equality, leaving an unconstrained least-squares problem.
+    The face column with the largest norm (the anchor) is eliminated through
+    the equality.  The other face columns minus the anchor, in ascending
+    order, then zero columns up to width m, then b minus the anchor form an
+    m x (m + 1) matrix whose R factor carries the reduced least-squares
+    problem.  Every problem has that width whatever its face size, so its
+    arithmetic does not depend on the rest of the stack.
     """
-    cols = a[:, free_idx]
-    k = cols.shape[1]
-    if k == 1:
-        return np.array([1.0])
-    anchor = int(np.argmax(np.linalg.norm(cols, axis=0)))
-    others = [i for i in range(k) if i != anchor]
-    reduced = cols[:, others] - cols[:, [anchor]]
-    u, *_ = np.linalg.lstsq(reduced, b - cols[:, anchor], rcond=None)
-    v = np.empty(k)
-    v[others] = u
-    v[anchor] = 1.0 - u.sum()
-    return v
+    m, n = a.shape[1:]
+    count = problems.size
+    slots = np.arange(count)
+    face = free[problems]
+    face_norms = norms[problems]
+    face_norms[~face] = -np.inf
+    anchor = face_norms.argmax(axis=1)
+    face[slots, anchor] = False
+    width = face.sum(axis=1)
+    if width.max() > m:
+        raise RuntimeError("simplex_lstsq: a face has more than m + 1 columns")
+    problem, column = np.nonzero(face)
+    slot = np.arange(column.size) - np.repeat(np.cumsum(width) - width, width)
+    anchors = a[problems, :, anchor]
+    reduced = np.zeros((count, m, m + 1))
+    reduced[problem, :, slot] = a[problems[problem], :, column] - anchors[problem]
+    reduced[:, :, m] = b[problems] - anchors
+    r = np.linalg.qr(reduced, mode="r")
+    # The zero columns leave zero rows and columns in R; a unit diagonal and
+    # a zero right-hand side there pin their coefficients at zero.
+    padding = np.arange(m) >= width[:, None]
+    diagonal = np.arange(m)
+    tri = r[:, :, :m]
+    tri[:, diagonal, diagonal] = np.where(padding, 1.0, tri[:, diagonal, diagonal])
+    rhs = np.where(padding, 0.0, r[:, :, m])
+    try:
+        u = np.linalg.solve(tri, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise RuntimeError("simplex_lstsq: a face is singular") from None
+    w = np.zeros((count, n))
+    w[problem, column] = u[problem, slot]
+    w[slots, anchor] = 1.0 - u.sum(axis=1)
+    return w
 
 
 def simplex_lstsq(
     a: np.ndarray, b: np.ndarray, max_iter: int | None = None
-) -> tuple[np.ndarray, float]:
-    """Minimize ||a @ v - b||^2 subject to v >= 0 and sum(v) == 1.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||a[i] @ v[i] - b[i]||^2 subject to v[i] >= 0 and
+    sum(v[i]) == 1, for each problem i of a stack.
+
+    ``a`` is (B, m, n) and ``b`` is (B, m).  A 2-D ``a`` with a 1-D ``b`` is
+    a stack of one whose solution and squared residual come back unstacked.
 
     Active-set iteration: each face subproblem is solved exactly, blocked
     steps shrink the face, and coordinates whose gradient beats the current
-    equality multiplier are released.  The simplex is compact, so the
-    KKT gap bounds the objective error directly.
+    equality multiplier are released.  The simplex is compact, so the KKT
+    gap bounds the objective error directly.  The problems run in lock-step:
+    each round, every unfinished problem takes its own next step (a KKT check
+    that may enter a column, then a face solve that may block), and the
+    round's face solves are one stacked QR and one stacked solve.  A problem
+    follows the same path, bit for bit, in any stack.
 
-    Returns the solution and the squared residual at it.
+    Returns the solutions (B, n) and the squared residuals at them (B,).
+    Raises RuntimeError when a problem needs more than ``max_iter`` column
+    entries, or ``max_iter`` blocked face solves after one entry.
     """
-    a = np.asarray(a, dtype=np.float64)
+    single = np.ndim(a) == 2
+    a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape
+    if single:
+        a, b = a[None], b[None]
+    count, m, n = a.shape
     if n == 0:
         raise ValueError("need at least one column")
     if max_iter is None:
         max_iter = 6 * n + 60
 
-    # Start with all mass on the column closest to b in the lstsq sense: the
-    # plain choice v = e_j for the column with smallest residual.
-    start = int(np.argmin(np.linalg.norm(a - b[:, None], axis=0)))
-    v = np.zeros(n)
-    v[start] = 1.0
-    free = np.zeros(n, dtype=bool)
-    free[start] = True
-    tol = _KKT_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
+    # Each problem starts with all mass on the column closest to b, and
+    # anchors each face at its column of largest norm.  Its KKT tolerance
+    # scales with the gradient's round-off, which grows with |a| |a v - b|.
+    norms = np.empty((count, n))
+    start = np.empty(count, dtype=np.intp)
+    tol = np.empty(count)
+    for i in range(count):
+        norms[i] = np.linalg.norm(a[i], axis=0)
+        start[i] = np.argmin(np.linalg.norm(a[i] - b[i][:, None], axis=0))
+        top_a = max(1.0, a[i].max(initial=0.0), -a[i].min(initial=0.0))
+        top_b = max(1.0, b[i].max(initial=0.0), -b[i].min(initial=0.0))
+        tol[i] = _KKT_TOL * top_a * max(top_a, top_b)
+    problems = np.arange(count)
+    v = np.zeros((count, n))
+    v[problems, start] = 1.0
+    free = np.zeros((count, n), dtype=bool)
+    free[problems, start] = True
+    live = np.ones(count, dtype=bool)
+    on_face = np.zeros(count, dtype=bool)  # a face solve is due, not a KKT check
+    entries = np.zeros(count, dtype=np.intp)
+    blocked = np.zeros(count, dtype=np.intp)  # blocked face solves since the entry
+    rounds = face_solves = 0
 
-    for _ in range(max_iter):
-        grad = a.T @ (a @ v - b)
-        nu = float(grad[free].min())  # equality multiplier estimate
-        scores = np.where(free, np.inf, grad)
-        j = int(np.argmin(scores))
-        if scores[j] >= nu - tol:
-            break
-        free[j] = True
-        for _ in range(max_iter):
-            idx = np.flatnonzero(free)
-            w = np.zeros(n)
-            w[idx] = _solve_on_face(a, b, idx)
-            if np.all(w[idx] > -_ZERO_TOL):
-                v = np.clip(w, 0.0, None)
-                s = v.sum()
-                if s > 0:
-                    v /= s
-                break
-            blocking = free & (w < -_ZERO_TOL)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(blocking & (v > w), v / (v - w), np.inf)
-            alpha = min(1.0, float(np.min(steps)))
-            v = np.clip(v + alpha * (w - v), 0.0, None)
-            v /= v.sum()
-            free &= ~(blocking & (v <= _ZERO_TOL))
-            if not np.any(free):
-                free[start] = True
-                v[:] = 0.0
-                v[start] = 1.0
-                break
-        else:
+    while live.any():
+        rounds += 1
+        check = np.flatnonzero(live & ~on_face)
+        if check.size:
+            if entries[check].max() == max_iter:
+                raise RuntimeError("simplex_lstsq: iteration limit exceeded")
+            # One slab of the stack, a view: the checked problems and those between.
+            lo, hi = check[0], check[-1] + 1
+            resid = (a[lo:hi] @ v[lo:hi, :, None])[:, :, 0] - b[lo:hi]
+            grad = (resid[:, None, :] @ a[lo:hi])[:, 0, :]
+            if check.size < hi - lo:
+                grad = grad[check - lo]
+            face = free[check]
+            nu = grad.min(axis=1, where=face, initial=np.inf)  # equality multiplier
+            grad[face] = np.inf  # the scores of the columns that may enter
+            j = grad.argmin(axis=1)
+            done = grad[np.arange(check.size), j] >= nu - tol[check]
+            live[check[done]] = False
+            enter, j = check[~done], j[~done]
+            free[enter, j] = True
+            on_face[enter] = True
+            entries[enter] += 1
+            blocked[enter] = 0
+        solve = np.flatnonzero(on_face)
+        if not solve.size:
+            continue
+        face_solves += solve.size
+        w = _solve_faces(a, b, norms, free, solve)
+        face = free[solve]
+        inside = np.all(~face | (w > -_ZERO_TOL), axis=1)
+
+        done = solve[inside]
+        x = w[inside]
+        np.clip(x, 0.0, None, out=x)
+        s = x.sum(axis=1)
+        x[s > 0] /= s[s > 0, None]
+        v[done] = x
+        on_face[done] = False
+
+        stop = solve[~inside]
+        x, w, face = v[stop], w[~inside], face[~inside]
+        blocking = face & (w < -_ZERO_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(blocking & (x > w), x / (x - w), np.inf)
+        alpha = np.minimum(1.0, steps.min(axis=1))
+        x = np.clip(x + alpha[:, None] * (w - x), 0.0, None)
+        x /= x.sum(axis=1, keepdims=True)
+        face &= ~(blocking & (x <= _ZERO_TOL))
+        empty = ~face.any(axis=1)
+        x[empty] = 0.0
+        x[empty, start[stop[empty]]] = 1.0
+        face[empty, start[stop[empty]]] = True
+        v[stop], free[stop] = x, face
+        on_face[stop[empty]] = False
+        blocked[stop] += 1
+        if (blocked[stop[~empty]] == max_iter).any():
             raise RuntimeError("simplex_lstsq: inner iteration limit exceeded")
-    else:
-        raise RuntimeError("simplex_lstsq: iteration limit exceeded")
-    resid = b - a @ v
-    return v, float(resid @ resid)
+
+    if _logger.isEnabledFor(logging.DEBUG):
+        _logger.debug(
+            "simplex_lstsq: %d problems, %d rounds, %d face solves",
+            count, rounds, face_solves,
+        )
+    resid = b - (a @ v[:, :, None])[:, :, 0]
+    rss = (resid * resid).sum(axis=1)
+    if single:
+        return v[0], float(rss[0])
+    return v, rss

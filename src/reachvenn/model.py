@@ -10,16 +10,19 @@ As d grows the segment rows approach the subset/region incidence pattern, so
 consistent data is always perfectly fittable in the limit.
 
 Fitting is split in two: ``build_segment_matrix`` builds Z(d) and
-``fit_segments`` solves for the weights on it.  A leave-one-out fit deletes
-one row of the full matrix (``SegmentMatrix.without``), which equals the
-smaller dataset's own matrix bit for bit: the basics, and so the universe and
-single-BG proportions, are never held out.
+``fit_segments`` solves for the weights on it.  ``fit_leave_one_out`` fits
+every pair of a matrix and a held-out row in one stacked ``simplex_lstsq``
+call.  Each of those fits deletes one row of the full matrix, which equals
+the smaller dataset's own matrix bit for bit (the basics, and so the universe
+and single-BG proportions, are never held out), and gets the weights its own
+``fit_segments`` call would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -134,11 +137,6 @@ class SegmentMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def without(self, row: int) -> "SegmentMatrix":
-        """The matrix with row number ``row`` deleted."""
-        rows = self.rows[:row] + self.rows[row + 1 :]
-        return replace(self, rows=rows, entries=np.delete(self.entries, row, axis=0))
-
 
 def build_segment_matrix(dataset: ReachDataset, d: float) -> SegmentMatrix:
     """Segment matrix for the dataset's observed masks at parameter ``d``.
@@ -217,6 +215,22 @@ class CiModel:
         )
 
 
+def _fitted(
+    matrix: SegmentMatrix, entries: np.ndarray, target: np.ndarray, weights: np.ndarray
+) -> CiModel:
+    """The model with ``weights`` on ``matrix``'s segments, whose training rows
+    are ``entries`` with proportions ``target``."""
+    resid = target - entries @ weights
+    return CiModel(
+        num_bgs=len(matrix.single_bg_proportions),
+        d=matrix.d,
+        universe_size=matrix.universe_size,
+        single_bg_proportions=matrix.single_bg_proportions,
+        weights=weights,
+        training_residual=float(resid @ resid),
+    )
+
+
 def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
     """Fit segment weights to ``reaches``, the reaches of ``matrix``'s rows.
 
@@ -228,16 +242,34 @@ def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
     target = np.asarray(reaches, dtype=np.float64) / matrix.universe_size
     padded = np.hstack([matrix.entries, np.zeros((len(matrix.rows), 1))])
     v, _ = simplex_lstsq(padded, target)
-    weights = v[:-1]
-    resid = target - matrix.entries @ weights
-    return CiModel(
-        num_bgs=len(matrix.single_bg_proportions),
-        d=matrix.d,
-        universe_size=matrix.universe_size,
-        single_bg_proportions=matrix.single_bg_proportions,
-        weights=weights,
-        training_residual=float(resid @ resid),
-    )
+    return _fitted(matrix, matrix.entries, target, v[:-1])
+
+
+def fit_leave_one_out(
+    matrices: Sequence[SegmentMatrix], reaches: np.ndarray, rows: Sequence[int]
+) -> list[list[CiModel]]:
+    """For each matrix and each row number in ``rows``, the model fitted on
+    the matrix without that row to ``reaches`` without that entry.
+
+    The matrices share their rows.  All the fits are one stacked
+    ``simplex_lstsq`` call, and each gets the weights of its own
+    ``fit_segments`` call bit for bit.
+    """
+    m, n = matrices[0].entries.shape
+    pairs = [(matrix, row) for matrix in matrices for row in rows]
+    stack = np.zeros((len(pairs), m - 1, n + 1))
+    targets = np.empty((len(pairs), m - 1))
+    for (matrix, row), a, b in zip(pairs, stack, targets):
+        a[:row, :n] = matrix.entries[:row]
+        a[row:, :n] = matrix.entries[row + 1 :]
+        b[:] = np.delete(reaches, row) / matrix.universe_size
+    v, _ = simplex_lstsq(stack, targets)
+    models = [
+        _fitted(matrix, a[:, :n], b, x[:-1])
+        for (matrix, _), a, b, x in zip(pairs, stack, targets, v)
+    ]
+    k = len(rows)
+    return [models[i * k : (i + 1) * k] for i in range(len(matrices))]
 
 
 def fit(dataset: ReachDataset, d: float) -> CiModel:

@@ -28,7 +28,14 @@ from .core import (
     UnavailableError,
     basic_masks,
 )
-from .model import CiModel, SegmentMatrix, build_segment_matrix, fit_segments, predict
+from .model import (
+    CiModel,
+    SegmentMatrix,
+    build_segment_matrix,
+    fit_leave_one_out,
+    fit_segments,
+    predict,
+)
 
 # Definition of the segment probabilities degenerates at exactly d = 1, so the
 # grid point 1 is evaluated just above it.
@@ -194,19 +201,30 @@ class Session:
             self._segments[d] = build_segment_matrix(self.dataset, effective_d(d))
         return self._segments[d]
 
+    def loo_table(self, ds: Sequence[float]) -> list[list[float]]:
+        """Leave-one-out relative errors for each d in ``ds``, one per held-out
+        point, each from a fit on ``segments(d)`` without the point's row.
+        The fits for the ds not yet known are two stacked solves, one for
+        each half of those ds."""
+        missing = [d for d in dict.fromkeys(ds) if d not in self._errors]
+        rows = [row for row, *_ in self.holdouts]
+        # Two solves of half the ds each halve the stack the solver holds.
+        half = (len(missing) + 1) // 2
+        for part in (missing[:half], missing[half:]):
+            if not part:
+                continue
+            matrices = [self.segments(d) for d in part]
+            fits = fit_leave_one_out(matrices, self.reaches, rows)
+            for d, matrix, models in zip(part, matrices, fits):
+                self._errors[d] = [
+                    relative_error(predict(model, mask), truth, interval, matrix.universe_size)
+                    for model, (_, mask, interval, truth) in zip(models, self.holdouts)
+                ]
+        return [self._errors[d] for d in ds]
+
     def loo_errors(self, d: float) -> list[float]:
-        """Leave-one-out relative errors at d, one per held-out point, each
-        from a fit on ``segments(d)`` without the point's row."""
-        if d not in self._errors:
-            matrix = self.segments(d)
-            errors = self._errors[d] = []
-            for row, mask, interval, truth in self.holdouts:
-                model = fit_segments(matrix.without(row), np.delete(self.reaches, row))
-                estimate = predict(model, mask)
-                errors.append(
-                    relative_error(estimate, truth, interval, matrix.universe_size)
-                )
-        return self._errors[d]
+        """Leave-one-out relative errors at d (``loo_table`` of d alone)."""
+        return self.loo_table([d])[0]
 
     def model(self, d: float) -> CiModel:
         """The model fitted to all points at d (nudged by ``effective_d``)."""
@@ -252,8 +270,8 @@ def tune_d(session: Session) -> float:
     best_score = math.inf
     # Scores within 1e-8 (solver noise, e.g. the d=1 nudge) count as ties,
     # and ties -- including all-infinite columns -- keep the smaller d.
-    for d in grid:
-        score = float(np.mean(np.abs(session.loo_errors(d))))
+    for d, errors in zip(grid, session.loo_table(grid)):
+        score = float(np.mean(np.abs(errors)))
         if not math.isnan(score) and score < best_score - 1e-8:
             best_score = score
             best_d = d

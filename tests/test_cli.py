@@ -453,3 +453,29 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert "lacks d," in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", None),
+            ("num_bgs", 3.5),
+            ("universe_size", "1000"),
+            ("training_residual", None),
+            ("weights", None),
+            ("single_bg_proportions", [0.1, None, 0.2]),
+        ],
+    )
+    def test_model_with_malformed_value(self, capsys, tmp_path, triangle_file, field, value):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        payload[field] = value
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
+        assert "Traceback" not in err

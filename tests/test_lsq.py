@@ -1,7 +1,12 @@
 """Constrained least-squares solvers against the projected-gradient oracle."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachvenn.lsq import nnls, simplex_lstsq
 
@@ -100,3 +105,93 @@ class TestSimplexLstsq:
         w = v[:-1]
         assert w.sum() <= 1.0 + 1e-12
         assert rss < 1e-16
+
+
+def random_stack(rng, kind, count, rows, cols):
+    """A stack of problems: uniform entries, 0/1 incidence-like entries (ties
+    and repeated columns), uniform entries with a repeated column and a zero
+    slack column, or normal entries scaled by up to 1e3 either way."""
+    if kind == "incidence":
+        a = rng.integers(0, 2, size=(count, rows, cols)).astype(float)
+    elif kind == "scaled":
+        a = rng.normal(size=(count, rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        a = rng.uniform(0, 1, size=(count, rows, cols))
+    if kind == "slack":
+        a[:, :, -1] = 0.0
+        a[:, :, 0] = a[:, :, cols // 2]
+    if rng.random() < 0.5:  # attainable targets
+        b = (a @ rng.dirichlet(np.ones(cols), size=count)[:, :, None])[:, :, 0]
+    else:
+        b = rng.uniform(0, 1.2, size=(count, rows))
+    return a, b
+
+
+class TestStackedSimplexLstsq:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 6),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 12),
+        kind=st.sampled_from(["uniform", "incidence", "slack", "scaled"]),
+    )
+    def test_each_problem_solves_as_if_alone(self, seed, count, rows, cols, kind):
+        rng = np.random.default_rng(seed)
+        a, b = random_stack(rng, kind, count, rows, cols)
+        v, rss = simplex_lstsq(a, b)
+        assert v.shape == (count, cols) and rss.shape == (count,)
+        for i in range(count):
+            alone, alone_rss = simplex_lstsq(a[i], b[i])
+            assert np.array_equal(v[i], alone)
+            assert rss[i] == alone_rss
+            assert v[i].min() >= 0.0
+            assert v[i].sum() == pytest.approx(1.0, abs=1e-12)
+            # KKT: no column's gradient undercuts the support's, up to the
+            # solver's tolerance, which scales with |a| max(|a|, |b|).
+            top_a = max(1.0, np.abs(a[i]).max())
+            scale = top_a * max(top_a, np.abs(b[i]).max())
+            grad = a[i].T @ (a[i] @ v[i] - b[i])
+            assert grad[v[i] > 0].max() - grad.min() <= 1e-9 * scale
+
+    def test_iteration_limit_on_one_problem_raises(self):
+        # Problems 0 and 2 sit on a column and pass their first KKT check;
+        # problem 1 needs all four columns.
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0, 1, size=(3, 6, 4))
+        b = a[:, :, 0].copy()
+        b[1] = a[1] @ np.array([0.1, 0.2, 0.3, 0.4])
+        easy = [0, 2]
+        v, _ = simplex_lstsq(a[easy], b[easy], max_iter=1)
+        assert v[:, 0].tolist() == [1.0, 1.0]
+        with pytest.raises(RuntimeError, match="simplex_lstsq"):
+            simplex_lstsq(a, b, max_iter=1)
+
+
+class TestLogging:
+    def stack(self):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0, 1, size=(3, 6, 4))
+        return a, (a @ rng.dirichlet(np.ones(4), size=3)[:, :, None])[:, :, 0]
+
+    def test_silent_and_free_by_default(self, caplog, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a debug record was built with DEBUG off")
+
+        monkeypatch.setattr(logging.getLogger("reachvenn.lsq"), "debug", refuse)
+        simplex_lstsq(*self.stack())
+        assert caplog.records == []
+
+    def test_debug_reports_problems_rounds_and_face_solves(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="reachvenn.lsq"):
+            simplex_lstsq(*self.stack())
+        [record] = caplog.records
+        found = re.fullmatch(
+            r"simplex_lstsq: (\d+) problems, (\d+) rounds, (\d+) face solves",
+            record.getMessage(),
+        )
+        problems, rounds, face_solves = map(int, found.groups())
+        # Each optimum holds all four columns: three entries, then a last check.
+        assert problems == 3
+        assert rounds >= 4
+        assert face_solves >= 9

@@ -290,15 +290,25 @@ class TestErrorBar:
 
 class TestEstimateSubset:
     def test_alpha_reuses_the_tuning_fits(self, rng, monkeypatch):
-        # Ten grid values times k holdouts, plus the final model: the error
-        # bar reads its leave-one-out errors from the tuning pass.
+        # The leave-one-out fits of the ten grid values are two stacked
+        # solves of five values times k holdouts, then the final model is a
+        # stack of one: the error bar reads its errors from the tuning pass.
         ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
         spare = ds.n - (ds.num_bgs + 1)
-        calls = counting(monkeypatch, "fit_segments", [pipeline])
+        calls = counting(monkeypatch, "simplex_lstsq", [model])
         target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
         est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
         assert est.interval_alpha is not None
-        assert len(calls) == 10 * spare + 1
+        assert [a.shape[:-2] for a, _ in calls] == [(5 * spare,), (5 * spare,), ()]
+
+    def test_given_d_fits_its_holdouts_in_one_solve(self, rng, monkeypatch):
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
+        spare = ds.n - (ds.num_bgs + 1)
+        calls = counting(monkeypatch, "simplex_lstsq", [model])
+        target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
+        est = estimate_subset(ds, target, EstimateOptions(d=3.0, alpha=90.0))
+        assert est.d_policy == "given" and est.interval_alpha is not None
+        assert [a.shape[:-2] for a, _ in calls] == [(), (spare,)]
 
     def test_observed_target_degenerate(self, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=1000.0)
