@@ -125,7 +125,7 @@ def _solve_faces(
 
 def simplex_lstsq(
     a: np.ndarray, b: np.ndarray, max_iter: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Minimize ||a[i] @ v[i] - b[i]||^2 subject to v[i] >= 0 and
     sum(v[i]) == 1, for each problem i of a stack.
 
@@ -210,14 +210,16 @@ def simplex_lstsq(
         face = free[solve]
         inside = np.all(~face | (w > -_ZERO_TOL), axis=1)
 
-        done = solve[inside]
-        x = w[inside]
-        np.clip(x, 0.0, None, out=x)
-        s = x.sum(axis=1)
-        x[s > 0] /= s[s > 0, None]
-        v[done] = x
-        on_face[done] = False
-
+        if inside.any():
+            done = solve[inside]
+            x = w[inside]
+            np.clip(x, 0.0, None, out=x)
+            s = x.sum(axis=1)
+            x[s > 0] /= s[s > 0, None]
+            v[done] = x
+            on_face[done] = False
+        if inside.all():
+            continue
         stop = solve[~inside]
         x, w, face = v[stop], w[~inside], face[~inside]
         blocking = face & (w < -_ZERO_TOL)
