@@ -143,7 +143,8 @@ def simplex_lstsq(
 
     Returns the solutions (B, n) and the squared residuals at them (B,).
     Raises RuntimeError when a problem needs more than ``max_iter`` column
-    entries, or ``max_iter`` blocked face solves after one entry.
+    entries, or ``max_iter`` blocked face solves after one entry, or meets a
+    face that has no unique solution.
     """
     single = np.ndim(a) == 2
     a = np.ascontiguousarray(a, dtype=np.float64)
