@@ -5,7 +5,9 @@ a non-negative region allocation reproducing every observation.  That gives
 three tools: a consistency check (phase-1 feasibility of that system), tight
 lower/upper bounds on any subset's reach (optimize the target's incidence
 functional over the feasible polytope), and a least-squares repair that
-projects noisy observations back onto the consistent set.
+projects noisy observations back onto the consistent set.  A bounds solver
+also answers for the dataset without one observation, from its own phase 1
+(``BoundsSolver.without``), which is how leave-one-out bounds are taken.
 """
 
 from __future__ import annotations
@@ -99,14 +101,35 @@ class BoundsSolver:
     """
 
     def __init__(self, dataset: ReachDataset):
-        self._solver = _feasibility_solver(dataset)
+        self._setup(dataset, _feasibility_solver(dataset))
+
+    def _setup(self, dataset: ReachDataset, solver: EqualityFormSolver) -> None:
+        self._solver = solver
         self.dataset = dataset
         self.scale = dataset.scale
-        if not self._solver.feasible:
+        if not solver.feasible:
             raise InconsistencyError(
                 "observations are inconsistent; run repair_dataset first"
             )
         self._cap = self._upper_cap()
+
+    def without(self, mask: SubsetMask) -> "BoundsSolver":
+        """The solver of the dataset without ``mask``'s observation.
+
+        It reuses this solver's phase 1 (``EqualityFormSolver.without_row``)
+        and has the scale and cap of ``BoundsSolver(dataset.without(mask))``,
+        so its bounds equal that solver's up to round-off.  It is that solver
+        when phase 1 here dropped a redundant row, which distinct masks never
+        cause.
+        """
+        rest = self.dataset.without(mask)
+        row = [m.index for m in self.dataset.masks()].index(mask.index)
+        solver = self._solver.without_row(row, self.scale / rest.scale)
+        if solver is None:
+            return BoundsSolver(rest)
+        derived = object.__new__(BoundsSolver)
+        derived._setup(rest, solver)
+        return derived
 
     def _upper_cap(self) -> float:
         """Scaled fallback ceiling for targets the observations cannot pin down."""

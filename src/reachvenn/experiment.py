@@ -87,9 +87,9 @@ def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[f
     model = session.model(tune_d(session))
 
     errors = []
-    for target in testing_masks(spec.num_bgs):
-        point = session.estimate(model, target).point
-        clean_truth = true_reach(truth, target)
+    for estimate in session.estimates(model, testing_masks(spec.num_bgs)):
+        point = estimate.point
+        clean_truth = true_reach(truth, estimate.target)
         if clean_truth > 0:
             errors.append((point - clean_truth) / clean_truth)
         else:

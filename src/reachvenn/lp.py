@@ -9,7 +9,9 @@ One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
 every basis the simplex visits is feasible.  A result therefore depends on
 the earlier calls, but only up to round-off, and the same sequence of calls
-gives bit-identical results.
+gives bit-identical results.  Phase 1 keeps its basis inverse, so the same
+program without one equality is solved with no new phase 1
+(``EqualityFormSolver.without_row``).
 """
 
 from __future__ import annotations
@@ -153,6 +155,34 @@ class EqualityFormSolver:
             basis[rows],
         )
         self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # The artificial columns now hold the phase-1 basis inverse, which
+        # ``without_row`` reads; a dropped row leaves no basis to start from.
+        self._inverse = (tableau, basis) if rows.size == m else None
+
+    def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver | None":
+        """A solver of the same program without equality ``row``, with the
+        right-hand side multiplied by ``scale``, or None when phase 1 dropped
+        a redundant row.
+
+        No phase 1 runs: equality ``row`` gets a free slack, the column pair
+        +/-B^-1 e_row read off phase 1's artificial columns, so the phase-1
+        basis B stays feasible and each sense starts from it.  The slack is
+        not priced in objectives or returned in solutions.
+        """
+        if not self.feasible or self._inverse is None:
+            return None
+        tableau, basis = self._inverse
+        n, m = self.n, basis.size
+        derived = tableau[:, np.r_[:n, n + row, n + row, n + m]]
+        derived[:, n + 1] *= -1.0
+        derived[:m, -1] *= scale
+        solver = object.__new__(EqualityFormSolver)
+        solver.n = n
+        solver.feasible = True
+        solver._phase1 = (derived, basis.copy())
+        solver._by_sense = {}
+        solver._inverse = None
+        return solver
 
     def _state(self, sense: str) -> tuple[np.ndarray, np.ndarray]:
         """The tableau and basis that ``sense`` pivots in place."""
@@ -175,15 +205,16 @@ class EqualityFormSolver:
         elif sense != "min":
             raise ValueError("sense must be 'min' or 'max'")
         tableau, basis = self._state(sense)
-        m = tableau.shape[0] - 1
-        cost = np.append(c, 0.0)
+        m, width = tableau.shape[0] - 1, tableau.shape[1] - 1
+        cost = np.append(c, np.zeros(width - self.n + 1))
         cost -= cost[basis] @ tableau[:m]
         tableau[-1] = cost
-        status = _run_simplex(tableau, basis, self.n, max_iter=200 * (self.n + m) + 1000)
+        status = _run_simplex(tableau, basis, width, max_iter=200 * (width + m) + 1000)
         if status == UNBOUNDED:
             return LpResult(UNBOUNDED)
-        x = np.zeros(self.n)
+        x = np.zeros(width)
         x[basis] = tableau[:m, -1]
+        x = x[: self.n]
         value = float(c @ x)
         if sense == "max":
             value = -value

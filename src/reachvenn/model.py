@@ -10,7 +10,10 @@ As d grows the segment rows approach the subset/region incidence pattern, so
 consistent data is always perfectly fittable in the limit.
 
 Fitting is split in two: ``build_segment_matrix`` builds Z(d) and
-``fit_segments`` solves for the weights on it.  ``fit_leave_one_out`` fits
+``fit_segments`` solves for the weights on it.  ``segment_rows`` builds the
+rows of many subsets in one broadcast, each with the bits of its own
+``segment_row``, so a row of Z(d) predicts its subset exactly as a rebuilt
+row would (``predict_row``).  ``fit_leave_one_out`` fits
 every pair of a matrix and a held-out row in one stacked ``simplex_lstsq``
 call.  Each of those fits deletes one row of the full matrix, which equals
 the smaller dataset's own matrix bit for bit (the basics, and so the universe
@@ -96,27 +99,37 @@ def _reach_probabilities(
     return r / d, 1.0 - (1.0 - r) / d
 
 
+def segment_rows(
+    subsets: Sequence[SubsetMask], single_proportions: np.ndarray, d: float
+) -> np.ndarray:
+    """Probability of a user in each activity segment being reached by each
+    subset: one row per subset, one column per segment index.
+
+    Entry (k, s) is 1 - prod over subset k's BGs of (1 - r_{s_i}(G_i)); at
+    d = infinity a row equals the incidence vector exactly (the low/high
+    probabilities are exact 0/1 there).  The products run over the BGs in
+    ascending order from 1.0, and a BG outside a subset multiplies its row
+    by exactly 1.0, so each row has the bits of a product over its own BGs.
+    """
+    low, high = _reach_probabilities(single_proportions, d)
+    if any(subset.num_bgs != low.size for subset in subsets):
+        raise ValueError(f"subsets must have {low.size} BGs")
+    if any(subset.is_empty for subset in subsets):
+        raise ValueError("empty subset has no reach")
+    segments = np.arange(1 << low.size)
+    bits = np.array([subset.bits for subset in subsets], dtype=np.int64)
+    survive = np.ones((bits.size, segments.size))
+    for i in range(low.size):
+        p = np.where(segments >> i & 1, high[i], low[i])
+        survive = survive * np.where((bits >> i & 1)[:, None] == 1, 1.0 - p, 1.0)
+    return 1.0 - survive
+
+
 def segment_row(
     subset: SubsetMask, single_proportions: np.ndarray, d: float
 ) -> np.ndarray:
-    """Probability of a user in each activity segment being reached by ``subset``.
-
-    Entry at segment index s is 1 - prod over the subset's BGs of
-    (1 - r_{s_i}(G_i)); at d = infinity this equals the incidence vector
-    exactly (the low/high probabilities are exact 0/1 there).
-    """
-    if subset.is_empty:
-        raise ValueError("empty subset has no reach")
-    num_bgs = subset.num_bgs
-    low, high = _reach_probabilities(single_proportions, d)
-    segments = np.arange(1 << num_bgs)
-    survive = np.ones(1 << num_bgs)
-    for i in range(num_bgs):
-        if not subset.bits >> i & 1:
-            continue
-        p = np.where(segments >> i & 1, high[i], low[i])
-        survive = survive * (1.0 - p)
-    return 1.0 - survive
+    """``segment_rows`` of the one subset."""
+    return segment_rows([subset], single_proportions, d)[0]
 
 
 @dataclass(frozen=True)
@@ -138,25 +151,25 @@ class SegmentMatrix:
         object.__setattr__(self, "entries", arr)
 
 
-def build_segment_matrix(dataset: ReachDataset, d: float) -> SegmentMatrix:
+def build_segment_matrix(
+    dataset: ReachDataset, d: float, universe_size: float | None = None
+) -> SegmentMatrix:
     """Segment matrix for the dataset's observed masks at parameter ``d``.
 
     The rows are the masks in ascending canonical order.  The single-BG
-    proportions come from the declared universe size, or from
-    ``estimate_universe`` when none is declared.
+    proportions come from ``universe_size`` when given, else from the
+    declared universe size, else from ``estimate_universe``.
     """
     if not dataset.has_basic_points:
         raise ValueError("fitting needs all single-BG reaches and the union reach")
     rows = dataset.masks()
-    universe = dataset.universe_size
-    if universe is None:
-        universe = estimate_universe(dataset)
+    universe = universe_size or dataset.universe_size or estimate_universe(dataset)
     singles = [
         dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
         for i in range(1, dataset.num_bgs + 1)
     ]
     proportions = np.array(singles, dtype=np.float64) / universe
-    entries = np.array([segment_row(m, proportions, d) for m in rows])
+    entries = segment_rows(rows, proportions, d)
     return SegmentMatrix(d, rows, entries, float(universe), proportions)
 
 
@@ -279,12 +292,16 @@ def fit(dataset: ReachDataset, d: float) -> CiModel:
     return fit_segments(build_segment_matrix(dataset, d), reaches)
 
 
-def predict(model: CiModel, target: SubsetMask) -> float:
-    """Reach estimate for ``target``: z(target) . w scaled to the universe,
-    clamped into [0, U]."""
-    row = segment_row(target, model.single_bg_proportions, model.d)
+def predict_row(model: CiModel, row: np.ndarray) -> float:
+    """Reach estimate for the subset whose segment row at the model's d and
+    proportions is ``row``: row . w scaled to the universe, clamped into [0, U]."""
     raw = float(row @ model.weights) * model.universe_size
     return min(max(raw, 0.0), model.universe_size)
+
+
+def predict(model: CiModel, target: SubsetMask) -> float:
+    """Reach estimate for ``target`` (``predict_row`` of its segment row)."""
+    return predict_row(model, segment_row(target, model.single_bg_proportions, model.d))
 
 
 def min_perfect_fit_d(dataset: ReachDataset) -> float:

@@ -6,10 +6,13 @@ validation of the tuning parameter d on the non-basic training points, error
 bars from the validation-error quantiles, and a one-call estimator returning
 a point estimate inside its 100%-confidence interval.  All of these read one
 ``Session`` per dataset, which computes each fact they share once: it holds
-one segment matrix per d, and each leave-one-out fit solves on that matrix
-with the held-out point's row deleted.  Its leave-one-out table is filled for
-many d at once: the fits of each half of the requested d are one stacked
-active-set solve.
+one universe size and one segment matrix per d, and each leave-one-out fit
+solves on that matrix with the held-out point's row deleted and predicts
+from that row.  Its leave-one-out table is filled for many d at once: all of
+their fits are one stacked active-set solve.  The held-out points' bounds
+reuse the session's phase 1 (``BoundsSolver.without``), and a batch of
+targets takes its bounds from one ``bounds_many`` call and its segment rows
+from one ``segment_rows`` call.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from .model import (
     CiModel,
     SegmentMatrix,
     build_segment_matrix,
+    estimate_universe,
     fit_leave_one_out,
     fit_segments,
-    predict,
+    predict_row,
+    segment_rows,
 )
 
 # Definition of the segment probabilities degenerates at exactly d = 1, so the
@@ -186,42 +191,50 @@ class Session:
         self._models: dict[float, CiModel] = {}
 
     @functools.cached_property
+    def universe_size(self) -> float:
+        """The declared universe size, else ``estimate_universe``'s."""
+        return self.dataset.universe_size or estimate_universe(self.dataset)
+
+    @functools.cached_property
     def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval, float]]:
         """(row number, mask, the mask's bounds under the other points, its
-        reach) for each non-basic point; the basics are never held out."""
+        reach) for each non-basic point; the basics are never held out.  The
+        bounds come from ``solver.without``, which runs no new phase 1."""
         basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
         result = []
         for row, mask in enumerate(self.dataset.masks()):
             if mask.index not in basics:
-                interval = BoundsSolver(self.dataset.without(mask)).bounds(mask)
+                interval = self.solver.without(mask).bounds(mask)
                 result.append((row, mask, interval, self.dataset.reach_of(mask)))
         return result
 
     def segments(self, d: float) -> SegmentMatrix:
         """The segment matrix of all points at d (nudged by ``effective_d``)."""
         if d not in self._segments:
-            self._segments[d] = build_segment_matrix(self.dataset, effective_d(d))
+            self._segments[d] = build_segment_matrix(
+                self.dataset, effective_d(d), self.universe_size
+            )
         return self._segments[d]
 
     def loo_table(self, ds: Sequence[float]) -> list[list[float]]:
         """Leave-one-out relative errors for each d in ``ds``, one per held-out
         point, each from a fit on ``segments(d)`` without the point's row.
-        The fits for the ds not yet known are two stacked solves, one for
-        each half of those ds."""
+        The fits for the ds not yet known are one stacked solve, and each
+        prediction reads the held-out point's row of ``segments(d)``."""
         missing = [d for d in dict.fromkeys(ds) if d not in self._errors]
-        rows = [row for row, *_ in self.holdouts]
-        # Two solves of half the ds each hold half the memory of one (the
-        # whole grid's stack is 2.5 MB at P=8).
-        half = (len(missing) + 1) // 2
-        for part in (missing[:half], missing[half:]):
-            if not part:
-                continue
-            matrices = [self.segments(d) for d in part]
+        if missing:
+            matrices = [self.segments(d) for d in missing]
+            rows = [row for row, *_ in self.holdouts]
             fits = fit_leave_one_out(matrices, self.reaches, rows)
-            for d, matrix, models in zip(part, matrices, fits):
+            for d, matrix, models in zip(missing, matrices, fits):
                 self._errors[d] = [
-                    relative_error(predict(model, mask), truth, interval, matrix.universe_size)
-                    for model, (_, mask, interval, truth) in zip(models, self.holdouts)
+                    relative_error(
+                        predict_row(model, matrix.entries[row]),
+                        truth,
+                        interval,
+                        matrix.universe_size,
+                    )
+                    for model, (row, _, interval, truth) in zip(models, self.holdouts)
                 ]
         return [self._errors[d] for d in ds]
 
@@ -235,6 +248,36 @@ class Session:
             self._models[d] = fit_segments(self.segments(d), self.reaches)
         return self._models[d]
 
+    def estimates(
+        self,
+        model: CiModel,
+        targets: Sequence[SubsetMask],
+        clamp: bool = True,
+        d: float | None = None,
+        d_policy: str = "loaded",
+    ) -> list[Estimate]:
+        """The model's point for each target (clamped unless told not to)
+        beside the target's 100% interval; by default the model counts as
+        loaded at its d.  The intervals are one ``bounds_many`` batch and the
+        segment rows one ``segment_rows`` call."""
+        intervals = self.solver.bounds_many(targets)
+        rows = segment_rows(targets, model.single_bg_proportions, model.d)
+        result = []
+        for target, interval, row in zip(targets, intervals, rows):
+            point = predict_row(model, row)
+            result.append(
+                Estimate(
+                    target=target,
+                    point=interval.clamp(point) if clamp else point,
+                    interval_100=interval,
+                    d=model.d if d is None else d,
+                    d_policy=d_policy,
+                    universe_size=model.universe_size,
+                    repaired=self.repaired,
+                )
+            )
+        return result
+
     def estimate(
         self,
         model: CiModel,
@@ -243,19 +286,8 @@ class Session:
         d: float | None = None,
         d_policy: str = "loaded",
     ) -> Estimate:
-        """The model's point for target (clamped unless told not to) beside
-        target's 100% interval; by default the model counts as loaded at its d."""
-        interval = self.solver.bounds(target)
-        point = predict(model, target)
-        return Estimate(
-            target=target,
-            point=interval.clamp(point) if clamp else point,
-            interval_100=interval,
-            d=model.d if d is None else d,
-            d_policy=d_policy,
-            universe_size=model.universe_size,
-            repaired=self.repaired,
-        )
+        """``estimates`` of the one target."""
+        return self.estimates(model, [target], clamp, d, d_policy)[0]
 
 
 def tune_d(session: Session) -> float:
@@ -332,8 +364,12 @@ def resolve_d(session: Session, d: float | None) -> tuple[float, str]:
 @dataclass(frozen=True)
 class EstimateOptions:
     clamp: bool = True
-    alpha: float | None = None
+    alpha: float | None = None  # in (0, 100]
     d: float | None = None  # None: cross-validate, or d = inf when impossible
+
+    def __post_init__(self) -> None:
+        if self.alpha is not None and not 0 < self.alpha <= 100:
+            raise ValueError(f"alpha must lie in (0, 100], got {self.alpha}")
 
 
 @dataclass(frozen=True)

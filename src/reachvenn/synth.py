@@ -13,6 +13,7 @@ derived as seed XOR replicate_index so runs parallelize reproducibly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -57,10 +58,10 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "ci_groups" and self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
-        if self.kind == "dirichlet" and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.universe_size <= 0:
-            raise ValueError("universe_size must be positive")
+        for name in ("universe_size", "alpha", "reach_beta_a", "reach_beta_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)

@@ -19,6 +19,7 @@ from reachvenn.core import (
     enumerate_masks,
     subset_reach_from_allocation,
 )
+from reachvenn.lp import EqualityFormSolver
 from reachvenn.pipeline import estimate_subset
 
 from conftest import random_consistent_dataset
@@ -343,6 +344,42 @@ class TestWarmStartedBounds:
             assert interval.lower == pytest.approx(cold.lower, abs=1e-9 * ds.scale)
             assert interval.upper == pytest.approx(cold.upper, abs=1e-9 * ds.scale)
         assert BoundsSolver(ds).bounds_many([]) == []
+
+
+class TestBoundsWithout:
+    @pytest.mark.parametrize("num_bgs", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("universe", [1000.0, None])
+    def test_every_mask_matches_a_fresh_solver(self, rng, num_bgs, universe):
+        # Basic masks included: dropping a single changes the cap, and
+        # dropping the union can change the scale.
+        pool = (1 << num_bgs) - 2 - num_bgs
+        for extra in sorted({0, pool // 2, pool}):
+            ds, _ = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
+            solver = BoundsSolver(ds)
+            for mask in ds.masks():
+                got = solver.without(mask)
+                assert got.dataset == ds.without(mask)
+                fresh = BoundsSolver(ds.without(mask))
+                for target in (mask, SubsetMask.full(num_bgs)):
+                    a, b = got.bounds(target), fresh.bounds(target)
+                    assert a.upper_capped == b.upper_capped
+                    assert abs(a.lower - b.lower) <= 1e-12 * ds.scale
+                    assert abs(a.upper - b.upper) <= 1e-12 * ds.scale
+
+    def test_falls_back_to_a_fresh_solver(self, rng, monkeypatch):
+        # A program whose phase 1 dropped a row has no derived solver.
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=None)
+        solver = BoundsSolver(ds)
+        monkeypatch.setattr(EqualityFormSolver, "without_row", lambda *args: None)
+        for mask in ds.masks():
+            fresh = BoundsSolver(ds.without(mask))
+            got = solver.without(mask)
+            assert got.dataset == fresh.dataset
+            assert got.bounds(mask) == fresh.bounds(mask)
+
+    def test_unobserved_mask_rejected(self):
+        with pytest.raises(ValueError, match="not present"):
+            BoundsSolver(triangle_dataset()).without(SubsetMask.from_string("110"))
 
 
 class TestRepairDataset:

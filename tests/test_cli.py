@@ -191,6 +191,26 @@ class TestFitPredict:
         assert "unavailable" in payload["alpha_note"]
         assert payload["d_policy"] == "default_inf"
 
+    @pytest.mark.parametrize("alpha", ["150", "nan", "inf", "0"])
+    @pytest.mark.parametrize("spare_points", [False, True])
+    def test_alpha_out_of_range_is_usage_error(
+        self, capsys, tmp_path, triangle_file, spare_points, alpha
+    ):
+        # The triangle has a spare point; the basics alone have none, so
+        # they never reach the error bar that used to reject alpha.
+        data = triangle_file
+        if not spare_points:
+            truth = independent_truth(3, 0.2, 1000.0)
+            masks = [m for m in enumerate_masks(3) if m.popcount in (1, 3)]
+            data = tmp_path / "basics.json"
+            io.save_dataset(true_dataset(truth, masks), data)
+        code, out, err = run_cli(
+            capsys, "predict", data, "--target", "110", "--alpha", alpha
+        )
+        assert code == 64
+        assert out == ""
+        assert "alpha must lie in (0, 100]" in err
+
     def test_saved_model_round_trip_via_predict(self, capsys, tmp_path, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=1000.0)
         data = tmp_path / "ds.json"
@@ -352,6 +372,25 @@ class TestExperimentCommand:
         assert "errors" not in stdout_payload
         file_payload = json.loads(out_path.read_text())
         assert len(file_payload["errors"]) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--universe", "inf", "universe_size"),
+            ("--alpha", "nan", "alpha"),
+            ("--beta-a", "nan", "reach_beta_a"),
+            ("--beta-a", "0", "reach_beta_a"),
+            ("--beta-b", "-1", "reach_beta_b"),
+        ],
+    )
+    def test_bad_generator_parameter_is_usage_error(self, capsys, flag, value, field):
+        code, out, err = run_cli(
+            capsys, "experiment", "--generator", "ci", "--p", "4", "--replicates", "1",
+            flag, value,
+        )
+        assert code == 64
+        assert out == ""
+        assert f"{field} must be positive and finite" in err
 
     def test_zero_workers_is_usage_error(self, capsys):
         code, out, err = run_cli(

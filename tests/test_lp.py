@@ -144,3 +144,47 @@ class TestEqualityFormSolver:
             two = second.optimize(objective, sense)
             assert one.value == two.value
             assert np.array_equal(one.solution, two.solution)
+
+
+class TestWithoutRow:
+    def test_matches_a_fresh_solver_of_the_other_rows(self):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(0, 1, size=(6, 20))
+        b = a @ rng.uniform(0, 1, size=20)
+        full = EqualityFormSolver(a, b)
+        for row in range(6):
+            for scale in (1.0, 0.25):
+                derived = full.without_row(row, scale)
+                fresh = EqualityFormSolver(np.delete(a, row, axis=0), np.delete(b, row) * scale)
+                for k in range(6):
+                    objective = rng.normal(size=20)
+                    sense = "max" if k % 2 else "min"
+                    got, want = derived.optimize(objective, sense), fresh.optimize(objective, sense)
+                    assert got.status == want.status
+                    if want.is_optimal:
+                        assert got.value == pytest.approx(want.value, abs=1e-9)
+                        assert got.solution.shape == (20,)
+                        rest = np.delete(a, row, axis=0) @ got.solution
+                        assert np.max(np.abs(rest - np.delete(b, row) * scale)) < 1e-7
+
+    def test_unbounded_once_the_ceiling_row_is_gone(self):
+        # x1 - x2 = 1 leaves x1 no ceiling; x1 + x3 = 4 gives it one.
+        a = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0]])
+        solver = EqualityFormSolver(a, np.array([1.0, 4.0]))
+        objective = np.array([1.0, 0.0, 0.0])
+        assert solver.optimize(objective, "max").value == pytest.approx(4.0, abs=1e-9)
+        assert solver.without_row(1).optimize(objective, "max").status == UNBOUNDED
+        assert solver.without_row(0).optimize(objective, "max").value == pytest.approx(
+            4.0, abs=1e-9
+        )
+
+    def test_no_derived_solver_after_a_dropped_row(self):
+        # Phase 1 drops the duplicate row, so no basis covers every row.
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        solver = EqualityFormSolver(a, np.array([1.0, 1.0, 2.0]))
+        assert solver.feasible
+        assert all(solver.without_row(row) is None for row in range(3))
+
+    def test_no_derived_solver_when_infeasible(self):
+        solver = EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([-1.0]))
+        assert solver.without_row(0) is None

@@ -92,7 +92,7 @@ class TestSimplexLstsq:
             v, rss = simplex_lstsq(a, b)
             assert v.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.min(v) >= 0.0
-            _, rss_pgd = pgd_simplex_lstsq(a, b, iters=60_000)
+            _, rss_pgd = pgd_simplex_lstsq(a, b)
             assert rss <= rss_pgd + 1e-8
             assert kkt_gap(a, b, v) < 1e-8
 

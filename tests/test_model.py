@@ -21,6 +21,7 @@ from reachvenn.model import (
     min_perfect_fit_d,
     predict,
     segment_row,
+    segment_rows,
 )
 
 from conftest import random_consistent_dataset
@@ -111,6 +112,43 @@ class TestSegmentMatrix:
                 assert np.array_equal(row, incidence_vector(mask))
 
 
+def looped_segment_row(subset, proportions, d):
+    """The per-subset loop ``segment_rows`` replaced: the bitwise reference."""
+    if math.isinf(d):
+        low, high = np.zeros_like(proportions), np.ones_like(proportions)
+    else:
+        low, high = proportions / d, 1.0 - (1.0 - proportions) / d
+    segments = np.arange(1 << subset.num_bgs)
+    survive = np.ones(1 << subset.num_bgs)
+    for i in range(subset.num_bgs):
+        if subset.bits >> i & 1:
+            survive = survive * (1.0 - np.where(segments >> i & 1, high[i], low[i]))
+    return 1.0 - survive
+
+
+class TestSegmentRows:
+    @pytest.mark.parametrize("num_bgs", [3, 6, 8, 11])
+    def test_rows_equal_the_per_subset_loop_bitwise(self, rng, num_bgs):
+        masks = enumerate_masks(num_bgs)
+        if len(masks) > 64:
+            masks = [masks[i] for i in sorted(rng.choice(len(masks), 64, replace=False))]
+        proportions = rng.uniform(0.01, 0.95, size=num_bgs)
+        for d in (1.0 + 1e-9, 1.3, 2.0, 5.0, 1e6, math.inf):
+            rows = segment_rows(masks, proportions, d)
+            assert rows.shape == (len(masks), 1 << num_bgs)
+            for mask, row in zip(masks, rows):
+                expected = looped_segment_row(mask, proportions, d)
+                assert np.array_equal(row, expected)
+                assert np.array_equal(segment_row(mask, proportions, d), expected)
+
+    def test_rejects_empty_and_mismatched_subsets(self):
+        proportions = np.array([0.2, 0.3])
+        with pytest.raises(ValueError, match="empty"):
+            segment_rows([SubsetMask(1, 2), SubsetMask(0, 2)], proportions, 2.0)
+        with pytest.raises(ValueError, match="2 BGs"):
+            segment_rows([SubsetMask(1, 3)], proportions, 2.0)
+
+
 class TestFit:
     def test_independent_p2_zero_residual_at_inf(self):
         ds = ReachDataset.from_pairs(
@@ -155,7 +193,7 @@ class TestFit:
             matrix = build_segment_matrix(ds, d).entries
             padded = np.hstack([matrix, np.zeros((matrix.shape[0], 1))])
             target = np.array([o.reach for o in ds.sorted_observations()])
-            _, oracle_resid = pgd_simplex_lstsq(padded, target, iters=80_000)
+            _, oracle_resid = pgd_simplex_lstsq(padded, target)
             assert model.training_residual <= oracle_resid + 1e-8
 
 

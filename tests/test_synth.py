@@ -1,5 +1,7 @@
 """Generators, analytic region math, and the noise model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,16 @@ class TestGenerate:
             GeneratorSpec(kind="ci_groups", num_bgs=3, universe_size=1.0, seed=0, num_groups=0)
         with pytest.raises(ValueError, match="alpha"):
             GeneratorSpec(kind="dirichlet", num_bgs=3, universe_size=1.0, seed=0, alpha=0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["universe_size", "alpha", "reach_beta_a", "reach_beta_b"]
+    )
+    def test_non_finite_or_non_positive_parameters_rejected(self, field):
+        for kind in ("ci_groups", "dirichlet"):
+            for value in (math.nan, math.inf, 0.0, -1.0):
+                spec = {"kind": kind, "num_bgs": 3, "universe_size": 1.0, "seed": 0}
+                with pytest.raises(ValueError, match=field):
+                    GeneratorSpec(**{**spec, field: value})
 
 
 class TestIndependentTruth:
