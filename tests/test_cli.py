@@ -28,6 +28,16 @@ def triangle_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def basics_file(tmp_path):
+    """The basic points of an independent P=3 truth: no spare point."""
+    truth = independent_truth(3, 0.2, 1000.0)
+    masks = [m for m in enumerate_masks(3) if m.popcount in (1, 3)]
+    path = tmp_path / "basics.json"
+    io.save_dataset(true_dataset(truth, masks), path)
+    return path
+
+
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -177,13 +187,9 @@ class TestFitPredict:
 
         assert payload["d"] in d_grid()
 
-    def test_alpha_unavailable_on_basics_only(self, capsys, tmp_path):
-        truth = independent_truth(3, 0.2, 1000.0)
-        masks = [m for m in enumerate_masks(3) if m.popcount in (1, 3)]
-        data = tmp_path / "ds.json"
-        io.save_dataset(true_dataset(truth, masks), data)
+    def test_alpha_unavailable_on_basics_only(self, capsys, basics_file):
         code, out, _ = run_cli(
-            capsys, "predict", data, "--target", "110", "--alpha", "90"
+            capsys, "predict", basics_file, "--target", "110", "--alpha", "90"
         )
         payload = json.loads(out)
         assert code == 0
@@ -194,16 +200,11 @@ class TestFitPredict:
     @pytest.mark.parametrize("alpha", ["150", "nan", "inf", "0"])
     @pytest.mark.parametrize("spare_points", [False, True])
     def test_alpha_out_of_range_is_usage_error(
-        self, capsys, tmp_path, triangle_file, spare_points, alpha
+        self, capsys, triangle_file, basics_file, spare_points, alpha
     ):
         # The triangle has a spare point; the basics alone have none, so
         # they never reach the error bar that used to reject alpha.
-        data = triangle_file
-        if not spare_points:
-            truth = independent_truth(3, 0.2, 1000.0)
-            masks = [m for m in enumerate_masks(3) if m.popcount in (1, 3)]
-            data = tmp_path / "basics.json"
-            io.save_dataset(true_dataset(truth, masks), data)
+        data = triangle_file if spare_points else basics_file
         code, out, err = run_cli(
             capsys, "predict", data, "--target", "110", "--alpha", alpha
         )
