@@ -202,7 +202,9 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     replaces every observed reach with the allocation's value.  Consistent
     inputs come back unchanged up to solver round-off.  When the universe
     size is declared, the allocation is additionally constrained to fit
-    inside it (the unreached region absorbs the slack).
+    inside it (the unreached region absorbs the slack).  Either way the
+    solve is one ``simplex_lstsq`` call: directly on the simplex with a
+    universe, and through ``nnls``, its reduction onto that solver, without.
     """
     if dataset.n == 0:
         raise ValueError("dataset has no observations")

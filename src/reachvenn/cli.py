@@ -185,6 +185,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"budget must be non-negative, got {args.budget}")
     dataset = io.load_dataset(args.dataset)
     allocation, _ = io.load_allocation(args.truth)
     if allocation.num_bgs != dataset.num_bgs:

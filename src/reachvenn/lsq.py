@@ -1,20 +1,19 @@
-"""Active-set least squares under non-negativity and simplex constraints.
+"""Active-set least squares under simplex and non-negativity constraints.
 
-Two solvers:
+One solver, ``simplex_lstsq``: min ||A v - b||^2 with v >= 0 and sum(v) == 1.
+Callers that want sum(v) <= 1 append a zero column and discard its weight.
+It takes a stack of same-shaped problems and steps them in lock-step, so a
+round's face subproblems are one stacked QR factorization and one stacked
+solve; each problem still gets the bits it gets when solved alone.
 
-* ``nnls``: classic Lawson-Hanson, min ||A v - b||^2 with v >= 0.
-* ``simplex_lstsq``: the same active-set idea with the extra equality
-  sum(v) == 1, solved by eliminating an anchor coordinate in each subproblem.
-  Callers that want sum(v) <= 1 append a zero column and discard its weight.
-  It takes a stack of same-shaped problems and steps them in lock-step, so a
-  round's face subproblems are one stacked QR factorization and one stacked
-  solve; each problem still gets the bits it gets when solved alone.
+``nnls`` (v >= 0 only, for a non-negative A) is a reduction onto it: A's
+columns, scaled so that the sum constraint never binds, and a zero column.
 
-Both run to a KKT tolerance that puts the squared-residual objective within
-~1e-10 of the true constrained optimum on unit-scale data, and raise
+The solver runs to a KKT tolerance that puts the squared-residual objective
+within ~1e-10 of the true constrained optimum on unit-scale data, and raises
 RuntimeError when ``max_iter`` outer or inner iterations end before that.
-``simplex_lstsq`` logs each call's problems, lock-step rounds and face solves
-at DEBUG level on this module's logger, which is silent by default.
+It logs each call's problems, lock-step rounds and face solves at DEBUG
+level on this module's logger, which is silent by default.
 """
 
 from __future__ import annotations
@@ -29,46 +28,30 @@ _ZERO_TOL = 1e-13
 _logger = logging.getLogger(__name__)
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Minimize ||a @ v - b||^2 subject to v >= 0.
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ||a @ v - b||^2 subject to v >= 0, for a non-negative ``a``.
 
-    Returns the solution and the squared residual at it.
+    Every optimum has the same fitted values a v*, of norm at most ||b||, so
+    its mass on the non-zero columns is at most sqrt(m) ||b|| over the
+    smallest non-zero column sum.  With the columns scaled by twice that
+    bound plus one, ``simplex_lstsq`` over them and a zero slack column has a
+    sum constraint that never binds, so its optimum solves this one.  Zero
+    columns get weight zero.
+
+    Returns the solution and the squared residual at it.  Raises ValueError
+    when ``a`` has a negative entry, for which the bound does not hold.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape
-    if max_iter is None:
-        max_iter = 6 * n + 60
-    x = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
-        grad = a.T @ (b - a @ x)
-        grad[free] = -np.inf
-        j = int(np.argmax(grad))
-        if grad[j] <= _KKT_TOL * max(1.0, float(np.abs(b).max(initial=0.0))):
-            break
-        free[j] = True
-        for _ in range(max_iter):
-            z = np.zeros(n)
-            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
-            if np.all(z[free] > _ZERO_TOL):
-                x = z
-                break
-            blocking = free & (z <= _ZERO_TOL)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(blocking, x / (x - z), np.inf)
-            alpha = float(np.min(steps))
-            x = np.clip(x + alpha * (z - x), 0.0, None)
-            free &= x > _ZERO_TOL
-            if not np.any(free):
-                x = np.zeros(n)
-                break
-        else:
-            raise RuntimeError("nnls: inner iteration limit exceeded")
-    else:
-        raise RuntimeError("nnls: iteration limit exceeded")
-    resid = b - a @ x
-    return x, float(resid @ resid)
+    if (a < 0).any():
+        raise ValueError("nnls needs a non-negative matrix")
+    sums = a.sum(axis=0)
+    bound = np.sqrt(len(b)) * np.linalg.norm(b) / sums[sums > 0].min(initial=np.inf)
+    scale = 2.0 * bound + 1.0
+    v, rss = simplex_lstsq(np.hstack([np.zeros((len(b), 1)), a * scale]), b)
+    x = v[1:] * scale
+    x[sums == 0] = 0.0
+    return x, rss
 
 
 def _solve_faces(
@@ -230,14 +213,9 @@ def simplex_lstsq(
         x = np.clip(x + alpha[:, None] * (w - x), 0.0, None)
         x /= x.sum(axis=1, keepdims=True)
         face &= ~(blocking & (x <= _ZERO_TOL))
-        empty = ~face.any(axis=1)
-        x[empty] = 0.0
-        x[empty, start[stop[empty]]] = 1.0
-        face[empty, start[stop[empty]]] = True
         v[stop], free[stop] = x, face
-        on_face[stop[empty]] = False
         blocked[stop] += 1
-        if (blocked[stop[~empty]] == max_iter).any():
+        if (blocked[stop] == max_iter).any():
             raise RuntimeError("simplex_lstsq: inner iteration limit exceeded")
 
     if _logger.isEnabledFor(logging.DEBUG):

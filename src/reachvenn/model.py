@@ -194,10 +194,19 @@ class CiModel:
         r = np.asarray(self.single_bg_proportions, dtype=np.float64)
         if w.shape != (1 << self.num_bgs,) or r.shape != (self.num_bgs,):
             raise ValueError("model dimensions do not match num_bgs")
-        if np.any(w < 0) or w.sum() > 1.0 + 1e-9:
-            raise ValueError("weights must be non-negative with sum <= 1")
-        if self.training_residual < 0:
-            raise ValueError("training residual must be non-negative")
+        # Written so that NaN fails every check.
+        if not self.d > 1.0:
+            raise ValueError(f"d must exceed 1 or be inf, got {self.d}")
+        if not (math.isfinite(self.universe_size) and self.universe_size > 0):
+            raise ValueError(
+                f"universe_size must be finite and positive, got {self.universe_size}"
+            )
+        if not (r.min() >= 0.0 and r.max() <= 1.0):
+            raise ValueError("single_bg_proportions must lie in [0, 1]")
+        if not (w.min() >= 0.0 and w.sum() <= 1.0 + 1e-9):
+            raise ValueError("weights must be finite and non-negative with sum <= 1")
+        if not (math.isfinite(self.training_residual) and self.training_residual >= 0):
+            raise ValueError("training_residual must be finite and non-negative")
         w = w.copy()
         w.flags.writeable = False
         r = r.copy()

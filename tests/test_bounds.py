@@ -1,5 +1,7 @@
 """Consistency detection, subset bounds, repair, and curve tracing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from reachvenn.core import (
     subset_reach_from_allocation,
 )
 from reachvenn.lp import EqualityFormSolver
-from reachvenn.pipeline import estimate_subset
+from reachvenn.pipeline import EstimateOptions, estimate_subset
 
 from conftest import random_consistent_dataset
 from grid_oracle import oracle_bounds_by_grid
@@ -247,6 +249,28 @@ def relabelled(mask, perm):
     return SubsetMask(bits, mask.num_bgs)
 
 
+def relabelled_dataset(ds, perm):
+    """``ds`` with every observation's mask relabelled by ``perm``."""
+    return ReachDataset.from_pairs(
+        ds.num_bgs,
+        [(relabelled(o.subset, perm), o.reach) for o in ds.observations],
+        universe_size=ds.universe_size,
+    )
+
+
+def noisy_dataset(rng, num_bgs, extra, universe):
+    """A random consistent dataset with 10% relative noise on every reach,
+    kept inside the declared universe; usually inconsistent."""
+    ds, _ = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
+    cap = ds.universe_size or np.inf
+    return ds.replace_reaches(
+        [
+            min(cap, max(0.0, o.reach * (1 + 0.1 * rng.standard_normal())))
+            for o in ds.observations
+        ]
+    )
+
+
 class TestBoundsProperties:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -263,11 +287,7 @@ class TestBoundsProperties:
             np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
         )
         perm = np.random.default_rng(perm_seed).permutation(num_bgs).tolist()
-        renamed = ReachDataset.from_pairs(
-            num_bgs,
-            [(relabelled(o.subset, perm), o.reach) for o in ds.observations],
-            universe_size=ds.universe_size,
-        )
+        renamed = relabelled_dataset(ds, perm)
         solver, renamed_solver = BoundsSolver(ds), BoundsSolver(renamed)
         tol = 1e-9 * ds.scale
         for target in enumerate_masks(num_bgs):
@@ -300,6 +320,56 @@ class TestBoundsProperties:
             after = scaled_solver.bounds(target)
             assert abs(after.lower - before.lower * factor) <= tol
             assert abs(after.upper - before.upper * factor) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 5),
+        extra=st.integers(0, 6),
+        universe=st.sampled_from([1000.0, None]),
+        perm_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_relabelling_bgs_permutes_repair_and_batch_bounds(
+        self, seed, num_bgs, extra, universe, perm_seed
+    ):
+        # Without a universe repair runs nnls, with one simplex_lstsq; either
+        # way its values are the unique fitted values, so they permute.
+        ds = noisy_dataset(np.random.default_rng(seed), num_bgs, extra, universe)
+        perm = np.random.default_rng(perm_seed).permutation(num_bgs).tolist()
+        repaired = repair_dataset(ds)
+        renamed = repair_dataset(relabelled_dataset(ds, perm))
+        tol = 1e-9 * ds.scale
+        for o in repaired.observations:
+            assert abs(renamed.reach_of(relabelled(o.subset, perm)) - o.reach) <= tol
+        # bounds_many visits the targets in Gray-code order of their masks,
+        # which relabelling changes.
+        masks = enumerate_masks(num_bgs)
+        before = BoundsSolver(repaired).bounds_many(masks)
+        after = BoundsSolver(relabelled_dataset(repaired, perm)).bounds_many(
+            [relabelled(m, perm) for m in masks]
+        )
+        for b, a in zip(before, after):
+            assert abs(a.lower - b.lower) <= tol
+            assert abs(a.upper - b.upper) <= tol
+            assert a.upper_capped == b.upper_capped
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(2, 6),
+        extra=st.integers(0, 8),
+        universe=st.sampled_from([1.0, None]),
+    )
+    def test_truth_lies_in_estimate_interval(self, seed, num_bgs, extra, universe):
+        ds, alloc = random_consistent_dataset(
+            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
+        )
+        # interval_100 is model-free; a given d skips the cross-validation.
+        options = EstimateOptions(d=math.inf)
+        tol = 1e-9 * ds.scale
+        for target in enumerate_masks(num_bgs):
+            interval = estimate_subset(ds, target, options).interval_100
+            assert interval.contains(subset_reach_from_allocation(target, alloc), tol)
 
 
 def gray_order(num_bgs):

@@ -519,3 +519,53 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith(f"error: {field} must be")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("d", None, math.nan),
+            ("d", None, 1.0),
+            ("universe_size", None, math.nan),
+            ("universe_size", None, -1000.0),
+            ("universe_size", None, math.inf),
+            ("single_bg_proportions", 1, 3.0),
+            ("single_bg_proportions", 0, math.nan),
+            ("weights", 2, math.nan),
+            ("training_residual", None, math.nan),
+        ],
+    )
+    def test_model_with_bad_value(
+        self, capsys, tmp_path, triangle_file, field, index, value
+    ):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        if index is None:
+            payload[field] = value
+        else:
+            payload[field][index] = value
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"error: {field} must")
+        assert "Traceback" not in err
+
+    def test_negative_budget(self, capsys, tmp_path):
+        truth_path = tmp_path / "truth.json"
+        io.save_ground_truth(independent_truth(3, 0.2, 1000.0), truth_path)
+        code, out, err = run_cli(
+            capsys, "select", truth_path, "--budget", "-2", "--truth", truth_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: budget must be non-negative")
+        assert "Traceback" not in err
+        code, out, _ = run_cli(
+            capsys, "select", truth_path, "--budget", "0", "--truth", truth_path
+        )
+        assert code == 0
+        assert json.loads(out)["rounds"] == []

@@ -48,13 +48,33 @@ class TestNnls:
         grad = a.T @ (b - a @ x)
         assert np.all(grad <= 1e-8)
 
-    def test_iteration_limit_raises(self):
-        # Three positive coordinates need at least three outer iterations.
-        rng = np.random.default_rng(3)
-        a = rng.uniform(0, 1, size=(8, 5))
-        b = a @ np.array([0.0, 1.5, 0.0, 0.2, 3.0])
-        with pytest.raises(RuntimeError, match="nnls"):
-            nnls(a, b, max_iter=1)
+    def test_negative_entry_raises(self):
+        # The mass bound behind the reduction onto simplex_lstsq needs a >= 0.
+        with pytest.raises(ValueError, match="non-negative"):
+            nnls(np.array([[1.0, -0.5], [0.0, 1.0]]), np.array([1.0, 1.0]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 16),
+        cols=st.integers(1, 32),
+        zero_columns=st.integers(0, 3),
+        low=st.sampled_from([0.0, -0.5]),
+    )
+    def test_kkt_on_incidence_matrices(self, seed, rows, cols, zero_columns, low):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 2, size=(rows, cols)).astype(float)
+        a[:, rng.choice(cols, size=min(zero_columns, cols), replace=False)] = 0.0
+        b = rng.uniform(low, 1.2, size=rows)
+        x, rss = nnls(a, b)
+        assert x.shape == (cols,)
+        assert x.min() >= 0.0
+        assert np.all(x[~a.any(axis=0)] == 0.0)
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(b)))
+        grad = a.T @ (b - a @ x)  # minus half the objective's gradient
+        assert grad.max() <= tol
+        assert np.abs(x * grad).max() <= tol
+        assert rss == pytest.approx(float((b - a @ x) @ (b - a @ x)), abs=1e-12)
 
 
 class TestSimplexLstsq:
