@@ -6,8 +6,8 @@ three tools: a consistency check (phase-1 feasibility of that system), tight
 lower/upper bounds on any subset's reach (optimize the target's incidence
 functional over the feasible polytope), and a least-squares repair that
 projects noisy observations back onto the consistent set.  A bounds solver
-also answers for the dataset without one observation, from its own phase 1
-(``BoundsSolver.without``), which is how leave-one-out bounds are taken.
+also bounds an observed mask under the other observations, from its own
+phase 1 (``BoundsSolver.bounds_without``): those are the leave-one-out bounds.
 """
 
 from __future__ import annotations
@@ -101,65 +101,35 @@ class BoundsSolver:
     """
 
     def __init__(self, dataset: ReachDataset):
-        self._setup(dataset, _feasibility_solver(dataset))
-
-    def _setup(self, dataset: ReachDataset, solver: EqualityFormSolver) -> None:
-        self._solver = solver
-        self.dataset = dataset
-        self.scale = dataset.scale
-        if not solver.feasible:
+        self._solver = _feasibility_solver(dataset)
+        if not self._solver.feasible:
             raise InconsistencyError(
                 "observations are inconsistent; run repair_dataset first"
             )
-        self._cap = self._upper_cap()
+        self.dataset = dataset
+        self.scale = dataset.scale
+        self._cap = _upper_cap(dataset)
 
-    def without(self, mask: SubsetMask) -> "BoundsSolver":
-        """The solver of the dataset without ``mask``'s observation.
+    def bounds_without(self, mask: SubsetMask) -> BoundInterval:
+        """Bounds of the observed ``mask`` under the other observations.
 
-        It reuses this solver's phase 1 (``EqualityFormSolver.without_row``)
-        and has the scale and cap of ``BoundsSolver(dataset.without(mask))``,
-        so its bounds equal that solver's up to round-off.  It is that solver
-        when phase 1 here dropped a redundant row, which distinct masks never
-        cause.
+        They come from this solver's phase 1 (``EqualityFormSolver.without_row``)
+        with the scale and cap of ``dataset.without(mask)``, so they equal
+        ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to round-off.
+        That solver answers instead when phase 1 here dropped a redundant row,
+        which distinct masks never cause.
         """
         rest = self.dataset.without(mask)
         row = [m.index for m in self.dataset.masks()].index(mask.index)
         solver = self._solver.without_row(row, self.scale / rest.scale)
         if solver is None:
-            return BoundsSolver(rest)
-        derived = object.__new__(BoundsSolver)
-        derived._setup(rest, solver)
-        return derived
-
-    def _upper_cap(self) -> float:
-        """Scaled fallback ceiling for targets the observations cannot pin down."""
-        if self.dataset.universe_size is not None:
-            return 1.0
-        singles = [
-            o.reach for o in self.dataset.observations if o.subset.popcount == 1
-        ]
-        if len(singles) == self.dataset.num_bgs:
-            return float(sum(singles)) / self.scale
-        return float(sum(o.reach for o in self.dataset.observations)) / self.scale
+            return BoundsSolver(rest).bounds(mask)
+        c = incidence_vector(mask, self.dataset.num_bgs)
+        return _interval(solver, c, _upper_cap(rest), rest.scale)
 
     def bounds(self, target: SubsetMask) -> BoundInterval:
         c = incidence_vector(target, self.dataset.num_bgs)
-        lo = self._solver.optimize(c, "min")
-        hi = self._solver.optimize(c, "max")
-        # A non-negative objective over x >= 0 is never unbounded below.
-        lower = max(0.0, lo.value) if lo.is_optimal else 0.0
-        capped = False
-        if hi.status == UNBOUNDED:
-            upper = max(self._cap, lower)
-            capped = True
-        else:
-            upper = hi.value
-        if upper - lower < TOL_FEAS:
-            mid = 0.5 * (lower + upper)
-            lower = upper = max(0.0, mid)
-        return BoundInterval(
-            lower=lower * self.scale, upper=upper * self.scale, upper_capped=capped
-        )
+        return _interval(self._solver, c, self._cap, self.scale)
 
     def bounds_many(self, targets: Sequence[SubsetMask]) -> list[BoundInterval]:
         """``bounds`` of every target, in the order given.
@@ -171,6 +141,37 @@ class BoundsSolver:
         for i in sorted(range(len(targets)), key=lambda i: _gray_rank(targets[i].bits)):
             intervals[i] = self.bounds(targets[i])
         return intervals
+
+
+def _upper_cap(dataset: ReachDataset) -> float:
+    """Scaled fallback ceiling for targets the observations cannot pin down."""
+    if dataset.universe_size is not None:
+        return 1.0
+    singles = [o.reach for o in dataset.observations if o.subset.popcount == 1]
+    if len(singles) == dataset.num_bgs:
+        return float(sum(singles)) / dataset.scale
+    return float(sum(o.reach for o in dataset.observations)) / dataset.scale
+
+
+def _interval(
+    solver: EqualityFormSolver, c: np.ndarray, cap: float, scale: float
+) -> BoundInterval:
+    """Bounds of the incidence functional ``c`` over ``solver``'s polytope,
+    in reach units (``cap`` is the scaled ceiling for an unbounded maximum)."""
+    lo = solver.optimize(c, "min")
+    hi = solver.optimize(c, "max")
+    # A non-negative objective over x >= 0 is never unbounded below.
+    lower = max(0.0, lo.value) if lo.is_optimal else 0.0
+    capped = False
+    if hi.status == UNBOUNDED:
+        upper = max(cap, lower)
+        capped = True
+    else:
+        upper = hi.value
+    if upper - lower < TOL_FEAS:
+        mid = 0.5 * (lower + upper)
+        lower = upper = max(0.0, mid)
+    return BoundInterval(lower=lower * scale, upper=upper * scale, upper_capped=capped)
 
 
 def _gray_rank(bits: int) -> int:

@@ -71,12 +71,7 @@ def _parse_mask(text: str, num_bgs: int) -> SubsetMask:
 def _parse_d(text: str | None) -> float | None:
     if text is None or text == "auto":
         return None
-    if text == "inf":
-        return math.inf
-    value = float(text)
-    if math.isnan(value) or value < 1.0:
-        raise ValueError("d must be at least 1 (or 'inf'/'auto')")
-    return value
+    return float(text)
 
 
 def _emit(payload: dict) -> None:
@@ -279,14 +274,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit the conditional-independence model")
     p.add_argument("dataset")
-    p.add_argument("--d", default="auto", help="'auto', 'inf', or a number > 1")
+    p.add_argument("--d", default="auto", help="'auto', 'inf', or a number >= 1")
     p.add_argument("--out", help="also write the model JSON here")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="estimate one subset's reach")
     p.add_argument("dataset")
     p.add_argument("--target", required=True)
-    p.add_argument("--d", help="'auto' (the default), 'inf', or a number > 1")
+    p.add_argument("--d", help="'auto' (the default), 'inf', or a number >= 1")
     p.add_argument("--alpha", type=float, help="confidence level for the error bar")
     p.add_argument("--no-clamp", action="store_true", help="skip clamping into bounds")
     p.add_argument("--model", help="reuse a saved model instead of fitting")

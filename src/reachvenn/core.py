@@ -95,17 +95,6 @@ class SubsetMask:
     def is_empty(self) -> bool:
         return self.bits == 0
 
-    def union(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_compatible(other)
-        return SubsetMask(self.bits | other.bits, self.num_bgs)
-
-    def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        return self.union(other)
-
-    def _check_compatible(self, other: "SubsetMask") -> None:
-        if self.num_bgs != other.num_bgs:
-            raise ValueError("masks have different BG counts")
-
     def __str__(self) -> str:
         return self.to_string()
 

@@ -9,9 +9,9 @@ One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
 every basis the simplex visits is feasible.  A result therefore depends on
 the earlier calls, but only up to round-off, and the same sequence of calls
-gives bit-identical results.  Phase 1 keeps its basis inverse, so the same
-program without one equality is solved with no new phase 1
-(``EqualityFormSolver.without_row``).
+gives bit-identical results.  Phase 1 keeps its basis and that basis's
+inverse, so the same program without one equality is solved with no new
+phase 1 (``EqualityFormSolver.without_row``).
 """
 
 from __future__ import annotations
@@ -157,7 +157,9 @@ class EqualityFormSolver:
         self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # The artificial columns now hold the phase-1 basis inverse, which
         # ``without_row`` reads; a dropped row leaves no basis to start from.
-        self._inverse = (tableau, basis) if rows.size == m else None
+        self._inverse = (
+            (basis.copy(), tableau[:m, n : n + m].copy()) if rows.size == m else None
+        )
 
     def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver | None":
         """A solver of the same program without equality ``row``, with the
@@ -165,19 +167,25 @@ class EqualityFormSolver:
         a redundant row.
 
         No phase 1 runs: equality ``row`` gets a free slack, the column pair
-        +/-B^-1 e_row read off phase 1's artificial columns, so the phase-1
-        basis B stays feasible and each sense starts from it.  The slack is
-        not priced in objectives or returned in solutions.
+        +/-B^-1 e_row, so the ``min`` sense's current basis B stays feasible
+        and each sense of the new solver starts from it.  With B0 the phase-1
+        basis, B^-1 e_row is the tableau's B0 columns (B^-1 B0) times the
+        phase-1 inverse's column ``row``.  The slack is not priced in
+        objectives or returned in solutions.
         """
         if not self.feasible or self._inverse is None:
             return None
-        tableau, basis = self._inverse
-        n, m = self.n, basis.size
-        derived = tableau[:, np.r_[:n, n + row, n + row, n + m]]
-        derived[:, n + 1] *= -1.0
-        derived[:m, -1] *= scale
+        phase1_basis, inverse = self._inverse
+        tableau, basis = self._state("min")
+        slack = tableau[:, phase1_basis] @ inverse[:, row]
+        # Fortran order, as a column gather gives: the phase-2 cost product
+        # rounds by memory order.
+        derived = np.asfortranarray(
+            np.column_stack([tableau[:, : self.n], slack, -slack, tableau[:, -1]])
+        )
+        derived[:-1, -1] *= scale
         solver = object.__new__(EqualityFormSolver)
-        solver.n = n
+        solver.n = self.n
         solver.feasible = True
         solver._phase1 = (derived, basis.copy())
         solver._by_sense = {}

@@ -15,9 +15,10 @@ rows of many subsets in one broadcast, each with the bits of its own
 ``segment_row``, so a row of Z(d) predicts its subset exactly as a rebuilt
 row would (``predict_row``).  ``fit_leave_one_out`` fits
 every pair of a matrix and a held-out row in one stacked ``simplex_lstsq``
-call.  Each of those fits deletes one row of the full matrix, which equals
-the smaller dataset's own matrix bit for bit (the basics, and so the universe
-and single-BG proportions, are never held out), and gets the weights its own
+call and returns the held-out rows' predictions, no models.  Each of those
+fits deletes one row of the full matrix, which equals the smaller dataset's
+own matrix bit for bit (the basics, and so the universe and single-BG
+proportions, are never held out), and gets the weights its own
 ``fit_segments`` call would.
 """
 
@@ -237,22 +238,6 @@ class CiModel:
         )
 
 
-def _fitted(
-    matrix: SegmentMatrix, entries: np.ndarray, target: np.ndarray, weights: np.ndarray
-) -> CiModel:
-    """The model with ``weights`` on ``matrix``'s segments, whose training rows
-    are ``entries`` with proportions ``target``."""
-    resid = target - entries @ weights
-    return CiModel(
-        num_bgs=len(matrix.single_bg_proportions),
-        d=matrix.d,
-        universe_size=matrix.universe_size,
-        single_bg_proportions=matrix.single_bg_proportions,
-        weights=weights,
-        training_residual=float(resid @ resid),
-    )
-
-
 def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
     """Fit segment weights to ``reaches``, the reaches of ``matrix``'s rows.
 
@@ -264,14 +249,23 @@ def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
     target = np.asarray(reaches, dtype=np.float64) / matrix.universe_size
     padded = np.hstack([matrix.entries, np.zeros((len(matrix.rows), 1))])
     v, _ = simplex_lstsq(padded, target)
-    return _fitted(matrix, matrix.entries, target, v[:-1])
+    resid = target - matrix.entries @ v[:-1]
+    return CiModel(
+        num_bgs=len(matrix.single_bg_proportions),
+        d=matrix.d,
+        universe_size=matrix.universe_size,
+        single_bg_proportions=matrix.single_bg_proportions,
+        weights=v[:-1],
+        training_residual=float(resid @ resid),
+    )
 
 
 def fit_leave_one_out(
     matrices: Sequence[SegmentMatrix], reaches: np.ndarray, rows: Sequence[int]
-) -> list[list[CiModel]]:
-    """For each matrix and each row number in ``rows``, the model fitted on
-    the matrix without that row to ``reaches`` without that entry.
+) -> np.ndarray:
+    """Held-out predictions, of shape (len(matrices), len(rows)): entry (i, j)
+    is ``predict_row`` of row ``rows[j]`` of matrix i under the weights fitted
+    on that matrix without the row to ``reaches`` without that entry.
 
     The matrices share their rows.  All the fits are one stacked
     ``simplex_lstsq`` call, and each gets the weights of its own
@@ -286,12 +280,11 @@ def fit_leave_one_out(
         a[row:, :n] = matrix.entries[row + 1 :]
         b[:] = np.delete(reaches, row) / matrix.universe_size
     v, _ = simplex_lstsq(stack, targets)
-    models = [
-        _fitted(matrix, a[:, :n], b, x[:-1])
-        for (matrix, _), a, b, x in zip(pairs, stack, targets, v)
-    ]
-    k = len(rows)
-    return [models[i * k : (i + 1) * k] for i in range(len(matrices))]
+    predictions = []
+    for (matrix, row), x in zip(pairs, v):
+        raw = float(matrix.entries[row] @ x[:-1]) * matrix.universe_size
+        predictions.append(min(max(raw, 0.0), matrix.universe_size))
+    return np.reshape(predictions, (len(matrices), len(rows)))
 
 
 def fit(dataset: ReachDataset, d: float) -> CiModel:

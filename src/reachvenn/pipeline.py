@@ -6,13 +6,12 @@ validation of the tuning parameter d on the non-basic training points, error
 bars from the validation-error quantiles, and a one-call estimator returning
 a point estimate inside its 100%-confidence interval.  All of these read one
 ``Session`` per dataset, which computes each fact they share once: it holds
-one universe size and one segment matrix per d, and each leave-one-out fit
-solves on that matrix with the held-out point's row deleted and predicts
-from that row.  Its leave-one-out table is filled for many d at once: all of
-their fits are one stacked active-set solve.  The held-out points' bounds
-reuse the session's phase 1 (``BoundsSolver.without``), and a batch of
-targets takes its bounds from one ``bounds_many`` call and its segment rows
-from one ``segment_rows`` call.
+one universe size and one segment matrix per d.  A held-out point is a row
+number: its leave-one-out prediction is a query on the stacked fit of that
+matrix without the row (``fit_leave_one_out``, all d at once), and its bounds
+a query on the session's one bounds solver (``BoundsSolver.bounds_without``),
+which runs no new phase 1.  A batch of targets takes its bounds from one
+``bounds_many`` call and its segment rows from one ``segment_rows`` call.
 """
 
 from __future__ import annotations
@@ -199,12 +198,12 @@ class Session:
     def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval, float]]:
         """(row number, mask, the mask's bounds under the other points, its
         reach) for each non-basic point; the basics are never held out.  The
-        bounds come from ``solver.without``, which runs no new phase 1."""
+        bounds come from ``solver.bounds_without``, which runs no new phase 1."""
         basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
         result = []
         for row, mask in enumerate(self.dataset.masks()):
             if mask.index not in basics:
-                interval = self.solver.without(mask).bounds(mask)
+                interval = self.solver.bounds_without(mask)
                 result.append((row, mask, interval, self.dataset.reach_of(mask)))
         return result
 
@@ -225,16 +224,11 @@ class Session:
         if missing:
             matrices = [self.segments(d) for d in missing]
             rows = [row for row, *_ in self.holdouts]
-            fits = fit_leave_one_out(matrices, self.reaches, rows)
-            for d, matrix, models in zip(missing, matrices, fits):
+            predictions = fit_leave_one_out(matrices, self.reaches, rows)
+            for d, points in zip(missing, predictions.tolist()):
                 self._errors[d] = [
-                    relative_error(
-                        predict_row(model, matrix.entries[row]),
-                        truth,
-                        interval,
-                        matrix.universe_size,
-                    )
-                    for model, (row, _, interval, truth) in zip(models, self.holdouts)
+                    relative_error(point, truth, interval, self.universe_size)
+                    for point, (_, _, interval, truth) in zip(points, self.holdouts)
                 ]
         return [self._errors[d] for d in ds]
 
@@ -249,17 +243,12 @@ class Session:
         return self._models[d]
 
     def estimates(
-        self,
-        model: CiModel,
-        targets: Sequence[SubsetMask],
-        clamp: bool = True,
-        d: float | None = None,
-        d_policy: str = "loaded",
+        self, model: CiModel, targets: Sequence[SubsetMask], clamp: bool = True
     ) -> list[Estimate]:
         """The model's point for each target (clamped unless told not to)
-        beside the target's 100% interval; by default the model counts as
-        loaded at its d.  The intervals are one ``bounds_many`` batch and the
-        segment rows one ``segment_rows`` call."""
+        beside the target's 100% interval, labelled as loaded at the model's
+        d.  The intervals are one ``bounds_many`` batch and the segment rows
+        one ``segment_rows`` call."""
         intervals = self.solver.bounds_many(targets)
         rows = segment_rows(targets, model.single_bg_proportions, model.d)
         result = []
@@ -270,24 +259,17 @@ class Session:
                     target=target,
                     point=interval.clamp(point) if clamp else point,
                     interval_100=interval,
-                    d=model.d if d is None else d,
-                    d_policy=d_policy,
+                    d=model.d,
+                    d_policy="loaded",
                     universe_size=model.universe_size,
                     repaired=self.repaired,
                 )
             )
         return result
 
-    def estimate(
-        self,
-        model: CiModel,
-        target: SubsetMask,
-        clamp: bool = True,
-        d: float | None = None,
-        d_policy: str = "loaded",
-    ) -> Estimate:
+    def estimate(self, model: CiModel, target: SubsetMask, clamp: bool = True) -> Estimate:
         """``estimates`` of the one target."""
-        return self.estimates(model, [target], clamp, d, d_policy)[0]
+        return self.estimates(model, [target], clamp)[0]
 
 
 def tune_d(session: Session) -> float:
@@ -350,11 +332,15 @@ def error_bar(
 def resolve_d(session: Session, d: float | None) -> tuple[float, str]:
     """Settle d and name the policy that chose it.
 
-    A given d is kept ("given"); otherwise d is cross-validated when there
-    are spare points beyond the basics ("cross_validated") and is infinity
-    when there are none ("default_inf").
+    A given d is kept ("given") and must be at least 1 or infinity;
+    otherwise d is cross-validated when there are spare points beyond the
+    basics ("cross_validated") and is infinity when there are none
+    ("default_inf").
     """
     if d is not None:
+        # Written so that NaN fails the check.
+        if not d >= 1.0:
+            raise ValueError(f"d must be at least 1 (or inf), got {d}")
         return d, "given"
     if session.has_spare_points:
         return tune_d(session), "cross_validated"
@@ -403,8 +389,11 @@ def estimate_subset(
         raise ValueError("estimation needs the basic observations")
     session = Session(dataset)
     d, policy = resolve_d(session, options.d)
-    estimate = session.estimate(session.model(d), target, options.clamp, d, policy)
-    if options.alpha is None or not session.has_spare_points:
-        return estimate
-    interval_alpha = error_bar(session, d, target, options.alpha)
-    return replace(estimate, interval_alpha=interval_alpha, alpha=options.alpha)
+    estimate = session.estimate(session.model(d), target, options.clamp)
+    interval_alpha = alpha = None
+    if options.alpha is not None and session.has_spare_points:
+        interval_alpha = error_bar(session, d, target, options.alpha)
+        alpha = options.alpha
+    return replace(
+        estimate, d=d, d_policy=policy, interval_alpha=interval_alpha, alpha=alpha
+    )

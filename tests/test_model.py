@@ -18,6 +18,7 @@ from reachvenn.model import (
     build_segment_matrix,
     estimate_universe,
     fit,
+    fit_leave_one_out,
     min_perfect_fit_d,
     predict,
     segment_row,
@@ -262,6 +263,20 @@ class TestPredict:
             training_residual=0.5,
         )
         assert predict(model, SubsetMask.from_string("11")) <= 100.0
+
+
+class TestFitLeaveOneOut:
+    def test_predictions_equal_refitting_each_rest(self, rng):
+        ds, _ = random_consistent_dataset(rng, 4, extra=4, universe=1000.0)
+        reaches = np.array([o.reach for o in ds.sorted_observations()])
+        matrices = [build_segment_matrix(ds, d) for d in (1.5, 3.0, math.inf)]
+        rows = [i for i, m in enumerate(ds.masks()) if m.popcount not in (1, 4)]
+        got = fit_leave_one_out(matrices, reaches, rows)
+        assert got.shape == (len(matrices), len(rows))
+        for matrix, points in zip(matrices, got):
+            for row, point in zip(rows, points):
+                mask = matrix.rows[row]
+                assert point == predict(fit(ds.without(mask), matrix.d), mask)
 
 
 class TestMinPerfectFitD:

@@ -314,6 +314,35 @@ class TestEstimateSubset:
         assert est.d_policy == "given" and est.interval_alpha is not None
         assert [a.shape[:-2] for a, _ in calls] == [(), (spare,)]
 
+    def test_cross_validation_builds_one_model(self, rng, monkeypatch):
+        # The leave-one-out fits give predictions, not models: only the
+        # final fit at the chosen d builds a CiModel.
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
+        built = []
+        post_init = model.CiModel.__post_init__
+
+        def counted(self):
+            built.append(self.d)
+            post_init(self)
+
+        monkeypatch.setattr(model.CiModel, "__post_init__", counted)
+        target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
+        est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
+        assert est.d_policy == "cross_validated" and est.interval_alpha is not None
+        assert built == [effective_d(est.d)]
+
+    @pytest.mark.parametrize("d", [math.nan, -3.0, 0.5])
+    def test_given_d_below_one_rejected(self, d):
+        ds = ReachDataset.from_pairs(
+            3,
+            [("100", 3000), ("010", 3000), ("001", 3000), ("111", 7000), ("011", 5000),
+             ("110", 5200)],
+            universe_size=1e4,
+        )
+        options = EstimateOptions(d=d, alpha=90.0)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            estimate_subset(ds, SubsetMask.from_string("101"), options)
+
     def test_observed_target_degenerate(self, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=1000.0)
         target = ds.masks()[0]
