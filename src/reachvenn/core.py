@@ -258,8 +258,9 @@ class RegionAllocation:
             raise ValueError(
                 f"allocation needs {1 << self.num_bgs} entries, got {arr.shape}"
             )
-        if np.any(arr < 0):
-            raise ValueError("allocation entries must be non-negative")
+        # Written so that NaN fails it too.
+        if not np.all((arr >= 0) & (arr < np.inf)):
+            raise ValueError("allocation entries must be finite and non-negative")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)

@@ -18,8 +18,6 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .core import ReachDataset, RegionAllocation
 from .model import CiModel
 from .synth import GroundTruth
@@ -120,7 +118,7 @@ def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
     with open(path) as handle:
         payload = _document(json.load(handle), ("num_bgs", "allocation"), "a truth file")
     num_bgs = _integer(payload["num_bgs"], "num_bgs")
-    values = np.asarray(payload["allocation"], dtype=np.float64)
+    values = _numbers(payload["allocation"], "allocation")
     universe = payload.get("universe_size")
     alloc = RegionAllocation.from_values(num_bgs, values)
     return alloc, None if universe is None else _number(universe, "universe_size")

@@ -3,7 +3,9 @@
 Small and deterministic: Dantzig pricing with lowest-index tie breaks, and a
 permanent switch to Bland's rule whenever the objective stalls, so degenerate
 problems cannot cycle.  Problem sizes here are tiny (hundreds of columns at
-most), so the dense tableau is the right tool.
+most), so the dense tableau is the right tool.  Phase 2 allocates little:
+each solve writes its cost row into the tableau in place, and each pivot's
+ratio test divides into one buffer reused for the whole solve.
 
 One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
@@ -44,7 +46,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
@@ -64,6 +66,8 @@ def _run_simplex(
     bland = False
     stall = 0
     last_obj = cost[-1]
+    rhs = tableau[:m, -1]
+    ratios = np.empty(m)
     for _ in range(max_iter):
         reduced = cost[:ncols]
         if bland:
@@ -72,19 +76,18 @@ def _run_simplex(
                 return OPTIMAL
             col = int(eligible[0])
         else:
-            col = int(np.argmin(reduced))
+            col = int(reduced.argmin())
             if reduced[col] >= -_COST_TOL:
                 return OPTIMAL
         colvals = tableau[:m, col]
         pos = colvals > _PIVOT_TOL
-        if not np.any(pos):
+        if not pos.any():
             return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[pos] = tableau[:m, -1][pos] / colvals[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-12)
+        ratios.fill(np.inf)
+        np.divide(rhs, colvals, out=ratios, where=pos)
+        ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
         # Among ratio ties, leave the smallest basis index (Bland-compatible).
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
         _pivot(tableau, row, col, basis)
         # The cost row stores -objective, so it rises on real progress.
         if cost[-1] <= last_obj + 1e-12:
@@ -214,9 +217,10 @@ class EqualityFormSolver:
             raise ValueError("sense must be 'min' or 'max'")
         tableau, basis = self._state(sense)
         m, width = tableau.shape[0] - 1, tableau.shape[1] - 1
-        cost = np.append(c, np.zeros(width - self.n + 1))
+        cost = tableau[-1]
+        cost[: self.n] = c
+        cost[self.n :] = 0.0
         cost -= cost[basis] @ tableau[:m]
-        tableau[-1] = cost
         status = _run_simplex(tableau, basis, width, max_iter=200 * (width + m) + 1000)
         if status == UNBOUNDED:
             return LpResult(UNBOUNDED)

@@ -2,9 +2,12 @@
 
 One solver, ``simplex_lstsq``: min ||A v - b||^2 with v >= 0 and sum(v) == 1.
 Callers that want sum(v) <= 1 append a zero column and discard its weight.
-It takes a stack of same-shaped problems and steps them in lock-step, so a
-round's face subproblems are one stacked QR factorization and one stacked
-solve; each problem still gets the bits it gets when solved alone.
+It takes a stack of same-shaped problems and picks a loop by stack size
+alone.  A stack of one runs a one-problem loop with scalar control flow and
+one column gather per face solve.  Larger stacks step their problems in
+lock-step, so a round's face subproblems are one stacked QR factorization
+and one stacked solve.  Both loops share the start rule and tolerances and
+do the same arithmetic, so each problem gets the same bits in either.
 
 ``nnls`` (v >= 0 only, for a non-negative A) is a reduction onto it: A's
 columns, scaled so that the sum constraint never binds, and a zero column.
@@ -12,18 +15,24 @@ columns, scaled so that the sum constraint never binds, and a zero column.
 The solver runs to a KKT tolerance that puts the squared-residual objective
 within ~1e-10 of the true constrained optimum on unit-scale data, and raises
 RuntimeError when ``max_iter`` outer or inner iterations end before that.
-It logs each call's problems, lock-step rounds and face solves at DEBUG
-level on this module's logger, which is silent by default.
+It logs each call's problems, rounds and face solves at DEBUG level on this
+module's logger, which is silent by default.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 
 import numpy as np
 
 _KKT_TOL = 1e-10
 _ZERO_TOL = 1e-13
+
+_ITERATION_LIMIT = "simplex_lstsq: iteration limit exceeded"
+_INNER_LIMIT = "simplex_lstsq: inner iteration limit exceeded"
+_FACE_TOO_WIDE = "simplex_lstsq: a face has more than m + 1 columns"
+_FACE_SINGULAR = "simplex_lstsq: a face is singular"
 
 _logger = logging.getLogger(__name__)
 
@@ -54,6 +63,55 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, rss
 
 
+def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """One problem's column norms, start column and KKT tolerance.
+
+    The problem starts with all mass on the column closest to b, and anchors
+    each face at its column of largest norm.  Its KKT tolerance scales with
+    the gradient's round-off, which grows with |a| |a v - b|.
+    """
+    norms = np.linalg.norm(a, axis=0)
+    start = int(np.argmin(np.linalg.norm(a - b[:, None], axis=0)))
+    top_a = max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
+    top_b = max(1.0, b.max(initial=0.0), -b.min(initial=0.0))
+    return norms, start, _KKT_TOL * top_a * max(top_a, top_b)
+
+
+def _solve_face(
+    a: np.ndarray, b: np.ndarray, norms: np.ndarray, face: list[int]
+) -> np.ndarray:
+    """The exact minimizer of ||a_F v_F - b||^2 with sum(v_F) == 1
+    (sign-free) for one problem, F being the sorted column list ``face``.
+
+    The arithmetic of ``_solve_faces`` for a stack of one: the same anchor,
+    the same padded m x (m + 1) reduced matrix, the same QR and solve.
+    """
+    m, n = a.shape
+    width = len(face) - 1
+    if width > m:
+        raise RuntimeError(_FACE_TOO_WIDE)
+    top = int(norms[face].argmax())
+    anchor = face[top]
+    others = face[:top] + face[top + 1 :]
+    anchor_column = a[:, anchor]
+    reduced = np.zeros((m, m + 1))
+    reduced[:, :width] = a[:, others] - anchor_column[:, None]
+    reduced[:, m] = b - anchor_column
+    r = np.linalg.qr(reduced, mode="r")
+    padding = np.arange(width, m)
+    r[padding, padding] = 1.0
+    rhs = r[:, m].copy()
+    rhs[width:] = 0.0
+    try:
+        u = np.linalg.solve(r[:, :m], rhs[:, None])[:, 0]
+    except np.linalg.LinAlgError:
+        raise RuntimeError(_FACE_SINGULAR) from None
+    w = np.zeros(n)
+    w[others] = u[:width]
+    w[anchor] = 1.0 - u.sum()
+    return w
+
+
 def _solve_faces(
     a: np.ndarray,
     b: np.ndarray,
@@ -81,7 +139,7 @@ def _solve_faces(
     face[slots, anchor] = False
     width = face.sum(axis=1)
     if width.max() > m:
-        raise RuntimeError("simplex_lstsq: a face has more than m + 1 columns")
+        raise RuntimeError(_FACE_TOO_WIDE)
     problem, column = np.nonzero(face)
     slot = np.arange(column.size) - np.repeat(np.cumsum(width) - width, width)
     anchors = a[problems, :, anchor]
@@ -99,59 +157,77 @@ def _solve_faces(
     try:
         u = np.linalg.solve(tri, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        raise RuntimeError("simplex_lstsq: a face is singular") from None
+        raise RuntimeError(_FACE_SINGULAR) from None
     w = np.zeros((count, n))
     w[problem, column] = u[problem, slot]
     w[slots, anchor] = 1.0 - u.sum(axis=1)
     return w
 
 
-def simplex_lstsq(
-    a: np.ndarray, b: np.ndarray, max_iter: int | None = None
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """Minimize ||a[i] @ v[i] - b[i]||^2 subject to v[i] >= 0 and
-    sum(v[i]) == 1, for each problem i of a stack.
+def _one_problem(
+    a: np.ndarray, b: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, int, int]:
+    """One problem's solution, rounds and face solves, on the lock-step
+    loop's path with scalar control flow.  A round is a KKT check that may
+    enter a column, then a face solve if one is due."""
+    norms, start, tol = _start(a, b)
+    v = np.zeros(a.shape[1])
+    v[start] = 1.0
+    face = [start]
+    on_face = False  # a face solve is due, not a KKT check
+    entries = blocked = rounds = face_solves = 0
+    while True:
+        rounds += 1
+        if not on_face:
+            if entries == max_iter:
+                raise RuntimeError(_ITERATION_LIMIT)
+            resid = (a @ v[:, None])[:, 0] - b
+            grad = (resid[None] @ a)[0]
+            nu = grad[face].min()  # equality multiplier
+            grad[face] = np.inf  # the scores of the columns that may enter
+            j = int(grad.argmin())
+            if grad[j] >= nu - tol:
+                return v, rounds, face_solves
+            bisect.insort(face, j)
+            on_face = True
+            entries += 1
+            blocked = 0
+        face_solves += 1
+        w = _solve_face(a, b, norms, face)
 
-    ``a`` is (B, m, n) and ``b`` is (B, m).  A 2-D ``a`` with a 1-D ``b`` is
-    a stack of one whose solution and squared residual come back unstacked.
+        if w[face].min() > -_ZERO_TOL:
+            w.clip(0.0, None, out=w)
+            s = w.sum()
+            if s > 0:
+                w /= s
+            v = w
+            on_face = False
+            continue
+        blocking = w < -_ZERO_TOL  # w is zero off the face
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.where(blocking & (v > w), v / (v - w), np.inf)
+        alpha = np.minimum(1.0, steps.min())
+        v = (v + alpha * (w - v)).clip(0.0, None)
+        v /= v.sum()
+        drop = blocking & (v <= _ZERO_TOL)
+        face = [column for column in face if not drop[column]]
+        blocked += 1
+        if blocked == max_iter:
+            raise RuntimeError(_INNER_LIMIT)
 
-    Active-set iteration: each face subproblem is solved exactly, blocked
-    steps shrink the face, and coordinates whose gradient beats the current
-    equality multiplier are released.  The simplex is compact, so the KKT
-    gap bounds the objective error directly.  The problems run in lock-step:
-    each round, every unfinished problem takes its own next step (a KKT check
-    that may enter a column, then a face solve that may block), and the
-    round's face solves are one stacked QR and one stacked solve.  A problem
-    follows the same path, bit for bit, in any stack.
 
-    Returns the solutions (B, n) and the squared residuals at them (B,).
-    Raises RuntimeError when a problem needs more than ``max_iter`` column
-    entries, or ``max_iter`` blocked face solves after one entry, or meets a
-    face that has no unique solution.
-    """
-    single = np.ndim(a) == 2
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if single:
-        a, b = a[None], b[None]
+def _lock_step(
+    a: np.ndarray, b: np.ndarray, max_iter: int
+) -> tuple[np.ndarray, int, int]:
+    """A stack's solutions, rounds and face solves.  Each round, every
+    unfinished problem takes its own next step, and the round's face solves
+    are one stacked QR and one stacked solve."""
     count, m, n = a.shape
-    if n == 0:
-        raise ValueError("need at least one column")
-    if max_iter is None:
-        max_iter = 6 * n + 60
-
-    # Each problem starts with all mass on the column closest to b, and
-    # anchors each face at its column of largest norm.  Its KKT tolerance
-    # scales with the gradient's round-off, which grows with |a| |a v - b|.
     norms = np.empty((count, n))
     start = np.empty(count, dtype=np.intp)
     tol = np.empty(count)
     for i in range(count):
-        norms[i] = np.linalg.norm(a[i], axis=0)
-        start[i] = np.argmin(np.linalg.norm(a[i] - b[i][:, None], axis=0))
-        top_a = max(1.0, a[i].max(initial=0.0), -a[i].min(initial=0.0))
-        top_b = max(1.0, b[i].max(initial=0.0), -b[i].min(initial=0.0))
-        tol[i] = _KKT_TOL * top_a * max(top_a, top_b)
+        norms[i], start[i], tol[i] = _start(a[i], b[i])
     problems = np.arange(count)
     v = np.zeros((count, n))
     v[problems, start] = 1.0
@@ -168,7 +244,7 @@ def simplex_lstsq(
         check = np.flatnonzero(live & ~on_face)
         if check.size:
             if entries[check].max() == max_iter:
-                raise RuntimeError("simplex_lstsq: iteration limit exceeded")
+                raise RuntimeError(_ITERATION_LIMIT)
             # One slab of the stack, a view: the checked problems and those between.
             lo, hi = check[0], check[-1] + 1
             resid = (a[lo:hi] @ v[lo:hi, :, None])[:, :, 0] - b[lo:hi]
@@ -216,8 +292,51 @@ def simplex_lstsq(
         v[stop], free[stop] = x, face
         blocked[stop] += 1
         if (blocked[stop] == max_iter).any():
-            raise RuntimeError("simplex_lstsq: inner iteration limit exceeded")
+            raise RuntimeError(_INNER_LIMIT)
+    return v, rounds, face_solves
 
+
+def simplex_lstsq(
+    a: np.ndarray, b: np.ndarray, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Minimize ||a[i] @ v[i] - b[i]||^2 subject to v[i] >= 0 and
+    sum(v[i]) == 1, for each problem i of a stack.
+
+    ``a`` is (B, m, n) and ``b`` is (B, m).  A 2-D ``a`` with a 1-D ``b`` is
+    a stack of one whose solution and squared residual come back unstacked.
+
+    Active-set iteration: each face subproblem is solved exactly, blocked
+    steps shrink the face, and coordinates whose gradient beats the current
+    equality multiplier are released.  The simplex is compact, so the KKT
+    gap bounds the objective error directly.  A stack of one runs a
+    one-problem loop; larger stacks run in lock-step: each round, every
+    unfinished problem takes its own next step (a KKT check that may enter a
+    column, then a face solve that may block), and the round's face solves
+    are one stacked QR and one stacked solve.  Both loops do the same
+    arithmetic, so a problem follows the same path, bit for bit, in any
+    stack.
+
+    Returns the solutions (B, n) and the squared residuals at them (B,).
+    Raises RuntimeError when a problem needs more than ``max_iter`` column
+    entries, or ``max_iter`` blocked face solves after one entry, or meets a
+    face that has no unique solution.
+    """
+    single = np.ndim(a) == 2
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if single:
+        a, b = a[None], b[None]
+    count, m, n = a.shape
+    if n == 0:
+        raise ValueError("need at least one column")
+    if max_iter is None:
+        max_iter = 6 * n + 60
+
+    if count == 1:
+        v, rounds, face_solves = _one_problem(a[0], b[0], max_iter)
+        v = v[None]
+    else:
+        v, rounds, face_solves = _lock_step(a, b, max_iter)
     if _logger.isEnabledFor(logging.DEBUG):
         _logger.debug(
             "simplex_lstsq: %d problems, %d rounds, %d face solves",

@@ -484,6 +484,30 @@ class TestUsageErrors:
         assert out == ""
         assert "num_bgs must be" in err
 
+    @pytest.mark.parametrize(
+        "allocation",
+        [
+            "[1, true, 1, 1, 1, 1, 1, 1]",
+            "[null, 1, 1, 1, 1, 1, 1, 1]",
+            "[1, NaN, 1, 1, 1, 1, 1, 1]",
+            "[1, 1, 1, 1, 1, 1, 1, Infinity]",
+        ],
+    )
+    def test_truth_file_with_malformed_allocation(self, capsys, tmp_path, allocation):
+        # The P=3 basics: singles 3.0 each, union 6.0.
+        data = tmp_path / "b3.json"
+        pairs = [("100", 3.0), ("010", 3.0), ("001", 3.0), ("111", 6.0)]
+        io.save_dataset(ReachDataset.from_pairs(3, pairs), data)
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(f'{{"num_bgs": 3, "allocation": {allocation}}}')
+        code, out, err = run_cli(
+            capsys, "select", data, "--budget", "1", "--truth", truth_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: allocation")
+        assert "Traceback" not in err
+
     def test_model_without_d(self, capsys, tmp_path, triangle_file):
         model_path = tmp_path / "model.json"
         model_path.write_text('{"num_bgs": 3}')

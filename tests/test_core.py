@@ -1,5 +1,7 @@
 """Mask encodings, incidence vectors, datasets, and the grid oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,15 @@ class TestAllocationReach:
     def test_partial_sum(self):
         alloc = RegionAllocation.from_region_dict(2, {"10": 2000.0, "11": 1000.0})
         assert subset_reach_from_allocation(SubsetMask.from_string("10"), alloc) == 3000.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_entry_rejected(self, bad):
+        values = np.ones(4)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            RegionAllocation(2, values)
+        with pytest.raises(ValueError, match="allocation"):
+            RegionAllocation.from_values(2, values)
 
     def test_zero_allocation(self):
         alloc = RegionAllocation(2, np.zeros(4))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachvenn import bounds, experiment, lsq, model, pipeline, synth
+from reachvenn.core import ReachDataset, ReachObservation
 from reachvenn.lsq import nnls, simplex_lstsq
 
 from conftest import pgd_simplex_lstsq
@@ -188,6 +190,89 @@ class TestStackedSimplexLstsq:
             simplex_lstsq(a, b, max_iter=1)
 
 
+def noisy_dataset(num_bgs, seed, declare):
+    """The 2P+1 training design of a Dirichlet truth with measurement noise,
+    the universe declared or not, as the benchmark's estimation ops build it."""
+    universe = 1e6
+    truth = synth.generate(synth.GeneratorSpec("dirichlet", num_bgs, universe, seed=seed))
+    clean = [
+        ReachObservation(mask, synth.true_reach(truth, mask))
+        for mask in experiment.training_masks(num_bgs)
+    ]
+    noisy = synth.add_measurement_noise(clean, synth.noise_seed(seed))
+    if declare:
+        noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
+    return ReachDataset(num_bgs, universe if declare else None, tuple(noisy))
+
+
+def record_stacks_of_one(monkeypatch):
+    """Route every ``simplex_lstsq`` call of the library through a spy that
+    keeps each 2-D call's problem and answer."""
+    calls = []
+
+    def spy(a, b, max_iter=None):
+        v, rss = simplex_lstsq(a, b, max_iter)
+        if np.ndim(a) == 2:
+            calls.append((np.array(a, dtype=float), np.array(b, dtype=float), v, rss))
+        return v, rss
+
+    for module in (lsq, model, bounds):
+        monkeypatch.setattr(module, "simplex_lstsq", spy)
+    return calls
+
+
+def assert_same_in_a_stack_of_three(calls):
+    """Each recorded problem, solved at position 1 of a stack of 3 (the
+    lock-step loop), gets the bits it got alone (the one-problem loop)."""
+    for a, b, v, rss in calls:
+        stacked, stacked_rss = simplex_lstsq(
+            np.stack([a[::-1], a, a]), np.stack([b[::-1], b, 0.5 * b])
+        )
+        assert stacked[1].tobytes() == v.tobytes()
+        assert stacked_rss[1] == rss
+
+
+class TestWorkloadShapes:
+    """The two loops on the problems the estimation path really solves: the
+    segment fits of a P=6 and a P=8 session and both branches of the repair."""
+
+    @pytest.mark.parametrize("num_bgs", [6, 8])
+    @pytest.mark.parametrize("declare", [True, False])
+    def test_session_fits(self, monkeypatch, num_bgs, declare):
+        calls = record_stacks_of_one(monkeypatch)
+        session = pipeline.Session(noisy_dataset(num_bgs, 100 + num_bgs, declare))
+        before = len(calls)  # the repair, when the data are inconsistent
+        weights = [session.model(d).weights for d in pipeline.d_grid()]
+        assert len(calls) - before == len(weights)
+        for fitted, (_, _, v, _) in zip(weights, calls[before:]):
+            assert fitted.tobytes() == v[:-1].tobytes()
+        assert_same_in_a_stack_of_three(calls)
+
+    @pytest.mark.parametrize("num_bgs", [6, 8])
+    @pytest.mark.parametrize("declare", [True, False])
+    def test_repair(self, monkeypatch, num_bgs, declare):
+        # With a universe the repair calls simplex_lstsq itself; without,
+        # it goes through nnls.
+        calls = record_stacks_of_one(monkeypatch)
+        bounds.repair_dataset(noisy_dataset(num_bgs, 200 + num_bgs, declare))
+        [(a, _, _, _)] = calls
+        assert (a[:, 0] == 0).all()  # the unreached region, or nnls's slack
+        assert_same_in_a_stack_of_three(calls)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a debug record was built with DEBUG off")
+
+
+def logged_counts(caplog):
+    [record] = caplog.records
+    found = re.fullmatch(
+        r"simplex_lstsq: (\d+) problems, (\d+) rounds, (\d+) face solves",
+        record.getMessage(),
+    )
+    return tuple(map(int, found.groups()))
+
+
 class TestLogging:
     def stack(self):
         rng = np.random.default_rng(8)
@@ -195,23 +280,31 @@ class TestLogging:
         return a, (a @ rng.dirichlet(np.ones(4), size=3)[:, :, None])[:, :, 0]
 
     def test_silent_and_free_by_default(self, caplog, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a debug record was built with DEBUG off")
-
         monkeypatch.setattr(logging.getLogger("reachvenn.lsq"), "debug", refuse)
         simplex_lstsq(*self.stack())
+        assert caplog.records == []
+
+    def test_stack_of_one_silent_and_free_by_default(self, caplog, monkeypatch):
+        monkeypatch.setattr(logging.getLogger("reachvenn.lsq"), "debug", refuse)
+        a, b = self.stack()
+        simplex_lstsq(a[1], b[1])
+        simplex_lstsq(a[1:2], b[1:2])
         assert caplog.records == []
 
     def test_debug_reports_problems_rounds_and_face_solves(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="reachvenn.lsq"):
             simplex_lstsq(*self.stack())
-        [record] = caplog.records
-        found = re.fullmatch(
-            r"simplex_lstsq: (\d+) problems, (\d+) rounds, (\d+) face solves",
-            record.getMessage(),
-        )
-        problems, rounds, face_solves = map(int, found.groups())
+        problems, rounds, face_solves = logged_counts(caplog)
         # Each optimum holds all four columns: three entries, then a last check.
         assert problems == 3
         assert rounds >= 4
         assert face_solves >= 9
+
+    def test_debug_reports_a_stack_of_one(self, caplog):
+        a, b = self.stack()
+        with caplog.at_level(logging.DEBUG, logger="reachvenn.lsq"):
+            simplex_lstsq(a[1], b[1])
+        problems, rounds, face_solves = logged_counts(caplog)
+        assert problems == 1
+        assert rounds >= 4
+        assert face_solves >= 3
