@@ -46,17 +46,14 @@ class ConsistencyReport:
 
 
 def _incidence_rows(dataset: ReachDataset, sort: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The observation equalities A x = b on the proportion scale, one row
+    per observation (canonical order unless ``sort`` is off)."""
+    if dataset.n == 0:
+        raise ValueError("dataset has no observations")
     obs = dataset.sorted_observations() if sort else dataset.observations
     a = np.array([incidence_vector(o.subset) for o in obs])
     b = np.array([o.reach for o in obs]) / dataset.scale
     return a, b
-
-
-def _feasibility_solver(dataset: ReachDataset) -> EqualityFormSolver:
-    """Phase 1 over the observation equalities: the package's one feasibility test."""
-    if dataset.n == 0:
-        raise ValueError("dataset has no observations")
-    return EqualityFormSolver(*_incidence_rows(dataset))
 
 
 def check_consistency(dataset: ReachDataset) -> ConsistencyReport:
@@ -70,8 +67,8 @@ def check_consistency(dataset: ReachDataset) -> ConsistencyReport:
     in s.  Distinct masks make A's rows independent, so that program is
     always feasible and bounded.
     """
-    consistent = _feasibility_solver(dataset).feasible
     a, b = _incidence_rows(dataset)
+    consistent = EqualityFormSolver(a, b).feasible
     row_sums = a.sum(axis=1)
     objective = np.zeros(a.shape[1] + 1)
     objective[-1] = 1.0
@@ -101,7 +98,7 @@ class BoundsSolver:
     """
 
     def __init__(self, dataset: ReachDataset):
-        self._solver = _feasibility_solver(dataset)
+        self._solver = EqualityFormSolver(*_incidence_rows(dataset))
         if not self._solver.feasible:
             raise InconsistencyError(
                 "observations are inconsistent; run repair_dataset first"
@@ -116,14 +113,15 @@ class BoundsSolver:
         They come from this solver's phase 1 (``EqualityFormSolver.without_row``)
         with the scale and cap of ``dataset.without(mask)``, so they equal
         ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to round-off.
-        That solver answers instead when phase 1 here dropped a redundant row,
-        which distinct masks never cause.
+        Phase 1 here keeps every row, so no other path is needed: mask S's
+        row is 1[j within all BGs] - 1[j within S's complement], the
+        indicators 1[j within T] form a basis (the zeta transform is
+        unitriangular), and observed masks are distinct and non-empty, so
+        their complements are distinct and none is all BGs.
         """
         rest = self.dataset.without(mask)
         row = [m.index for m in self.dataset.masks()].index(mask.index)
         solver = self._solver.without_row(row, self.scale / rest.scale)
-        if solver is None:
-            return BoundsSolver(rest).bounds(mask)
         c = incidence_vector(mask, self.dataset.num_bgs)
         return _interval(solver, c, _upper_cap(rest), rest.scale)
 
@@ -207,15 +205,12 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     solve is one ``simplex_lstsq`` call: directly on the simplex with a
     universe, and through ``nnls``, its reduction onto that solver, without.
     """
-    if dataset.n == 0:
-        raise ValueError("dataset has no observations")
-    scale = dataset.scale
     a, b = _incidence_rows(dataset, sort=False)
     if dataset.universe_size is not None:
         x, _ = simplex_lstsq(a, b)  # column 0 is zero: the unreached region
     else:
         x, _ = nnls(a, b)
-    repaired = a @ x * scale
+    repaired = a @ x * dataset.scale
     if dataset.universe_size is not None:
         repaired = np.minimum(repaired, dataset.universe_size)
     return dataset.replace_reaches(np.clip(repaired, 0.0, None))

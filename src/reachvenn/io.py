@@ -34,10 +34,13 @@ def _document(payload, keys: tuple[str, ...], what: str) -> dict:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float, checked to be a JSON number."""
+    """``value`` as a float, checked to be a JSON number a float can hold."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be within the float range") from None
 
 
 def _integer(value, what: str) -> int:
@@ -68,7 +71,9 @@ def dataset_from_dict(payload: dict) -> ReachDataset:
     pairs = []
     for entry in payload["observations"]:
         _document(entry, ("subset", "reach"), "an observation")
-        subset = str(entry["subset"])
+        subset = entry["subset"]
+        if not isinstance(subset, str):
+            raise ValueError(f"subset must be a string, got {json.dumps(subset)}")
         if len(subset) != num_bgs:
             raise ValueError(
                 f"subset string {subset!r} does not have num_bgs={num_bgs} characters"

@@ -9,15 +9,18 @@ ratio test divides into one buffer reused for the whole solve.
 
 One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
-every basis the simplex visits is feasible.  A result therefore depends on
-the earlier calls, but only up to round-off, and the same sequence of calls
-gives bit-identical results.  Phase 1 keeps its basis and that basis's
-inverse, so the same program without one equality is solved with no new
-phase 1 (``EqualityFormSolver.without_row``).
+every basis the simplex visits is feasible.  The ``min`` sense owns the
+phase-1 tableau from construction, and ``max`` copies ``min``'s current
+tableau on first use.  A result therefore depends on the earlier calls, but
+only up to round-off, and the same sequence of calls gives bit-identical
+results.  Phase 1 keeps its basis and that basis's inverse, so the same
+program without one equality is solved with no new phase 1
+(``EqualityFormSolver.without_row``).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +106,11 @@ def _run_simplex(
 class EqualityFormSolver:
     """Reusable simplex for min/max c @ x s.t. A x = b, x >= 0.
 
-    Phase 1 runs once at construction.  Each sense (``min``/``max``) keeps
-    one tableau, and each ``optimize`` call runs phase 2 in place from the
-    basis where that sense's last call stopped, so a run of similar
-    objectives costs a few pivots each.  The first sense to run takes the
-    phase-1 tableau itself; the other starts from a copy of wherever the
-    first one got to.
+    Phase 1 runs once at construction and leaves its tableau to the ``min``
+    sense.  Each sense keeps one tableau, and each ``optimize`` call runs
+    phase 2 in place from the basis where that sense's last call stopped, so
+    a run of similar objectives costs a few pivots each.  ``max`` starts from
+    a copy of wherever ``min`` has got to.
     """
 
     def __init__(self, a_eq: np.ndarray, b_eq: np.ndarray):
@@ -121,6 +123,8 @@ class EqualityFormSolver:
         b[flip] *= -1.0
 
         self.n = n
+        self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._inverse: tuple[np.ndarray, np.ndarray] | None = None
         tableau = np.zeros((m + 1, n + m + 1))
         tableau[:m, :n] = a
         tableau[:m, n : n + m] = np.eye(m)
@@ -151,35 +155,34 @@ class EqualityFormSolver:
                 _pivot(tableau, i, int(structural[0]), basis)
                 keep.append(i)
         rows = np.array(keep, dtype=int)
-        self._phase1 = (
+        self._by_sense["min"] = (
             np.ascontiguousarray(
                 tableau[np.append(rows, m)][:, np.append(np.arange(n), n + m)]
             ),
             basis[rows],
         )
-        self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # The artificial columns now hold the phase-1 basis inverse, which
         # ``without_row`` reads; a dropped row leaves no basis to start from.
-        self._inverse = (
-            (basis.copy(), tableau[:m, n : n + m].copy()) if rows.size == m else None
-        )
+        if rows.size == m:
+            self._inverse = (basis.copy(), tableau[:m, n : n + m].copy())
 
-    def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver | None":
+    def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver":
         """A solver of the same program without equality ``row``, with the
-        right-hand side multiplied by ``scale``, or None when phase 1 dropped
-        a redundant row.
+        right-hand side multiplied by ``scale``.
 
         No phase 1 runs: equality ``row`` gets a free slack, the column pair
         +/-B^-1 e_row, so the ``min`` sense's current basis B stays feasible
-        and each sense of the new solver starts from it.  With B0 the phase-1
-        basis, B^-1 e_row is the tableau's B0 columns (B^-1 B0) times the
-        phase-1 inverse's column ``row``.  The slack is not priced in
-        objectives or returned in solutions.
+        and the new solver's ``min`` sense starts from it.  With B0 the
+        phase-1 basis, B^-1 e_row is the tableau's B0 columns (B^-1 B0) times
+        the phase-1 inverse's column ``row``.  The slack is not priced in
+        objectives or returned in solutions.  Raises RuntimeError when there
+        is no phase-1 inverse: the program is infeasible, phase 1 dropped a
+        redundant row, or this solver was itself derived.
         """
-        if not self.feasible or self._inverse is None:
-            return None
+        if self._inverse is None:
+            raise RuntimeError("no phase-1 basis inverse to drop a row from")
         phase1_basis, inverse = self._inverse
-        tableau, basis = self._state("min")
+        tableau, basis = self._by_sense["min"]
         slack = tableau[:, phase1_basis] @ inverse[:, row]
         # Fortran order, as a column gather gives: the phase-2 cost product
         # rounds by memory order.
@@ -187,24 +190,10 @@ class EqualityFormSolver:
             np.column_stack([tableau[:, : self.n], slack, -slack, tableau[:, -1]])
         )
         derived[:-1, -1] *= scale
-        solver = object.__new__(EqualityFormSolver)
-        solver.n = self.n
-        solver.feasible = True
-        solver._phase1 = (derived, basis.copy())
-        solver._by_sense = {}
+        solver = copy.copy(self)
+        solver._by_sense = {"min": (derived, basis.copy())}
         solver._inverse = None
         return solver
-
-    def _state(self, sense: str) -> tuple[np.ndarray, np.ndarray]:
-        """The tableau and basis that ``sense`` pivots in place."""
-        if sense not in self._by_sense:
-            if self._by_sense:
-                tableau, basis = next(iter(self._by_sense.values()))
-                self._by_sense[sense] = (tableau.copy(), basis.copy())
-            else:
-                self._by_sense[sense] = self._phase1
-                del self._phase1
-        return self._by_sense[sense]
 
     def optimize(self, objective: np.ndarray, sense: str = "min") -> LpResult:
         """Optimize one objective from the last basis of the same sense."""
@@ -215,7 +204,10 @@ class EqualityFormSolver:
             c = -c
         elif sense != "min":
             raise ValueError("sense must be 'min' or 'max'")
-        tableau, basis = self._state(sense)
+        if sense not in self._by_sense:
+            tableau, basis = self._by_sense["min"]
+            self._by_sense[sense] = (tableau.copy(), basis.copy())
+        tableau, basis = self._by_sense[sense]
         m, width = tableau.shape[0] - 1, tableau.shape[1] - 1
         cost = tableau[-1]
         cost[: self.n] = c

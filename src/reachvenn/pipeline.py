@@ -63,24 +63,14 @@ def d_grid() -> list[float]:
 class SelectionState:
     """Bookkeeping for adaptive training-point selection.
 
-    ``chosen`` lists the measured masks in acquisition order (basics first),
-    ``candidates`` the masks still eligible for measurement, and
-    ``measurements`` the accumulated dataset.  Masks excluded up front (for
-    example held-out testing points) belong to neither.
+    ``measurements`` holds the starting observations in ascending canonical
+    order, then one observation per round, and ``excluded`` the canonical
+    indices of masks kept out of selection (for example held-out testing
+    points).  ``chosen`` and ``candidates`` follow from the two.
     """
 
-    chosen: tuple[SubsetMask, ...]
-    candidates: tuple[SubsetMask, ...]
     measurements: ReachDataset
-
-    def __post_init__(self) -> None:
-        chosen_ids = {m.index for m in self.chosen}
-        candidate_ids = {m.index for m in self.candidates}
-        if chosen_ids & candidate_ids:
-            raise ValueError("chosen and candidate masks overlap")
-        basics = {m.index for m in basic_masks(self.measurements.num_bgs)}
-        if not basics <= chosen_ids:
-            raise ValueError("chosen masks must include the basic points")
+    excluded: frozenset[int]
 
     @classmethod
     def initial(
@@ -89,18 +79,24 @@ class SelectionState:
         """Start from an already-measured dataset (must contain the basics)."""
         if not measurements.has_basic_points:
             raise ValueError("selection starts from the basic points")
-        observed = {m.index for m in measurements.masks()}
-        excluded = {m.index for m in exclude}
-        num_bgs = measurements.num_bgs
-        candidates = tuple(
-            SubsetMask(j, num_bgs)
-            for j in range(1, 1 << num_bgs)
-            if j not in observed and j not in excluded
-        )
+        observations = measurements.sorted_observations()
         return cls(
-            chosen=measurements.masks(),
-            candidates=candidates,
-            measurements=measurements,
+            replace(measurements, observations=observations),
+            frozenset(m.index for m in exclude),
+        )
+
+    @property
+    def chosen(self) -> tuple[SubsetMask, ...]:
+        """The measured masks in acquisition order (the starting ones first)."""
+        return tuple(o.subset for o in self.measurements.observations)
+
+    @property
+    def candidates(self) -> tuple[SubsetMask, ...]:
+        """The masks still eligible for measurement, in ascending canonical order."""
+        taken = self.excluded | {o.subset.index for o in self.measurements.observations}
+        num_bgs = self.measurements.num_bgs
+        return tuple(
+            SubsetMask(j, num_bgs) for j in range(1, 1 << num_bgs) if j not in taken
         )
 
     @functools.cached_property
@@ -118,9 +114,9 @@ def select_next_point(
     reproducible.  The current measurements must be consistent (repair first
     otherwise); raises UnavailableError when no candidates remain.
     """
-    if not state.candidates:
+    candidates = state.candidates
+    if not candidates:
         raise UnavailableError("selection exhausted: no candidates remain")
-    candidates = sorted(state.candidates, key=lambda m: m.index)
     best_mask = None
     best_gap = -1.0
     for mask, interval in zip(candidates, state.solver.bounds_many(candidates)):
@@ -129,11 +125,8 @@ def select_next_point(
             best_gap = gap
             best_mask = mask
     reach = float(measure(best_mask))
-    return SelectionState(
-        chosen=state.chosen + (best_mask,),
-        candidates=tuple(m for m in state.candidates if m.index != best_mask.index),
-        measurements=state.measurements.with_observation(best_mask, reach),
-    )
+    measurements = state.measurements.with_observation(best_mask, reach)
+    return SelectionState(measurements, state.excluded)
 
 
 def relative_error(

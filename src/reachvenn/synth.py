@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .core import (
+    MAX_BGS,
     ReachDataset,
     ReachObservation,
     RegionAllocation,
@@ -56,6 +57,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("ci_groups", "dirichlet"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not 2 <= self.num_bgs <= MAX_BGS:
+            raise ValueError(f"num_bgs must be in [2, {MAX_BGS}], got {self.num_bgs}")
         if self.kind == "ci_groups" and self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
         for name in ("universe_size", "alpha", "reach_beta_a", "reach_beta_b"):

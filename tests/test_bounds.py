@@ -18,13 +18,14 @@ from reachvenn.core import (
     InconsistencyError,
     ReachDataset,
     SubsetMask,
+    dataset_from_allocation,
     enumerate_masks,
+    incidence_vector,
     subset_reach_from_allocation,
 )
-from reachvenn.lp import EqualityFormSolver
 from reachvenn.pipeline import EstimateOptions, estimate_subset
 
-from conftest import random_consistent_dataset
+from conftest import random_allocation, random_consistent_dataset
 from grid_oracle import oracle_bounds_by_grid
 
 
@@ -437,14 +438,25 @@ class TestBoundsWithout:
                 # basis, where the held-out program then starts.
                 solver.bounds_many(enumerate_masks(num_bgs))
 
-    def test_falls_back_to_a_fresh_solver(self, rng, monkeypatch):
-        # A program whose phase 1 dropped a row has no derived solver.
-        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=None)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_bgs=st.integers(2, 6), data=st.data())
+    def test_distinct_masks_never_need_another_path(self, seed, num_bgs, data):
+        # Distinct non-empty masks have independent incidence rows, so phase 1
+        # keeps every row and each held-out program derives from it.
+        indices = data.draw(st.sets(st.integers(1, (1 << num_bgs) - 1), min_size=2))
+        masks = [SubsetMask(j, num_bgs) for j in sorted(indices)]
+        a = np.array([incidence_vector(m) for m in masks])
+        assert np.linalg.matrix_rank(a) == len(masks)
+        universe = data.draw(st.sampled_from([1000.0, None]))
+        alloc = random_allocation(np.random.default_rng(seed), num_bgs, 1000.0)
+        ds = dataset_from_allocation(alloc, masks, universe_size=universe)
         solver = BoundsSolver(ds)
-        monkeypatch.setattr(EqualityFormSolver, "without_row", lambda *args: None)
-        for mask in ds.masks():
-            fresh = BoundsSolver(ds.without(mask))
-            assert solver.bounds_without(mask) == fresh.bounds(mask)
+        for mask in masks:
+            got = solver.bounds_without(mask)
+            want = BoundsSolver(ds.without(mask)).bounds(mask)
+            assert got.upper_capped == want.upper_capped
+            assert abs(got.lower - want.lower) <= 1e-9 * ds.scale
+            assert abs(got.upper - want.upper) <= 1e-9 * ds.scale
 
     def test_unobserved_mask_rejected(self):
         with pytest.raises(ValueError, match="not present"):

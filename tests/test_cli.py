@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from reachvenn import io
+from reachvenn import experiment, io
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
 from reachvenn.lsq import simplex_lstsq
@@ -329,6 +329,22 @@ class TestSelect:
         for before, after in zip(widths, widths[1:]):
             assert after <= before + 1e-3
 
+    def test_chosen_lists_the_observed_masks_in_canonical_order(self, capsys, tmp_path):
+        truth = independent_truth(4, 0.2, 1000.0)
+        masks = [m for m in enumerate_masks(4) if m.popcount in (1, 2, 4)]
+        observed = masks[::-1]
+        data = tmp_path / "ds.json"
+        truth_path = tmp_path / "truth.json"
+        io.save_dataset(true_dataset(truth, observed), data)
+        io.save_ground_truth(truth, truth_path)
+        code, out, _ = run_cli(capsys, "select", data, "--budget", "2", "--truth", truth_path)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["chosen"] == [m.to_string() for m in masks] + [
+            r["selected"] for r in payload["rounds"]
+        ]
+        assert len(payload["rounds"]) == 2
+
 
 class TestExperimentCommand:
     def test_small_run_report(self, capsys, tmp_path):
@@ -393,6 +409,18 @@ class TestExperimentCommand:
         assert out == ""
         assert f"{field} must be positive and finite" in err
 
+    def test_too_many_bgs_rejected_before_any_truth_is_drawn(self, capsys, monkeypatch):
+        def generate(spec):
+            raise AssertionError("a ground truth was drawn")
+
+        monkeypatch.setattr(experiment, "generate", generate)
+        code, out, err = run_cli(
+            capsys, "experiment", "--generator", "ci", "--p", "21", "--replicates", "1"
+        )
+        assert code == 64
+        assert out == ""
+        assert "num_bgs must be in [2, 20]" in err
+
     def test_zero_workers_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "experiment", "--generator", "ci", "--p", "4", "--workers", "0"
@@ -451,6 +479,17 @@ class TestUsageErrors:
                 {
                     "num_bgs": 2,
                     "universe_size": {"value": 5.0},
+                    "observations": [{"subset": "10", "reach": 1.0}],
+                },
+                "universe_size",
+            ),
+            ({"num_bgs": 3, "observations": [{"subset": 100, "reach": 1.0}]}, "subset"),
+            ({"num_bgs": 2, "observations": [{"subset": None, "reach": 1.0}]}, "subset"),
+            ({"num_bgs": 2, "observations": [{"subset": "10", "reach": 10**400}]}, "reach"),
+            (
+                {
+                    "num_bgs": 2,
+                    "universe_size": 10**400,
                     "observations": [{"subset": "10", "reach": 1.0}],
                 },
                 "universe_size",

@@ -183,8 +183,28 @@ class TestWithoutRow:
         a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         solver = EqualityFormSolver(a, np.array([1.0, 1.0, 2.0]))
         assert solver.feasible
-        assert all(solver.without_row(row) is None for row in range(3))
+        for row in range(3):
+            with pytest.raises(RuntimeError, match="inverse"):
+                solver.without_row(row)
 
     def test_no_derived_solver_when_infeasible(self):
         solver = EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([-1.0]))
-        assert solver.without_row(0) is None
+        with pytest.raises(RuntimeError, match="inverse"):
+            solver.without_row(0)
+
+    def test_no_derived_solver_of_a_derived_solver(self):
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        derived = EqualityFormSolver(a, np.array([1.0, 2.0])).without_row(0)
+        with pytest.raises(RuntimeError, match="inverse"):
+            derived.without_row(0)
+
+    def test_every_solver_carries_the_same_attributes(self):
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        constructed = EqualityFormSolver(a, np.array([1.0, 2.0]))
+        infeasible = EqualityFormSolver(a, np.array([-1.0, 2.0]))
+        derived = constructed.without_row(1)
+        assert not infeasible.feasible
+        assert vars(constructed).keys() == vars(infeasible).keys() == vars(derived).keys()
+        for solver in (constructed, derived):
+            solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
+            assert vars(solver).keys() == vars(infeasible).keys()

@@ -76,6 +76,9 @@ class TestGenerate:
             GeneratorSpec(kind="ci_groups", num_bgs=3, universe_size=1.0, seed=0, num_groups=0)
         with pytest.raises(ValueError, match="alpha"):
             GeneratorSpec(kind="dirichlet", num_bgs=3, universe_size=1.0, seed=0, alpha=0.0)
+        for num_bgs in (1, 21):
+            with pytest.raises(ValueError, match="num_bgs"):
+                GeneratorSpec(kind="ci_groups", num_bgs=num_bgs, universe_size=1.0, seed=0)
 
     @pytest.mark.parametrize(
         "field", ["universe_size", "alpha", "reach_beta_a", "reach_beta_b"]
