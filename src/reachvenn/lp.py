@@ -1,11 +1,28 @@
 """Dense-tableau two-phase simplex solver.
 
-Small and deterministic: Dantzig pricing with lowest-index tie breaks, and a
-permanent switch to Bland's rule whenever the objective stalls, so degenerate
-problems cannot cycle.  Problem sizes here are tiny (hundreds of columns at
-most), so the dense tableau is the right tool.  Phase 2 allocates little:
-each solve writes its cost row into the tableau in place, and each pivot's
-ratio test divides into one buffer reused for the whole solve.
+Deterministic: Dantzig pricing with lowest-index tie breaks, and a permanent
+switch to Bland's rule whenever the objective stalls, so degenerate problems
+cannot cycle.  The tableaux are short and wide: the bounds LP has one row per
+observation and one column per Venn region, 2**P of them (2048 at P=11, up
+to 2**20 at ``core.MAX_BGS``).  Phase 2 allocates little: each solve writes
+its cost row into the tableau in place, and each pivot's ratio test divides
+into one buffer reused for the whole solve.
+
+A pivot changes only the rows whose pivot-column factor is non-zero (Hall &
+McKinnon, Comput. Optim. Appl. 32, 2005), and the width of the tableau picks
+one of two updates.  A tableau of at most ``_ROW_WISE_WIDTH`` (1024) columns
+is updated in one broadcast over every row, a single numpy call per pivot.  A
+wider one is updated one row at a time, only on the rows with a non-zero
+factor, with one row-sized temporary instead of a tableau-sized one.  Each
+entry that changes gets the same product and subtraction either way, so the
+pivots and the results are the same bits, and a skipped row keeps its bits
+exactly.  The crossover, in µs per ``BoundsSolver.bounds`` call on an exact
+2P+1 design (broadcast / row-wise, min of 7, 2-vCPU x86 host): P=9 (513
+columns) 295 / 390, P=10 (1025) 450 / 480, P=11 (2049) 734 / 522.  At P=10
+the Fortran-ordered tableaux of ``without_row`` favour rows (2.2 / 1.3 ms
+per held-out bound), so P=10 is on the row-wise side.  Set the
+``reachvenn.lp`` logger to DEBUG to see each phase 1 (pivots, rows dropped)
+and each ``optimize`` (sense, status, pivots, whether Bland's rule fired).
 
 One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
@@ -21,6 +38,7 @@ program without one equality is solved with no new phase 1
 from __future__ import annotations
 
 import copy
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +46,14 @@ import numpy as np
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PHASE1_TOL = 1e-8
+# Tableaux with more columns than this pivot row by row (see the module docstring).
+_ROW_WISE_WIDTH = 1024
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -47,9 +69,17 @@ class LpResult:
 
 def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    pivot_row = tableau[row]
+    if tableau.shape[1] > _ROW_WISE_WIDTH:
+        # Only rows with a non-zero factor change, by the broadcast's arithmetic.
+        factors = tableau[:, col]
+        for i in factors.nonzero()[0].tolist():
+            if i != row:
+                tableau[i] -= factors[i] * pivot_row
+    else:
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= factors[:, None] * pivot_row
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
@@ -57,12 +87,13 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
 
 def _run_simplex(
     tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int
-) -> str:
+) -> tuple[str, int, bool]:
     """Minimize the cost row of a feasible tableau in place.
 
     ``tableau`` has shape (m+1, width): m constraint rows, a cost row with
     reduced costs in columns [0, ncols) and -objective in the last column.
-    Returns "optimal" or "unbounded".
+    Returns the status ("optimal" or "unbounded"), the number of pivots and
+    whether Bland's rule took over.
     """
     m = tableau.shape[0] - 1
     cost = tableau[-1]
@@ -71,21 +102,21 @@ def _run_simplex(
     last_obj = cost[-1]
     rhs = tableau[:m, -1]
     ratios = np.empty(m)
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
         reduced = cost[:ncols]
         if bland:
             eligible = np.flatnonzero(reduced < -_COST_TOL)
             if eligible.size == 0:
-                return OPTIMAL
+                return OPTIMAL, pivots, bland
             col = int(eligible[0])
         else:
             col = int(reduced.argmin())
             if reduced[col] >= -_COST_TOL:
-                return OPTIMAL
+                return OPTIMAL, pivots, bland
         colvals = tableau[:m, col]
         pos = colvals > _PIVOT_TOL
         if not pos.any():
-            return UNBOUNDED
+            return UNBOUNDED, pivots, bland
         ratios.fill(np.inf)
         np.divide(rhs, colvals, out=ratios, where=pos)
         ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
@@ -115,12 +146,14 @@ class EqualityFormSolver:
 
     def __init__(self, a_eq: np.ndarray, b_eq: np.ndarray):
         a = np.atleast_2d(np.asarray(a_eq, dtype=np.float64))
-        b = np.asarray(b_eq, dtype=np.float64).copy()
+        b = np.asarray(b_eq, dtype=np.float64)
         m, n = a.shape
-        a = a.copy()
         flip = b < 0
-        a[flip] *= -1.0
-        b[flip] *= -1.0
+        if flip.any():
+            a = a.copy()
+            b = b.copy()
+            a[flip] *= -1.0
+            b[flip] *= -1.0
 
         self.n = n
         self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -133,7 +166,10 @@ class EqualityFormSolver:
         # Phase-1 reduced costs: minimize the artificial sum.
         tableau[-1, :n] = -a.sum(axis=0)
         tableau[-1, -1] = -b.sum()
-        status = _run_simplex(tableau, basis, n + m, max_iter=200 * (n + m) + 1000)
+        del a
+        status, pivots, _ = _run_simplex(
+            tableau, basis, n + m, max_iter=200 * (n + m) + 1000
+        )
         # The artificial sum is bounded below by 0, so phase 1 must end optimal.
         if status != OPTIMAL:
             raise RuntimeError(f"phase 1 ended {status}")
@@ -141,6 +177,8 @@ class EqualityFormSolver:
             -tableau[-1, -1] <= _PHASE1_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
         )
         if not self.feasible:
+            if _logger.isEnabledFor(logging.DEBUG):
+                _logger.debug("phase 1: %d pivots, infeasible", pivots)
             return
 
         # Drive artificials out of the basis; rows that cannot pivot on a
@@ -153,18 +191,21 @@ class EqualityFormSolver:
             structural = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
             if structural.size:
                 _pivot(tableau, i, int(structural[0]), basis)
+                pivots += 1
                 keep.append(i)
         rows = np.array(keep, dtype=int)
+        if _logger.isEnabledFor(logging.DEBUG):
+            _logger.debug("phase 1: %d pivots, %d of %d rows dropped", pivots, m - rows.size, m)
+        if rows.size == m:
+            # The artificial columns now hold the phase-1 basis inverse, which
+            # ``without_row`` reads; a dropped row leaves no basis to start from.
+            self._inverse = (basis.copy(), tableau[:m, n : n + m].copy())
+        else:
+            tableau = tableau[np.append(rows, m)]
         self._by_sense["min"] = (
-            np.ascontiguousarray(
-                tableau[np.append(rows, m)][:, np.append(np.arange(n), n + m)]
-            ),
+            np.concatenate([tableau[:, :n], tableau[:, -1:]], axis=1),
             basis[rows],
         )
-        # The artificial columns now hold the phase-1 basis inverse, which
-        # ``without_row`` reads; a dropped row leaves no basis to start from.
-        if rows.size == m:
-            self._inverse = (basis.copy(), tableau[:m, n : n + m].copy())
 
     def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver":
         """A solver of the same program without equality ``row``, with the
@@ -213,7 +254,14 @@ class EqualityFormSolver:
         cost[: self.n] = c
         cost[self.n :] = 0.0
         cost -= cost[basis] @ tableau[:m]
-        status = _run_simplex(tableau, basis, width, max_iter=200 * (width + m) + 1000)
+        status, pivots, bland = _run_simplex(
+            tableau, basis, width, max_iter=200 * (width + m) + 1000
+        )
+        if _logger.isEnabledFor(logging.DEBUG):
+            _logger.debug(
+                "optimize %s: %s, %d pivots, Bland's rule %s",
+                sense, status, pivots, "on" if bland else "off",
+            )
         if status == UNBOUNDED:
             return LpResult(UNBOUNDED)
         x = np.zeros(width)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachvenn import lp
 from reachvenn.bounds import (
     BoundsSolver,
     check_consistency,
@@ -23,6 +24,7 @@ from reachvenn.core import (
     incidence_vector,
     subset_reach_from_allocation,
 )
+from reachvenn.experiment import training_masks
 from reachvenn.pipeline import EstimateOptions, estimate_subset
 
 from conftest import random_allocation, random_consistent_dataset
@@ -461,6 +463,28 @@ class TestBoundsWithout:
     def test_unobserved_mask_rejected(self):
         with pytest.raises(ValueError, match="not present"):
             BoundsSolver(triangle_dataset()).bounds_without(SubsetMask.from_string("110"))
+
+
+class TestWidePivots:
+    def test_p11_bounds_equal_under_both_update_rules(self, rng, monkeypatch):
+        # 2**11 regions give 2049 tableau columns, above the width rule.
+        num_bgs, universe = 11, 1000.0
+        assert (1 << num_bgs) + 1 > lp._ROW_WISE_WIDTH
+        alloc = random_allocation(rng, num_bgs, universe)
+        ds = dataset_from_allocation(alloc, training_masks(num_bgs), universe_size=universe)
+        targets = enumerate_masks(num_bgs)[::16]
+
+        def intervals():
+            # Held-out bounds pivot on Fortran-ordered tableaux.
+            solver = BoundsSolver(ds)
+            return solver.bounds_many(targets), [solver.bounds_without(m) for m in ds.masks()]
+
+        row_wise, held_out = intervals()
+        monkeypatch.setattr(lp, "_ROW_WISE_WIDTH", 1 << 62)
+        assert intervals() == (row_wise, held_out)
+        for target, interval in zip(targets, row_wise):
+            truth = subset_reach_from_allocation(target, alloc)
+            assert interval.lower - 1e-7 * universe <= truth <= interval.upper + 1e-7 * universe
 
 
 class TestRepairDataset:

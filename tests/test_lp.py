@@ -1,8 +1,12 @@
 """Simplex solver contract: hand-solved programs, statuses, determinism, warm starts."""
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from reachvenn import lp
 from reachvenn.lp import (
     INFEASIBLE,
     UNBOUNDED,
@@ -92,6 +96,15 @@ class TestEqualityFormSolver:
         # Row flips sign, but x >= 0 cannot produce a negative sum.
         assert not solver.feasible
         assert solver.optimize(np.array([1.0, 0.0])).status == INFEASIBLE
+
+    def test_rows_flipped_on_copies(self):
+        # -x1 - x2 = -2 is x1 + x2 = 2; the caller's arrays stay as given.
+        a = np.array([[-1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
+        b = np.array([-2.0, 3.0])
+        solver = EqualityFormSolver(a, b)
+        result = solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
+        assert result.value == pytest.approx(2.0, abs=1e-9)
+        assert a[0].tolist() == [-1.0, -1.0, 0.0] and b.tolist() == [-2.0, 3.0]
 
     def test_redundant_rows_dropped(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -208,3 +221,81 @@ class TestWithoutRow:
         for solver in (constructed, derived):
             solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
             assert vars(solver).keys() == vars(infeasible).keys()
+
+
+BROADCAST = 1 << 62  # a width rule no tableau exceeds
+
+
+def pivot_under(monkeypatch, rule, tableau, row, col):
+    """``lp._pivot`` on a copy of ``tableau`` with the width rule set to ``rule``."""
+    monkeypatch.setattr(lp, "_ROW_WISE_WIDTH", rule)
+    tableau, basis = tableau.copy(order="K"), np.arange(tableau.shape[0])
+    lp._pivot(tableau, row, col, basis)
+    return tableau, basis
+
+
+class TestWidePivots:
+    @pytest.mark.parametrize("offset", [-400, 400])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_wise_update_equals_the_broadcast(self, monkeypatch, offset, order):
+        # Both updates on tableaux narrower and wider than the default rule.
+        width = lp._ROW_WISE_WIDTH + offset
+        rng = np.random.default_rng(width)
+        for _ in range(8):
+            tableau = rng.normal(size=(24, width))
+            row, col = int(rng.integers(23)), int(rng.integers(width - 1))
+            zero = rng.random(24) < 0.4
+            zero[row] = False
+            tableau[zero, col] = 0.0
+            tableau = np.asarray(tableau, order=order)
+            wide, wide_basis = pivot_under(monkeypatch, 0, tableau, row, col)
+            narrow, narrow_basis = pivot_under(monkeypatch, BROADCAST, tableau, row, col)
+            assert np.array_equal(wide, narrow)
+            assert np.array_equal(wide_basis, narrow_basis)
+            assert wide_basis[row] == col
+            # A row with a zero factor keeps its bits, signs of zero included.
+            assert wide[zero].tobytes() == tableau[zero].tobytes()
+
+    def test_wide_pivot_allocates_no_tableau_sized_temporary(self):
+        rng = np.random.default_rng(5)
+        tableau = rng.normal(size=(24, 4 * lp._ROW_WISE_WIDTH))
+        tracemalloc.start()
+        try:
+            lp._pivot(tableau, 3, 7, np.arange(24))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tableau.nbytes / 4
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a debug record was built with DEBUG off")
+
+
+class TestLogging:
+    # x1 + x2 = 1 twice (one row is redundant), and x2 + x3 = 2.
+    A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    B = np.array([1.0, 1.0, 2.0])
+
+    def test_silent_and_free_by_default(self, caplog, monkeypatch):
+        monkeypatch.setattr(logging.getLogger("reachvenn.lp"), "debug", refuse)
+        solver = EqualityFormSolver(self.A, self.B)
+        solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
+        solver.optimize(np.array([1.0, 0.0, 0.0]), "min")
+        EqualityFormSolver(self.A, -self.B).optimize(np.ones(3))
+        assert caplog.records == []
+
+    def test_debug_reports_phase_one_and_each_optimize(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="reachvenn.lp"):
+            solver = EqualityFormSolver(self.A, self.B)
+            result = solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
+        assert result.value == pytest.approx(1.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "phase 1: 2 pivots, 1 of 3 rows dropped",
+            "optimize max: optimal, 1 pivots, Bland's rule off",
+        ]
+
+    def test_debug_reports_an_infeasible_phase_one(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="reachvenn.lp"):
+            EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([-1.0]))
+        assert [r.getMessage() for r in caplog.records] == ["phase 1: 0 pivots, infeasible"]
