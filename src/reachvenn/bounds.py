@@ -113,11 +113,11 @@ class BoundsSolver:
         They come from this solver's phase 1 (``EqualityFormSolver.without_row``)
         with the scale and cap of ``dataset.without(mask)``, so they equal
         ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to round-off.
-        Phase 1 here keeps every row, so no other path is needed: mask S's
-        row is 1[j within all BGs] - 1[j within S's complement], the
-        indicators 1[j within T] form a basis (the zeta transform is
-        unitriangular), and observed masks are distinct and non-empty, so
-        their complements are distinct and none is all BGs.
+        Phase 1 here leaves no artificial in the basis, so no other path is
+        needed: mask S's row is 1[j within all BGs] - 1[j within S's
+        complement], the indicators 1[j within T] form a basis (the zeta
+        transform is unitriangular), and observed masks are distinct and
+        non-empty, so their complements are distinct and none is all BGs.
         """
         rest = self.dataset.without(mask)
         row = [m.index for m in self.dataset.masks()].index(mask.index)

@@ -17,22 +17,23 @@ factor, with one row-sized temporary instead of a tableau-sized one.  Each
 entry that changes gets the same product and subtraction either way, so the
 pivots and the results are the same bits, and a skipped row keeps its bits
 exactly.  The crossover, in µs per ``BoundsSolver.bounds`` call on an exact
-2P+1 design (broadcast / row-wise, min of 7, 2-vCPU x86 host): P=9 (513
-columns) 295 / 390, P=10 (1025) 450 / 480, P=11 (2049) 734 / 522.  At P=10
+2P+1 design (broadcast / row-wise, min of 7, 2-vCPU x86 host): P=9 (512
+regions) 295 / 390, P=10 (1024) 450 / 480, P=11 (2048) 734 / 522.  At P=10
 the Fortran-ordered tableaux of ``without_row`` favour rows (2.2 / 1.3 ms
 per held-out bound), so P=10 is on the row-wise side.  Set the
-``reachvenn.lp`` logger to DEBUG to see each phase 1 (pivots, rows dropped)
-and each ``optimize`` (sense, status, pivots, whether Bland's rule fired).
+``reachvenn.lp`` logger to DEBUG to see each phase 1 (pivots, artificials
+left in the basis) and each ``optimize`` (sense, status, pivots, whether
+Bland's rule fired).
 
 One solver answers many objectives over a fixed constraint set, so each
 solve starts from the basis where the last solve of the same sense stopped:
-every basis the simplex visits is feasible.  The ``min`` sense owns the
-phase-1 tableau from construction, and ``max`` copies ``min``'s current
-tableau on first use.  A result therefore depends on the earlier calls, but
-only up to round-off, and the same sequence of calls gives bit-identical
-results.  Phase 1 keeps its basis and that basis's inverse, so the same
-program without one equality is solved with no new phase 1
-(``EqualityFormSolver.without_row``).
+every basis the simplex visits is feasible.  The ``min`` sense runs on the
+phase-1 tableau itself, and ``max`` copies ``min``'s current tableau on
+first use.  A result therefore depends on the earlier calls, but only up to
+round-off, and the same sequence of calls gives bit-identical results.  The
+artificial columns carry the basis inverse: phase 2 never prices them, so
+every pivot keeps them equal to B^-1, and the same program without one
+equality is solved with no new phase 1 (``EqualityFormSolver.without_row``).
 """
 
 from __future__ import annotations
@@ -85,15 +86,13 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     basis[row] = col
 
 
-def _run_simplex(
-    tableau: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int
-) -> tuple[str, int, bool]:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int, bool]:
     """Minimize the cost row of a feasible tableau in place.
 
     ``tableau`` has shape (m+1, width): m constraint rows, a cost row with
     reduced costs in columns [0, ncols) and -objective in the last column.
     Returns the status ("optimal" or "unbounded"), the number of pivots and
-    whether Bland's rule took over.
+    whether Bland's rule took over; raises after 200 (m + ncols) + 1000 pivots.
     """
     m = tableau.shape[0] - 1
     cost = tableau[-1]
@@ -102,7 +101,7 @@ def _run_simplex(
     last_obj = cost[-1]
     rhs = tableau[:m, -1]
     ratios = np.empty(m)
-    for pivots in range(max_iter):
+    for pivots in range(200 * (m + ncols) + 1000):
         reduced = cost[:ncols]
         if bland:
             eligible = np.flatnonzero(reduced < -_COST_TOL)
@@ -156,8 +155,9 @@ class EqualityFormSolver:
             b[flip] *= -1.0
 
         self.n = n
+        # Columns that phase 2 prices: the structurals, and a derived solver's slack pair.
+        self._ncols = n
         self._by_sense: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._inverse: tuple[np.ndarray, np.ndarray] | None = None
         tableau = np.zeros((m + 1, n + m + 1))
         tableau[:m, :n] = a
         tableau[:m, n : n + m] = np.eye(m)
@@ -167,9 +167,7 @@ class EqualityFormSolver:
         tableau[-1, :n] = -a.sum(axis=0)
         tableau[-1, -1] = -b.sum()
         del a
-        status, pivots, _ = _run_simplex(
-            tableau, basis, n + m, max_iter=200 * (n + m) + 1000
-        )
+        status, pivots, _ = _run_simplex(tableau, basis, n + m)
         # The artificial sum is bounded below by 0, so phase 1 must end optimal.
         if status != OPTIMAL:
             raise RuntimeError(f"phase 1 ended {status}")
@@ -181,31 +179,17 @@ class EqualityFormSolver:
                 _logger.debug("phase 1: %d pivots, infeasible", pivots)
             return
 
-        # Drive artificials out of the basis; rows that cannot pivot on a
-        # structural column are redundant and dropped.
-        keep = []
+        # Drive artificials out of the basis.  One that stays sits on a redundant
+        # row at level zero, and phase 2, which never prices it, never moves it.
         for i in range(m):
-            if basis[i] < n:
-                keep.append(i)
-                continue
-            structural = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
-            if structural.size:
-                _pivot(tableau, i, int(structural[0]), basis)
-                pivots += 1
-                keep.append(i)
-        rows = np.array(keep, dtype=int)
+            if basis[i] >= n:
+                structural = np.flatnonzero(np.abs(tableau[i, :n]) > _PIVOT_TOL)
+                if structural.size:
+                    _pivot(tableau, i, int(structural[0]), basis)
+                    pivots += 1
         if _logger.isEnabledFor(logging.DEBUG):
-            _logger.debug("phase 1: %d pivots, %d of %d rows dropped", pivots, m - rows.size, m)
-        if rows.size == m:
-            # The artificial columns now hold the phase-1 basis inverse, which
-            # ``without_row`` reads; a dropped row leaves no basis to start from.
-            self._inverse = (basis.copy(), tableau[:m, n : n + m].copy())
-        else:
-            tableau = tableau[np.append(rows, m)]
-        self._by_sense["min"] = (
-            np.concatenate([tableau[:, :n], tableau[:, -1:]], axis=1),
-            basis[rows],
-        )
+            _logger.debug("phase 1: %d pivots, %d artificials left", pivots, (basis >= n).sum())
+        self._by_sense["min"] = (tableau, basis)
 
     def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver":
         """A solver of the same program without equality ``row``, with the
@@ -213,18 +197,21 @@ class EqualityFormSolver:
 
         No phase 1 runs: equality ``row`` gets a free slack, the column pair
         +/-B^-1 e_row, so the ``min`` sense's current basis B stays feasible
-        and the new solver's ``min`` sense starts from it.  With B0 the
-        phase-1 basis, B^-1 e_row is the tableau's B0 columns (B^-1 B0) times
-        the phase-1 inverse's column ``row``.  The slack is not priced in
-        objectives or returned in solutions.  Raises RuntimeError when there
-        is no phase-1 inverse: the program is infeasible, phase 1 dropped a
-        redundant row, or this solver was itself derived.
+        and the new solver's ``min`` sense starts from it.  B^-1 e_row is the
+        tableau's artificial column ``row``; the pair makes the row's sign
+        flip irrelevant.  The slack is not priced in objectives or returned in
+        solutions.  Raises IndexError for a row outside [0, m), and
+        RuntimeError for an infeasible program, an artificial left in the
+        basis (on a redundant row), or a derived solver.
         """
-        if self._inverse is None:
-            raise RuntimeError("no phase-1 basis inverse to drop a row from")
-        phase1_basis, inverse = self._inverse
+        if not self.feasible or self._ncols != self.n:
+            raise RuntimeError("no basis inverse: the program is infeasible or derived")
         tableau, basis = self._by_sense["min"]
-        slack = tableau[:, phase1_basis] @ inverse[:, row]
+        if not 0 <= row < tableau.shape[0] - 1:
+            raise IndexError(f"row {row} outside [0, {tableau.shape[0] - 1})")
+        if (basis >= self.n).any():
+            raise RuntimeError("an artificial left in the basis: no basis inverse")
+        slack = tableau[:, self.n + row]
         # Fortran order, as a column gather gives: the phase-2 cost product
         # rounds by memory order.
         derived = np.asfortranarray(
@@ -233,7 +220,7 @@ class EqualityFormSolver:
         derived[:-1, -1] *= scale
         solver = copy.copy(self)
         solver._by_sense = {"min": (derived, basis.copy())}
-        solver._inverse = None
+        solver._ncols = self.n + 2
         return solver
 
     def optimize(self, objective: np.ndarray, sense: str = "min") -> LpResult:
@@ -249,14 +236,12 @@ class EqualityFormSolver:
             tableau, basis = self._by_sense["min"]
             self._by_sense[sense] = (tableau.copy(), basis.copy())
         tableau, basis = self._by_sense[sense]
-        m, width = tableau.shape[0] - 1, tableau.shape[1] - 1
+        m = tableau.shape[0] - 1
         cost = tableau[-1]
         cost[: self.n] = c
         cost[self.n :] = 0.0
         cost -= cost[basis] @ tableau[:m]
-        status, pivots, bland = _run_simplex(
-            tableau, basis, width, max_iter=200 * (width + m) + 1000
-        )
+        status, pivots, bland = _run_simplex(tableau, basis, self._ncols)
         if _logger.isEnabledFor(logging.DEBUG):
             _logger.debug(
                 "optimize %s: %s, %d pivots, Bland's rule %s",
@@ -264,7 +249,7 @@ class EqualityFormSolver:
             )
         if status == UNBOUNDED:
             return LpResult(UNBOUNDED)
-        x = np.zeros(width)
+        x = np.zeros(tableau.shape[1] - 1)
         x[basis] = tableau[:m, -1]
         x = x[: self.n]
         value = float(c @ x)

@@ -1,6 +1,7 @@
 """Consistency detection, subset bounds, repair, and curve tracing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,7 +445,7 @@ class TestBoundsWithout:
     @given(seed=st.integers(0, 2**32 - 1), num_bgs=st.integers(2, 6), data=st.data())
     def test_distinct_masks_never_need_another_path(self, seed, num_bgs, data):
         # Distinct non-empty masks have independent incidence rows, so phase 1
-        # keeps every row and each held-out program derives from it.
+        # leaves no artificial in the basis and each held-out program derives from it.
         indices = data.draw(st.sets(st.integers(1, (1 << num_bgs) - 1), min_size=2))
         masks = [SubsetMask(j, num_bgs) for j in sorted(indices)]
         a = np.array([incidence_vector(m) for m in masks])
@@ -466,8 +467,23 @@ class TestBoundsWithout:
 
 
 class TestWidePivots:
+    def test_p11_construction_holds_one_tableau(self, rng):
+        # The caller's A (23 x 2048 floats) and the phase-1 tableau, which the
+        # lower-bound simplex then runs on: no second m x 2**P array.
+        num_bgs = 11
+        alloc = random_allocation(rng, num_bgs, 1000.0)
+        ds = dataset_from_allocation(alloc, training_masks(num_bgs), universe_size=1000.0)
+        a_bytes = len(ds.masks()) * (1 << num_bgs) * 8
+        tracemalloc.start()
+        try:
+            BoundsSolver(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * a_bytes
+
     def test_p11_bounds_equal_under_both_update_rules(self, rng, monkeypatch):
-        # 2**11 regions give 2049 tableau columns, above the width rule.
+        # 2**11 regions give over 2049 tableau columns, above the width rule.
         num_bgs, universe = 11, 1000.0
         assert (1 << num_bgs) + 1 > lp._ROW_WISE_WIDTH
         alloc = random_allocation(rng, num_bgs, universe)

@@ -106,13 +106,23 @@ class TestEqualityFormSolver:
         assert result.value == pytest.approx(2.0, abs=1e-9)
         assert a[0].tolist() == [-1.0, -1.0, 0.0] and b.tolist() == [-2.0, 3.0]
 
-    def test_redundant_rows_dropped(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0]])
-        b = np.array([1.0, 2.0])
-        solver = EqualityFormSolver(a, b)
-        assert solver.feasible
-        result = solver.optimize(np.array([1.0, 0.0]), "max")
-        assert result.value == pytest.approx(1.0, abs=1e-9)
+    def test_redundant_rows_kept(self):
+        # Row 2 is twice row 0: its artificial stays basic at level zero,
+        # and warm-started solves match a solver without the duplicate.
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0, 1, size=(3, 8))
+        a[2] = 2.0 * a[0]
+        b = a @ rng.uniform(0, 1, size=8)
+        kept, plain = EqualityFormSolver(a, b), EqualityFormSolver(a[:2], b[:2])
+        assert kept.feasible
+        for k in range(20):
+            objective = rng.normal(size=8)
+            sense = "max" if k % 2 else "min"
+            got, want = kept.optimize(objective, sense), plain.optimize(objective, sense)
+            assert got.status == want.status
+            if want.is_optimal:
+                assert got.value == pytest.approx(want.value, abs=1e-9)
+                assert np.max(np.abs(a @ got.solution - b)) < 1e-7
 
     def test_after_unbounded_result_returns_cold_value(self):
         # x1 - x2 = 1 and x3 + x4 = 2: x1 has no ceiling, x3 and x4 do.
@@ -191,14 +201,22 @@ class TestWithoutRow:
             4.0, abs=1e-9
         )
 
-    def test_no_derived_solver_after_a_dropped_row(self):
-        # Phase 1 drops the duplicate row, so no basis covers every row.
+    def test_no_derived_solver_with_an_artificial_left_in_the_basis(self):
+        # The duplicate row keeps its artificial basic, so no structural
+        # basis covers every row.
         a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         solver = EqualityFormSolver(a, np.array([1.0, 1.0, 2.0]))
         assert solver.feasible
         for row in range(3):
             with pytest.raises(RuntimeError, match="inverse"):
                 solver.without_row(row)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_row_outside_the_program_rejected(self, row):
+        # A negative row would otherwise read a structural column.
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(IndexError):
+            EqualityFormSolver(a, np.array([1.0, 2.0])).without_row(row)
 
     def test_no_derived_solver_when_infeasible(self):
         solver = EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([-1.0]))
@@ -291,7 +309,7 @@ class TestLogging:
             result = solver.optimize(np.array([1.0, 0.0, 0.0]), "max")
         assert result.value == pytest.approx(1.0)
         assert [r.getMessage() for r in caplog.records] == [
-            "phase 1: 2 pivots, 1 of 3 rows dropped",
+            "phase 1: 2 pivots, 1 artificials left",
             "optimize max: optimal, 1 pivots, Bland's rule off",
         ]
 
