@@ -6,8 +6,12 @@ It takes a stack of same-shaped problems and picks a loop by stack size
 alone.  A stack of one runs a one-problem loop with scalar control flow and
 one column gather per face solve.  Larger stacks step their problems in
 lock-step, so a round's face subproblems are one stacked QR factorization
-and one stacked solve.  Both loops share the start rule and tolerances and
-do the same arithmetic, so each problem gets the same bits in either.
+and one stacked solve.  One start rule serves the whole stack: each
+problem's column norms, start column (the column nearest b) and KKT
+tolerance are reductions over its own entries only.  A face solve's
+minimizer is exactly zero off the face, so a round's sign tests and step
+lengths read it without a face mask.  Both loops do the same arithmetic, so
+each problem gets the same bits in either, and in any stack or stack order.
 
 ``nnls`` (v >= 0 only, for a non-negative A) is a reduction onto it: A's
 columns, scaled so that the sum constraint never binds, and a zero column.
@@ -28,6 +32,7 @@ import numpy as np
 
 _KKT_TOL = 1e-10
 _ZERO_TOL = 1e-13
+_START_BLOCK = 1 << 16
 
 _ITERATION_LIMIT = "simplex_lstsq: iteration limit exceeded"
 _INNER_LIMIT = "simplex_lstsq: inner iteration limit exceeded"
@@ -63,18 +68,36 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, rss
 
 
-def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """One problem's column norms, start column and KKT tolerance.
+def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every problem's column norms, start column and KKT tolerance, for a
+    (count, m, n) stack ``a`` and its (count, m) targets ``b``.
 
-    The problem starts with all mass on the column closest to b, and anchors
+    A problem starts with all mass on its column closest to b, and anchors
     each face at its column of largest norm.  Its KKT tolerance scales with
-    the gradient's round-off, which grows with |a| |a v - b|.
+    the gradient's round-off, which grows with |a| |a v - b|.  Each reduction
+    runs over one problem's own entries, so a problem's row has the same
+    bits in any stack.  The squares go through one buffer of a block of
+    problems, about ``_START_BLOCK`` entries, so a large stack is never
+    copied whole.
     """
-    norms = np.linalg.norm(a, axis=0)
-    start = int(np.argmin(np.linalg.norm(a - b[:, None], axis=0)))
-    top_a = max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
-    top_b = max(1.0, b.max(initial=0.0), -b.min(initial=0.0))
-    return norms, start, _KKT_TOL * top_a * max(top_a, top_b)
+    count, m, n = a.shape
+    norms = np.empty((count, n))
+    start = np.empty(count, dtype=np.intp)
+    step = max(1, _START_BLOCK // max(1, m * n))
+    buffer = np.empty((min(step, count), m, n))
+    for lo in range(0, count, step):
+        block, target = a[lo : lo + step], b[lo : lo + step]
+        squares = buffer[: len(block)]
+        np.multiply(block, block, out=squares)
+        norms[lo : lo + step] = np.sqrt(np.add.reduce(squares, axis=1))
+        np.subtract(block, target[:, :, None], out=squares)
+        np.multiply(squares, squares, out=squares)
+        start[lo : lo + step] = np.sqrt(np.add.reduce(squares, axis=1)).argmin(axis=1)
+    top_a = np.maximum(1.0, a.max(axis=(1, 2), initial=0.0))
+    np.maximum(top_a, -a.min(axis=(1, 2), initial=0.0), out=top_a)
+    top_b = np.maximum(1.0, b.max(axis=1, initial=0.0))
+    np.maximum(top_b, -b.min(axis=1, initial=0.0), out=top_b)
+    return norms, start, _KKT_TOL * top_a * np.maximum(top_a, top_b)
 
 
 def _solve_face(
@@ -121,6 +144,7 @@ def _solve_faces(
 ) -> np.ndarray:
     """Exact minimizers of ||a_F v_F - b||^2 with sum(v_F) == 1 (sign-free),
     one for each listed problem of the stack, F being its row of ``free``.
+    Each minimizer is exactly zero off its face.
 
     The face column with the largest norm (the anchor) is eliminated through
     the equality.  The other face columns minus the anchor, in ascending
@@ -133,15 +157,13 @@ def _solve_faces(
     count = problems.size
     slots = np.arange(count)
     face = free[problems]
-    face_norms = norms[problems]
-    face_norms[~face] = -np.inf
-    anchor = face_norms.argmax(axis=1)
+    anchor = np.where(face, norms[problems], -np.inf).argmax(axis=1)
     face[slots, anchor] = False
-    width = face.sum(axis=1)
+    problem, column = np.divmod(np.flatnonzero(face), n)
+    width = np.bincount(problem, minlength=count)
     if width.max() > m:
         raise RuntimeError(_FACE_TOO_WIDE)
-    problem, column = np.nonzero(face)
-    slot = np.arange(column.size) - np.repeat(np.cumsum(width) - width, width)
+    slot = np.arange(column.size) - (np.cumsum(width) - width)[problem]
     anchors = a[problems, :, anchor]
     reduced = np.zeros((count, m, m + 1))
     reduced[problem, :, slot] = a[problems[problem], :, column] - anchors[problem]
@@ -164,13 +186,24 @@ def _solve_faces(
     return w
 
 
+def _steps(v: np.ndarray, w: np.ndarray, blocking: np.ndarray) -> np.ndarray:
+    """The step from v towards w at which each blocking coordinate reaches
+    zero, and inf at the other coordinates."""
+    steps = np.full(v.shape, np.inf)
+    return np.divide(v, v - w, out=steps, where=blocking & (v > w))
+
+
 def _one_problem(
-    a: np.ndarray, b: np.ndarray, max_iter: int
+    a: np.ndarray,
+    b: np.ndarray,
+    norms: np.ndarray,
+    start: int,
+    tol: float,
+    max_iter: int,
 ) -> tuple[np.ndarray, int, int]:
     """One problem's solution, rounds and face solves, on the lock-step
     loop's path with scalar control flow.  A round is a KKT check that may
     enter a column, then a face solve if one is due."""
-    norms, start, tol = _start(a, b)
     v = np.zeros(a.shape[1])
     v[start] = 1.0
     face = [start]
@@ -196,7 +229,7 @@ def _one_problem(
         w = _solve_face(a, b, norms, face)
 
         if w[face].min() > -_ZERO_TOL:
-            w.clip(0.0, None, out=w)
+            np.maximum(w, 0.0, out=w)
             s = w.sum()
             if s > 0:
                 w /= s
@@ -204,10 +237,8 @@ def _one_problem(
             on_face = False
             continue
         blocking = w < -_ZERO_TOL  # w is zero off the face
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(blocking & (v > w), v / (v - w), np.inf)
-        alpha = np.minimum(1.0, steps.min())
-        v = (v + alpha * (w - v)).clip(0.0, None)
+        alpha = np.minimum(1.0, _steps(v, w, blocking).min())
+        v = np.maximum(v + alpha * (w - v), 0.0)
         v /= v.sum()
         drop = blocking & (v <= _ZERO_TOL)
         face = [column for column in face if not drop[column]]
@@ -217,17 +248,17 @@ def _one_problem(
 
 
 def _lock_step(
-    a: np.ndarray, b: np.ndarray, max_iter: int
+    a: np.ndarray,
+    b: np.ndarray,
+    norms: np.ndarray,
+    start: np.ndarray,
+    tol: np.ndarray,
+    max_iter: int,
 ) -> tuple[np.ndarray, int, int]:
     """A stack's solutions, rounds and face solves.  Each round, every
     unfinished problem takes its own next step, and the round's face solves
     are one stacked QR and one stacked solve."""
     count, m, n = a.shape
-    norms = np.empty((count, n))
-    start = np.empty(count, dtype=np.intp)
-    tol = np.empty(count)
-    for i in range(count):
-        norms[i], start[i], tol[i] = _start(a[i], b[i])
     problems = np.arange(count)
     v = np.zeros((count, n))
     v[problems, start] = 1.0
@@ -253,7 +284,8 @@ def _lock_step(
                 grad = grad[check - lo]
             face = free[check]
             nu = grad.min(axis=1, where=face, initial=np.inf)  # equality multiplier
-            grad[face] = np.inf  # the scores of the columns that may enter
+            # The scores of the columns that may enter.
+            np.copyto(grad, np.inf, where=face)
             j = grad.argmin(axis=1)
             done = grad[np.arange(check.size), j] >= nu - tol[check]
             live[check[done]] = False
@@ -267,29 +299,26 @@ def _lock_step(
             continue
         face_solves += solve.size
         w = _solve_faces(a, b, norms, free, solve)
-        face = free[solve]
-        inside = np.all(~face | (w > -_ZERO_TOL), axis=1)
+        # w is zero off each face, so its sign tests need no face mask.
+        inside = (w > -_ZERO_TOL).all(axis=1)
 
         if inside.any():
             done = solve[inside]
-            x = w[inside]
-            np.clip(x, 0.0, None, out=x)
-            s = x.sum(axis=1)
-            x[s > 0] /= s[s > 0, None]
+            x = np.maximum(w[inside], 0.0)
+            s = x.sum(axis=1, keepdims=True)
+            np.divide(x, s, out=x, where=s > 0)
             v[done] = x
             on_face[done] = False
         if inside.all():
             continue
         stop = solve[~inside]
-        x, w, face = v[stop], w[~inside], face[~inside]
-        blocking = face & (w < -_ZERO_TOL)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.where(blocking & (x > w), x / (x - w), np.inf)
-        alpha = np.minimum(1.0, steps.min(axis=1))
-        x = np.clip(x + alpha[:, None] * (w - x), 0.0, None)
+        x, w = v[stop], w[~inside]
+        blocking = w < -_ZERO_TOL
+        alpha = np.minimum(1.0, _steps(x, w, blocking).min(axis=1))
+        x = np.maximum(x + alpha[:, None] * (w - x), 0.0)
         x /= x.sum(axis=1, keepdims=True)
-        face &= ~(blocking & (x <= _ZERO_TOL))
-        v[stop], free[stop] = x, face
+        v[stop] = x
+        free[stop] &= ~(blocking & (x <= _ZERO_TOL))
         blocked[stop] += 1
         if (blocked[stop] == max_iter).any():
             raise RuntimeError(_INNER_LIMIT)
@@ -332,11 +361,14 @@ def simplex_lstsq(
     if max_iter is None:
         max_iter = 6 * n + 60
 
+    norms, start, tol = _start(a, b)
     if count == 1:
-        v, rounds, face_solves = _one_problem(a[0], b[0], max_iter)
+        v, rounds, face_solves = _one_problem(
+            a[0], b[0], norms[0], int(start[0]), float(tol[0]), max_iter
+        )
         v = v[None]
     else:
-        v, rounds, face_solves = _lock_step(a, b, max_iter)
+        v, rounds, face_solves = _lock_step(a, b, norms, start, tol, max_iter)
     if _logger.isEnabledFor(logging.DEBUG):
         _logger.debug(
             "simplex_lstsq: %d problems, %d rounds, %d face solves",

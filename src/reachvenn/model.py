@@ -93,8 +93,6 @@ def _reach_probabilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-BG (low, high) reach probabilities for the given d."""
     r = np.asarray(single_proportions, dtype=np.float64)
-    if math.isinf(d):
-        return np.zeros_like(r), np.ones_like(r)
     if d <= 1.0:
         raise ValueError("d must exceed 1")
     return r / d, 1.0 - (1.0 - r) / d
@@ -267,24 +265,34 @@ def fit_leave_one_out(
     is ``predict_row`` of row ``rows[j]`` of matrix i under the weights fitted
     on that matrix without the row to ``reaches`` without that entry.
 
-    The matrices share their rows.  All the fits are one stacked
-    ``simplex_lstsq`` call, and each gets the weights of its own
+    The matrices share their rows.  The stack of the fits is one gather of
+    every matrix's kept rows, in matrix-major order, and all the fits are one
+    stacked ``simplex_lstsq`` call, each with the weights of its own
     ``fit_segments`` call bit for bit.
     """
     m, n = matrices[0].entries.shape
-    pairs = [(matrix, row) for matrix in matrices for row in rows]
-    stack = np.zeros((len(pairs), m - 1, n + 1))
-    targets = np.empty((len(pairs), m - 1))
-    for (matrix, row), a, b in zip(pairs, stack, targets):
-        a[:row, :n] = matrix.entries[:row]
-        a[row:, :n] = matrix.entries[row + 1 :]
-        b[:] = np.delete(reaches, row) / matrix.universe_size
+    rows = np.asarray(rows, dtype=np.intp)
+    kept = np.arange(m - 1)
+    keep = kept + (kept >= rows[:, None])  # row j of keep: every row but rows[j]
+    stack = np.zeros((len(matrices), m, n + 1))  # with the zero slack column
+    stack[:, :, :n] = [matrix.entries for matrix in matrices]
+    # One gather of every matrix's kept rows.  np.take writes them in C order,
+    # so the reshape is a view.
+    stack = np.take(stack, keep, axis=1).reshape(-1, m - 1, n + 1)
+    universes = np.array([matrix.universe_size for matrix in matrices])
+    targets = np.asarray(reaches, dtype=np.float64)[keep] / universes[:, None, None]
+    targets = targets.reshape(-1, m - 1)
     v, _ = simplex_lstsq(stack, targets)
-    predictions = []
-    for (matrix, row), x in zip(pairs, v):
-        raw = float(matrix.entries[row] @ x[:-1]) * matrix.universe_size
-        predictions.append(min(max(raw, 0.0), matrix.universe_size))
-    return np.reshape(predictions, (len(matrices), len(rows)))
+    weights = v[:, :-1].reshape(len(matrices), rows.size, n)
+    return np.array(
+        [
+            [
+                _clamped_reach(matrix.entries[row], w, matrix.universe_size)
+                for row, w in zip(rows, ws)
+            ]
+            for matrix, ws in zip(matrices, weights)
+        ]
+    )
 
 
 def fit(dataset: ReachDataset, d: float) -> CiModel:
@@ -297,8 +305,13 @@ def fit(dataset: ReachDataset, d: float) -> CiModel:
 def predict_row(model: CiModel, row: np.ndarray) -> float:
     """Reach estimate for the subset whose segment row at the model's d and
     proportions is ``row``: row . w scaled to the universe, clamped into [0, U]."""
-    raw = float(row @ model.weights) * model.universe_size
-    return min(max(raw, 0.0), model.universe_size)
+    return _clamped_reach(row, model.weights, model.universe_size)
+
+
+def _clamped_reach(row: np.ndarray, weights: np.ndarray, universe: float) -> float:
+    """row . weights scaled to the universe, clamped into [0, universe]."""
+    raw = float(row @ weights) * universe
+    return min(max(raw, 0.0), universe)
 
 
 def predict(model: CiModel, target: SubsetMask) -> float:

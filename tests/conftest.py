@@ -1,10 +1,12 @@
-"""Shared fixtures: random ground truths and the projected-gradient oracle."""
+"""Shared fixtures: random ground truths, the projected-gradient oracle and
+the per-problem start rule of the least-squares solver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from reachvenn import lsq
 from reachvenn.core import (
     ReachDataset,
     RegionAllocation,
@@ -97,6 +99,17 @@ def pgd_simplex_lstsq(
         y = nxt + (t - 1.0) / t_next * (nxt - v)
         v, t = nxt, t_next
     raise RuntimeError("projected gradient oracle: no optimality certificate")
+
+
+def reference_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """One problem's column norms, start column and KKT tolerance, computed on
+    that problem alone; ``lsq._start`` must give every problem of a stack
+    these bits."""
+    norms = np.linalg.norm(a, axis=0)
+    start = int(np.argmin(np.linalg.norm(a - b[:, None], axis=0)))
+    top_a = max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
+    top_b = max(1.0, b.max(initial=0.0), -b.min(initial=0.0))
+    return norms, start, lsq._KKT_TOL * top_a * max(top_a, top_b)
 
 
 @pytest.fixture

@@ -2,17 +2,18 @@
 
 import logging
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachvenn import bounds, experiment, lsq, model, pipeline, synth
 from reachvenn.core import ReachDataset, ReachObservation
 from reachvenn.lsq import nnls, simplex_lstsq
 
-from conftest import pgd_simplex_lstsq
+from conftest import pgd_simplex_lstsq, reference_start
 
 
 def kkt_gap(a, b, v):
@@ -132,11 +133,13 @@ class TestSimplexLstsq:
 def random_stack(rng, kind, count, rows, cols):
     """A stack of problems: uniform entries, 0/1 incidence-like entries (ties
     and repeated columns), uniform entries with a repeated column and a zero
-    slack column, or normal entries scaled by up to 1e3 either way."""
+    slack column, or normal entries scaled by up to 1e3 either way, each
+    problem by its own power of ten, so that their KKT tolerances differ."""
     if kind == "incidence":
         a = rng.integers(0, 2, size=(count, rows, cols)).astype(float)
     elif kind == "scaled":
-        a = rng.normal(size=(count, rows, cols)) * 10.0 ** rng.integers(-3, 4)
+        scales = 10.0 ** rng.integers(-3, 4, size=(count, 1, 1))
+        a = rng.normal(size=(count, rows, cols)) * scales
     else:
         a = rng.uniform(0, 1, size=(count, rows, cols))
     if kind == "slack":
@@ -188,6 +191,80 @@ class TestStackedSimplexLstsq:
         assert v[:, 0].tolist() == [1.0, 1.0]
         with pytest.raises(RuntimeError, match="simplex_lstsq"):
             simplex_lstsq(a, b, max_iter=1)
+
+
+def start_stack(rng, kind, count, rows, cols):
+    """A stack for the start rule: uniform entries; all-negative entries of
+    up to 1e3; targets of either sign up to 1e3, beyond entries of up to 1e2; or
+    targets equal to a column that the stack repeats, so that two columns tie
+    for the nearest."""
+    a = rng.uniform(0, 1, size=(count, rows, cols))
+    b = rng.uniform(0, 1, size=(count, rows))
+    if kind == "negative":
+        a = -(a + 1e-3) * 10.0 ** rng.integers(0, 4)
+    elif kind == "large_b":
+        a = a * 10.0 ** rng.uniform(0, 2)
+        b = rng.uniform(-1e3, 1e3, size=(count, rows))
+    elif kind == "tie":
+        a[:, :, -1] = a[:, :, 0]
+        b = a[:, :, 0].copy()
+    return a, b
+
+
+class TestStart:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 6),
+        rows=st.integers(1, 20),
+        cols=st.integers(1, 70),
+        kind=st.sampled_from(["uniform", "negative", "large_b", "tie"]),
+        block=st.sampled_from([1, 100, lsq._START_BLOCK]),
+    )
+    @example(seed=0, count=0, rows=3, cols=4, kind="uniform", block=1)
+    @example(seed=1, count=1, rows=12, cols=65, kind="uniform", block=1)
+    @example(seed=2, count=3, rows=5, cols=6, kind="tie", block=lsq._START_BLOCK)
+    @example(seed=3, count=2, rows=4, cols=5, kind="negative", block=lsq._START_BLOCK)
+    @example(seed=4, count=2, rows=4, cols=5, kind="large_b", block=lsq._START_BLOCK)
+    @example(seed=5, count=5, rows=3, cols=10, kind="uniform", block=100)  # 3 + 2
+    def test_stack_equals_each_problem_alone(
+        self, seed, count, rows, cols, kind, block
+    ):
+        # Blocks of one problem, of a few problems and of the whole stack.
+        rng = np.random.default_rng(seed)
+        a, b = start_stack(rng, kind, count, rows, cols)
+        with mock.patch.object(lsq, "_START_BLOCK", block):
+            norms, start, tol = lsq._start(a, b)
+        assert norms.shape == (count, cols)
+        assert start.shape == tol.shape == (count,)
+        for i in range(count):
+            alone_norms, alone_start, alone_tol = reference_start(a[i], b[i])
+            assert np.array_equal(norms[i], alone_norms)
+            assert start[i] == alone_start
+            assert np.array_equal(tol[i], alone_tol)
+            if kind == "tie":
+                assert start[i] == 0  # the first of the two nearest columns
+
+
+class TestStackOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 7),
+        rows=st.integers(1, 9),
+        cols=st.integers(1, 12),
+        kind=st.sampled_from(["uniform", "incidence", "slack", "scaled"]),
+    )
+    def test_permuting_the_stack_permutes_the_solutions(
+        self, seed, count, rows, cols, kind
+    ):
+        rng = np.random.default_rng(seed)
+        a, b = random_stack(rng, kind, count, rows, cols)
+        order = rng.permutation(count)
+        v, rss = simplex_lstsq(a, b)
+        permuted, permuted_rss = simplex_lstsq(a[order], b[order])
+        assert permuted.tobytes() == v[order].tobytes()
+        assert permuted_rss.tobytes() == rss[order].tobytes()
 
 
 def noisy_dataset(num_bgs, seed, declare):
