@@ -226,6 +226,10 @@ class PrefixBound:
     pinned: float | None = None
 
 
+# ``incremental_curve_bounds`` modes: bound each prefix, or pin it at a bound.
+CURVE_MODES = ("free", "upper", "lower")
+
+
 def incremental_curve_bounds(
     dataset: ReachDataset,
     order: Sequence[int],
@@ -234,7 +238,7 @@ def incremental_curve_bounds(
     """Bounds along an incremental reach curve for one BG permutation.
 
     For each strict prefix (lengths 2..P-1) of ``order``, computes the
-    prefix-union's reach bounds.  In ``upper_trace``/``lower_trace`` mode the
+    prefix-union's reach bounds.  In ``upper``/``lower`` mode the
     prefix is pinned at its upper/lower bound as an extra observation before
     moving on, tracing one boundary of the feasible curve region; ``free``
     mode bounds every prefix against the original observations only.
@@ -242,7 +246,7 @@ def incremental_curve_bounds(
     num_bgs = dataset.num_bgs
     if sorted(order) != list(range(1, num_bgs + 1)):
         raise ValueError(f"order must be a permutation of 1..{num_bgs}")
-    if mode not in ("free", "upper_trace", "lower_trace"):
+    if mode not in CURVE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
     results: list[PrefixBound] = []
@@ -254,7 +258,7 @@ def incremental_curve_bounds(
         if mode == "free":
             results.append(PrefixBound(k, prefix, interval))
             continue
-        pinned = interval.upper if mode == "upper_trace" else interval.lower
+        pinned = interval.upper if mode == "upper" else interval.lower
         results.append(PrefixBound(k, prefix, interval, pinned=pinned))
         if current.reach_of(prefix) is None:
             current = current.with_observation(prefix, pinned)

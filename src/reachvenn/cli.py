@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import io
 from .bounds import (
+    CURVE_MODES,
     BoundsSolver,
     check_consistency,
     incremental_curve_bounds,
@@ -111,11 +111,10 @@ def cmd_bounds(args) -> int:
 def cmd_curve(args) -> int:
     dataset = io.load_dataset(args.dataset)
     order = [int(tok) for tok in args.order.split(",")]
-    mode = {"free": "free", "upper": "upper_trace", "lower": "lower_trace"}[args.mode]
-    rows = incremental_curve_bounds(dataset, order, mode)
+    rows = incremental_curve_bounds(dataset, order, args.mode)
     writer = sys.stdout
     header = "prefix_length,subset,lower,upper"
-    if mode != "free":
+    if args.mode != "free":
         header += ",pinned"
     writer.write(header + "\n")
     for row in rows:
@@ -123,7 +122,7 @@ def cmd_curve(args) -> int:
             f"{row.prefix_length},{row.subset.to_string()},"
             f"{row.interval.lower},{row.interval.upper}"
         )
-        if mode != "free":
+        if args.mode != "free":
             line += f",{row.pinned}"
         writer.write(line + "\n")
     return EXIT_OK
@@ -133,7 +132,7 @@ def cmd_fit(args) -> int:
     session = Session(io.load_dataset(args.dataset))
     d, policy = resolve_d(session, _parse_d(args.d))
     model = session.model(d)
-    payload = model.to_json_dict()
+    payload = io.model_to_dict(model)
     payload["d_policy"] = policy
     payload["repaired"] = session.repaired
     if args.out is not None:
@@ -163,7 +162,7 @@ def cmd_predict(args) -> int:
         "target": target.to_string(),
         "point": estimate.point,
         "interval_100": _interval_dict(estimate.interval_100),
-        "d": "inf" if math.isinf(estimate.d) else estimate.d,
+        "d": io.d_to_json(estimate.d),
         "d_policy": estimate.d_policy,
         "universe_size": estimate.universe_size,
         "repaired": estimate.repaired,
@@ -239,14 +238,9 @@ def cmd_experiment(args) -> int:
     )
     payload = report.to_json_dict()
     if args.out is not None:
-        with open(args.out, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        payload_summary = dict(payload)
-        payload_summary.pop("errors")
-        _emit(payload_summary)
-    else:
-        _emit(payload)
+        io.write_json(payload, args.out)
+        del payload["errors"]
+    _emit(payload)
     return EXIT_OK
 
 
@@ -269,7 +263,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("curve", help="incremental reach curve bounds (CSV)")
     p.add_argument("dataset")
     p.add_argument("--order", required=True, help="BG permutation, e.g. 1,2,3,4,5")
-    p.add_argument("--mode", choices=["free", "upper", "lower"], default="free")
+    p.add_argument("--mode", choices=CURVE_MODES, default="free")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("fit", help="fit the conditional-independence model")

@@ -34,6 +34,13 @@ class UnavailableError(ReachVennError):
     """The requested quantity cannot be computed from the given data."""
 
 
+def check_num_bgs(num_bgs: int) -> None:
+    """Raise ValueError unless 2 <= ``num_bgs`` <= ``MAX_BGS``: the one rule on
+    BG counts, run before anything sized by 2**num_bgs is built."""
+    if not 2 <= num_bgs <= MAX_BGS:
+        raise ValueError(f"num_bgs must be in [2, {MAX_BGS}], got {num_bgs}")
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of the P buying groups, encoded as a bit mask.
@@ -48,8 +55,7 @@ class SubsetMask:
     num_bgs: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.num_bgs <= MAX_BGS:
-            raise ValueError(f"num_bgs must be in [2, {MAX_BGS}], got {self.num_bgs}")
+        check_num_bgs(self.num_bgs)
         if not 0 <= self.bits < (1 << self.num_bgs):
             raise ValueError(f"bits {self.bits} out of range for {self.num_bgs} BGs")
 
@@ -101,8 +107,7 @@ class SubsetMask:
 
 def enumerate_masks(num_bgs: int) -> list[SubsetMask]:
     """All non-zero subset masks of P = ``num_bgs`` BGs, ascending by index."""
-    if num_bgs < 2:
-        raise ValueError("num_bgs must be at least 2")
+    check_num_bgs(num_bgs)
     return [SubsetMask(j, num_bgs) for j in range(1, 1 << num_bgs)]
 
 
@@ -152,8 +157,7 @@ class ReachDataset:
     observations: tuple[ReachObservation, ...]
 
     def __post_init__(self) -> None:
-        if not 2 <= self.num_bgs <= MAX_BGS:
-            raise ValueError(f"num_bgs must be in [2, {MAX_BGS}]")
+        check_num_bgs(self.num_bgs)
         if self.universe_size is not None and not (
             np.isfinite(self.universe_size) and self.universe_size > 0
         ):
@@ -253,6 +257,7 @@ class RegionAllocation:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        check_num_bgs(self.num_bgs)
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != (1 << self.num_bgs,):
             raise ValueError(

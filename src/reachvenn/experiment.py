@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import repair_dataset
 from .core import ReachDataset, ReachObservation, SubsetMask, enumerate_masks
@@ -57,7 +57,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "generator": self.generator.to_json_dict(),
+            "generator": asdict(self.generator),
             "num_bgs": self.generator.num_bgs,
             "replicates": self.replicates,
             "seed": self.seed,

@@ -9,18 +9,39 @@ A dataset document looks like::
 Subset strings follow the canonical convention: character k (from the left)
 is BG k+1's flag.  Ground-truth files add an ``allocation`` array of 2**P
 region reaches (used by test oracles and the selection harness) and,
-when produced by a generator, its parameters.
+when produced by a generator, its parameters.  A model document holds a
+``CiModel``'s fields, with an infinite d written as the string "inf"::
+
+    {"num_bgs": 2, "d": 2.5, "universe_size": 10.0,
+     "single_bg_proportions": [0.3, 0.3], "weights": [0.0, 0.2, 0.2, 0.3],
+     "training_residual": 0.0}
+
+Every file's ``num_bgs`` must lie in [2, ``core.MAX_BGS``], and every file is
+written by ``write_json``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .core import ReachDataset, RegionAllocation
+from .core import ReachDataset, RegionAllocation, basic_masks
 from .model import CiModel
-from .synth import GroundTruth
+from .synth import GroundTruth, true_reach
+
+
+def write_json(payload: dict, path: str | Path) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2, with a final newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
+def d_to_json(d: float) -> float | str:
+    """``d`` as JSON: the string "inf" for infinity, which JSON cannot spell."""
+    return "inf" if math.isinf(d) else d
 
 
 def _document(payload, keys: tuple[str, ...], what: str) -> dict:
@@ -88,17 +109,12 @@ def load_dataset(path: str | Path) -> ReachDataset:
 
 
 def save_dataset(dataset: ReachDataset, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(dataset_to_dict(dataset), handle, indent=2)
-        handle.write("\n")
+    write_json(dataset_to_dict(dataset), path)
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
     """Dataset-format document (basic observations included) with the extra
     ``allocation`` field that test oracles and the selection harness read."""
-    from .core import basic_masks
-    from .synth import true_reach
-
     spec = truth.generator
     return {
         "num_bgs": spec.num_bgs,
@@ -108,14 +124,12 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
             for m in basic_masks(spec.num_bgs)
         ],
         "allocation": truth.allocation.values.tolist(),
-        "generator": spec.to_json_dict(),
+        "generator": asdict(spec),
     }
 
 
 def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(ground_truth_to_dict(truth), handle, indent=2)
-        handle.write("\n")
+    write_json(ground_truth_to_dict(truth), path)
 
 
 def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
@@ -136,21 +150,33 @@ def _numbers(values, what: str) -> list[float]:
     return [_number(value, what) for value in values]
 
 
+def model_to_dict(model: CiModel) -> dict:
+    return {
+        "num_bgs": model.num_bgs,
+        "d": d_to_json(model.d),
+        "universe_size": model.universe_size,
+        "single_bg_proportions": model.single_bg_proportions.tolist(),
+        "weights": model.weights.tolist(),
+        "training_residual": model.training_residual,
+    }
+
+
 def load_model(path: str | Path) -> CiModel:
     with open(path) as handle:
         keys = tuple(f.name for f in fields(CiModel))
         payload = _document(json.load(handle), keys, "a model")
-    _integer(payload["num_bgs"], "num_bgs")
-    if payload["d"] != "inf":
-        _number(payload["d"], "d")
-    for key in ("universe_size", "training_residual"):
-        _number(payload[key], key)
-    for key in ("single_bg_proportions", "weights"):
-        _numbers(payload[key], key)
-    return CiModel.from_json_dict(payload)
+    d = payload["d"]
+    return CiModel(
+        num_bgs=_integer(payload["num_bgs"], "num_bgs"),
+        d=math.inf if d == "inf" else _number(d, "d"),
+        universe_size=_number(payload["universe_size"], "universe_size"),
+        training_residual=_number(payload["training_residual"], "training_residual"),
+        single_bg_proportions=_numbers(
+            payload["single_bg_proportions"], "single_bg_proportions"
+        ),
+        weights=_numbers(payload["weights"], "weights"),
+    )
 
 
 def save_model(model: CiModel, path: str | Path) -> None:
-    with open(path, "w") as handle:
-        json.dump(model.to_json_dict(), handle, indent=2)
-        handle.write("\n")
+    write_json(model_to_dict(model), path)

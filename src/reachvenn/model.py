@@ -36,6 +36,7 @@ from .core import (
     ReachDataset,
     SubsetMask,
     UnavailableError,
+    check_num_bgs,
 )
 from .lsq import simplex_lstsq
 
@@ -65,8 +66,6 @@ def estimate_universe(dataset: ReachDataset) -> float:
         raise InconsistencyError("inconsistent basics: a single-BG reach exceeds the union")
     if sum(singles) <= union:
         raise UnavailableError("no finite independent universe: the BGs do not overlap")
-    if union <= 0:
-        raise UnavailableError("no finite independent universe: union reach is zero")
 
     def gap(u: float) -> float:
         return float(np.prod([1.0 - s / u for s in singles]) - (1.0 - union / u))
@@ -189,6 +188,7 @@ class CiModel:
     training_residual: float
 
     def __post_init__(self) -> None:
+        check_num_bgs(self.num_bgs)
         w = np.asarray(self.weights, dtype=np.float64)
         r = np.asarray(self.single_bg_proportions, dtype=np.float64)
         if w.shape != (1 << self.num_bgs,) or r.shape != (self.num_bgs,):
@@ -212,28 +212,6 @@ class CiModel:
         r.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "single_bg_proportions", r)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "num_bgs": self.num_bgs,
-            "d": "inf" if math.isinf(self.d) else self.d,
-            "universe_size": self.universe_size,
-            "single_bg_proportions": self.single_bg_proportions.tolist(),
-            "weights": self.weights.tolist(),
-            "training_residual": self.training_residual,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CiModel":
-        d = payload["d"]
-        return cls(
-            num_bgs=int(payload["num_bgs"]),
-            d=math.inf if d == "inf" else float(d),
-            universe_size=float(payload["universe_size"]),
-            single_bg_proportions=np.array(payload["single_bg_proportions"]),
-            weights=np.array(payload["weights"]),
-            training_residual=float(payload["training_residual"]),
-        )
 
 
 def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:

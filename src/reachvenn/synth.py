@@ -14,16 +14,17 @@ derived as seed XOR replicate_index so runs parallelize reproducibly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    MAX_BGS,
     ReachDataset,
     ReachObservation,
     RegionAllocation,
     SubsetMask,
+    check_num_bgs,
+    dataset_from_allocation,
     subset_reach_from_allocation,
 )
 
@@ -57,8 +58,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("ci_groups", "dirichlet"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not 2 <= self.num_bgs <= MAX_BGS:
-            raise ValueError(f"num_bgs must be in [2, {MAX_BGS}], got {self.num_bgs}")
+        check_num_bgs(self.num_bgs)
         if self.kind == "ci_groups" and self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
         for name in ("universe_size", "alpha", "reach_beta_a", "reach_beta_b"):
@@ -68,9 +68,6 @@ class GeneratorSpec:
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -140,13 +137,7 @@ def true_reach(truth: GroundTruth, subset: SubsetMask) -> float:
 def true_dataset(truth: GroundTruth, masks: list[SubsetMask]) -> ReachDataset:
     """Exact observations of ``masks`` under the ground truth, with its
     universe size declared."""
-    return ReachDataset(
-        num_bgs=truth.generator.num_bgs,
-        universe_size=truth.generator.universe_size,
-        observations=tuple(
-            ReachObservation(m, true_reach(truth, m)) for m in masks
-        ),
-    )
+    return dataset_from_allocation(truth.allocation, masks, truth.generator.universe_size)
 
 
 def add_measurement_noise(

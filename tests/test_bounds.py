@@ -575,8 +575,8 @@ class TestIncrementalCurves:
     def test_traces_bracket_and_stay_inside_free(self):
         ds = five_bg_with_extras()
         free = incremental_curve_bounds(ds, [1, 2, 3, 4, 5], "free")
-        upper = incremental_curve_bounds(ds, [1, 2, 3, 4, 5], "upper_trace")
-        lower = incremental_curve_bounds(ds, [1, 2, 3, 4, 5], "lower_trace")
+        upper = incremental_curve_bounds(ds, [1, 2, 3, 4, 5], "upper")
+        lower = incremental_curve_bounds(ds, [1, 2, 3, 4, 5], "lower")
         for f, u, l in zip(free, upper, lower):
             assert u.pinned >= l.pinned - 1e-6
             assert f.interval.contains(u.pinned, tol=1e-6 * ds.scale)

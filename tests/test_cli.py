@@ -617,6 +617,40 @@ class TestUsageErrors:
         assert err.startswith(f"error: {field} must")
         assert "Traceback" not in err
 
+    # The BG-count rule runs before anything sized by 2**num_bgs is built:
+    # at 10**6 that size alone would not fit in memory.
+    @pytest.mark.parametrize("num_bgs", [21, 10**6])
+    def test_model_with_out_of_range_num_bgs(
+        self, capsys, tmp_path, triangle_file, num_bgs
+    ):
+        model_path = tmp_path / "model.json"
+        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
+        assert code == 0
+        payload = json.loads(model_path.read_text())
+        payload["num_bgs"] = num_bgs
+        model_path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"error: num_bgs must be in [2, 20], got {num_bgs}\n"
+
+    @pytest.mark.parametrize("num_bgs", [21, 10**6])
+    def test_truth_file_with_out_of_range_num_bgs(
+        self, capsys, tmp_path, triangle_file, num_bgs
+    ):
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text(
+            f'{{"num_bgs": {num_bgs}, "allocation": [0, 1, 1, 1, 1, 1, 1, 1]}}'
+        )
+        code, out, err = run_cli(
+            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err == f"error: num_bgs must be in [2, 20], got {num_bgs}\n"
+
     def test_negative_budget(self, capsys, tmp_path):
         truth_path = tmp_path / "truth.json"
         io.save_ground_truth(independent_truth(3, 0.2, 1000.0), truth_path)

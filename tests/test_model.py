@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reachvenn import io
 from reachvenn.core import (
     InconsistencyError,
     ReachDataset,
@@ -52,9 +53,11 @@ class TestEstimateUniverse:
         assert estimate_universe(ds) == pytest.approx(400.0, rel=1e-9)
 
     def test_disjoint_bgs_have_no_finite_universe(self):
-        ds = ReachDataset.from_pairs(2, [("10", 100.0), ("01", 100.0), ("11", 200.0)])
-        with pytest.raises(UnavailableError, match="no finite independent universe"):
-            estimate_universe(ds)
+        # All-zero basics are the limit case: no reach, so no overlap either.
+        for reaches in ((100.0, 100.0, 200.0), (0.0, 0.0, 0.0)):
+            ds = ReachDataset.from_pairs(2, zip(("10", "01", "11"), reaches))
+            with pytest.raises(UnavailableError, match="do not overlap"):
+                estimate_universe(ds)
 
     def test_single_above_union_is_inconsistent(self):
         ds = ReachDataset.from_pairs(2, [("10", 300.0), ("01", 100.0), ("11", 200.0)])
@@ -308,13 +311,20 @@ class TestMinPerfectFitD:
 
 
 class TestModelSerialization:
-    def test_json_round_trip(self, rng):
+    def test_json_round_trip(self, rng, tmp_path):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=500.0)
-        model = fit(ds, math.inf)
-        clone = CiModel.from_json_dict(model.to_json_dict())
-        assert clone.d == model.d
-        assert clone.universe_size == model.universe_size
-        assert np.array_equal(clone.weights, model.weights)
-        finite = fit(ds, 2.5)
-        clone2 = CiModel.from_json_dict(finite.to_json_dict())
-        assert clone2.d == 2.5
+        for d in (math.inf, 2.5):
+            model = fit(ds, d)
+            path, again = tmp_path / "model.json", tmp_path / "again.json"
+            io.save_model(model, path)
+            clone = io.load_model(path)
+            assert clone.d == d
+            assert clone.num_bgs == model.num_bgs
+            assert clone.universe_size == model.universe_size
+            assert clone.training_residual == model.training_residual
+            assert np.array_equal(clone.weights, model.weights)
+            assert np.array_equal(
+                clone.single_bg_proportions, model.single_bg_proportions
+            )
+            io.save_model(clone, again)
+            assert again.read_bytes() == path.read_bytes()
