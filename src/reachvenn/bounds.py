@@ -142,12 +142,10 @@ class BoundsSolver:
 
 
 def _upper_cap(dataset: ReachDataset) -> float:
-    """Scaled fallback ceiling for targets the observations cannot pin down."""
+    """Scaled ceiling for a target the observations leave unbounded above:
+    the universe size when declared, else the sum of the observed reaches."""
     if dataset.universe_size is not None:
         return 1.0
-    singles = [o.reach for o in dataset.observations if o.subset.popcount == 1]
-    if len(singles) == dataset.num_bgs:
-        return float(sum(singles)) / dataset.scale
     return float(sum(o.reach for o in dataset.observations)) / dataset.scale
 
 
@@ -187,8 +185,8 @@ def subset_bounds(dataset: ReachDataset, target: SubsetMask) -> BoundInterval:
     Every value in the interval is realized by some non-negative allocation
     consistent with the data, and no value outside is.  Raises
     InconsistencyError for inconsistent datasets; an upper bound that only
-    the cap policy provides (universe size, else the sum of the observed
-    single-BG reaches) carries ``upper_capped=True``.
+    the cap provides (the universe size when declared, else the sum of the
+    observed reaches) carries ``upper_capped=True``.
     """
     return BoundsSolver(dataset).bounds(target)
 

@@ -236,7 +236,7 @@ def cmd_experiment(args) -> int:
     report = run_experiment(
         spec, replicates=args.replicates, seed=args.seed, max_workers=args.workers
     )
-    payload = report.to_json_dict()
+    payload = io.report_to_dict(report)
     if args.out is not None:
         io.write_json(payload, args.out)
         del payload["errors"]

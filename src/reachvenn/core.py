@@ -34,6 +34,13 @@ class UnavailableError(ReachVennError):
     """The requested quantity cannot be computed from the given data."""
 
 
+def frozen(values) -> np.ndarray:
+    """A read-only C-ordered float64 copy of ``values``."""
+    arr = np.array(values, dtype=np.float64, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def check_num_bgs(num_bgs: int) -> None:
     """Raise ValueError unless 2 <= ``num_bgs`` <= ``MAX_BGS``: the one rule on
     BG counts, run before anything sized by 2**num_bgs is built."""
@@ -209,8 +216,7 @@ class ReachDataset:
     def has_basic_points(self) -> bool:
         """True iff all single-BG masks and the all-ones mask are observed."""
         present = {o.subset.index for o in self.observations}
-        needed = {1 << i for i in range(self.num_bgs)} | {(1 << self.num_bgs) - 1}
-        return needed <= present
+        return {m.index for m in basic_masks(self.num_bgs)} <= present
 
     @property
     def scale(self) -> float:
@@ -266,9 +272,7 @@ class RegionAllocation:
         # Written so that NaN fails it too.
         if not np.all((arr >= 0) & (arr < np.inf)):
             raise ValueError("allocation entries must be finite and non-negative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen(arr))
 
     @classmethod
     def from_values(
@@ -319,8 +323,9 @@ def dataset_from_allocation(
 class BoundInterval:
     """Lower and upper reach bounds for one subset.
 
-    ``upper_capped`` marks an upper bound imposed by the cap policy (universe
-    size or the sum of single-BG reaches) rather than by the observations.
+    ``upper_capped`` marks an upper bound imposed by the cap (the universe
+    size when declared, else the sum of the observed reaches) rather than by
+    the observations.
     """
 
     lower: float

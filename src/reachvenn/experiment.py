@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .bounds import repair_dataset
 from .core import ReachDataset, ReachObservation, SubsetMask, enumerate_masks
@@ -54,18 +54,6 @@ class ExperimentReport:
     @property
     def error_count(self) -> int:
         return sum(len(row) for row in self.errors)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "generator": asdict(self.generator),
-            "num_bgs": self.generator.num_bgs,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "q90": self.q90,
-            "error_count": self.error_count,
-            "runtime_seconds": self.runtime_seconds,
-            "errors": [list(row) for row in self.errors],
-        }
 
 
 def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[float]:
@@ -117,14 +105,8 @@ def run_experiment(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(
-                pool.map(
-                    run_replicate,
-                    [spec] * replicates,
-                    range(replicates),
-                    [seed] * replicates,
-                )
-            )
+            specs, seeds = [spec] * replicates, [seed] * replicates
+            rows = list(pool.map(run_replicate, specs, range(replicates), seeds))
     else:
         rows = [run_replicate(spec, i, seed) for i in range(replicates)]
     elapsed = time.perf_counter() - started

@@ -1,4 +1,4 @@
-"""JSON file formats for datasets, ground truths, and fitted models.
+"""JSON file formats: datasets, ground truths, fitted models, experiment reports.
 
 A dataset document looks like::
 
@@ -17,7 +17,7 @@ when produced by a generator, its parameters.  A model document holds a
      "training_residual": 0.0}
 
 Every file's ``num_bgs`` must lie in [2, ``core.MAX_BGS``], and every file is
-written by ``write_json``.
+read by ``read_json`` and written by ``write_json``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,18 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .core import ReachDataset, RegionAllocation, basic_masks
+from .experiment import ExperimentReport
 from .model import CiModel
 from .synth import GroundTruth, true_reach
+
+
+def read_json(path: str | Path):
+    """The JSON document in ``path``; one nested too deep to parse is a ValueError."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def write_json(payload: dict, path: str | Path) -> None:
@@ -104,8 +114,7 @@ def dataset_from_dict(payload: dict) -> ReachDataset:
 
 
 def load_dataset(path: str | Path) -> ReachDataset:
-    with open(path) as handle:
-        return dataset_from_dict(json.load(handle))
+    return dataset_from_dict(read_json(path))
 
 
 def save_dataset(dataset: ReachDataset, path: str | Path) -> None:
@@ -134,8 +143,7 @@ def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
 
 def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
     """Read a ground-truth file down to (allocation, universe_size)."""
-    with open(path) as handle:
-        payload = _document(json.load(handle), ("num_bgs", "allocation"), "a truth file")
+    payload = _document(read_json(path), ("num_bgs", "allocation"), "a truth file")
     num_bgs = _integer(payload["num_bgs"], "num_bgs")
     values = _numbers(payload["allocation"], "allocation")
     universe = payload.get("universe_size")
@@ -162,9 +170,8 @@ def model_to_dict(model: CiModel) -> dict:
 
 
 def load_model(path: str | Path) -> CiModel:
-    with open(path) as handle:
-        keys = tuple(f.name for f in fields(CiModel))
-        payload = _document(json.load(handle), keys, "a model")
+    keys = tuple(f.name for f in fields(CiModel))
+    payload = _document(read_json(path), keys, "a model")
     d = payload["d"]
     return CiModel(
         num_bgs=_integer(payload["num_bgs"], "num_bgs"),
@@ -180,3 +187,16 @@ def load_model(path: str | Path) -> CiModel:
 
 def save_model(model: CiModel, path: str | Path) -> None:
     write_json(model_to_dict(model), path)
+
+
+def report_to_dict(report: ExperimentReport) -> dict:
+    return {
+        "generator": asdict(report.generator),
+        "num_bgs": report.generator.num_bgs,
+        "replicates": report.replicates,
+        "seed": report.seed,
+        "q90": report.q90,
+        "error_count": report.error_count,
+        "runtime_seconds": report.runtime_seconds,
+        "errors": [list(row) for row in report.errors],
+    }

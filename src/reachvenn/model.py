@@ -37,11 +37,23 @@ from .core import (
     SubsetMask,
     UnavailableError,
     check_num_bgs,
+    frozen,
 )
 from .lsq import simplex_lstsq
 
 # Residuals at or below this (squared, proportion scale) count as a perfect fit.
 PERFECT_FIT_EPS = 1e-9
+
+
+def _single_reaches(dataset: ReachDataset) -> list[float]:
+    """The observed single-BG reaches, BG 1 first."""
+    num_bgs = dataset.num_bgs
+    return [dataset.reach_of(SubsetMask.single(i, num_bgs)) for i in range(1, num_bgs + 1)]
+
+
+def dataset_universe(dataset: ReachDataset) -> float:
+    """The declared universe size, else ``estimate_universe``'s."""
+    return dataset.universe_size or estimate_universe(dataset)
 
 
 def estimate_universe(dataset: ReachDataset) -> float:
@@ -58,10 +70,7 @@ def estimate_universe(dataset: ReachDataset) -> float:
     if not dataset.has_basic_points:
         raise ValueError("universe estimation needs all single-BG and union reaches")
     union = dataset.reach_of(SubsetMask.full(dataset.num_bgs))
-    singles = [
-        dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
-        for i in range(1, dataset.num_bgs + 1)
-    ]
+    singles = _single_reaches(dataset)
     if any(s > union for s in singles):
         raise InconsistencyError("inconsistent basics: a single-BG reach exceeds the union")
     if sum(singles) <= union:
@@ -87,16 +96,6 @@ def estimate_universe(dataset: ReachDataset) -> float:
     return 0.5 * (lo + hi)
 
 
-def _reach_probabilities(
-    single_proportions: np.ndarray, d: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-BG (low, high) reach probabilities for the given d."""
-    r = np.asarray(single_proportions, dtype=np.float64)
-    if d <= 1.0:
-        raise ValueError("d must exceed 1")
-    return r / d, 1.0 - (1.0 - r) / d
-
-
 def segment_rows(
     subsets: Sequence[SubsetMask], single_proportions: np.ndarray, d: float
 ) -> np.ndarray:
@@ -109,7 +108,10 @@ def segment_rows(
     ascending order from 1.0, and a BG outside a subset multiplies its row
     by exactly 1.0, so each row has the bits of a product over its own BGs.
     """
-    low, high = _reach_probabilities(single_proportions, d)
+    if d <= 1.0:
+        raise ValueError("d must exceed 1")
+    r = np.asarray(single_proportions, dtype=np.float64)
+    low, high = r / d, 1.0 - (1.0 - r) / d  # per-BG reach probabilities
     if any(subset.num_bgs != low.size for subset in subsets):
         raise ValueError(f"subsets must have {low.size} BGs")
     if any(subset.is_empty for subset in subsets):
@@ -143,10 +145,7 @@ class SegmentMatrix:
     single_bg_proportions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", frozen(self.entries))
 
 
 def build_segment_matrix(
@@ -155,18 +154,14 @@ def build_segment_matrix(
     """Segment matrix for the dataset's observed masks at parameter ``d``.
 
     The rows are the masks in ascending canonical order.  The single-BG
-    proportions come from ``universe_size`` when given, else from the
-    declared universe size, else from ``estimate_universe``.
+    proportions come from ``universe_size`` when given, else from
+    ``dataset_universe``.
     """
     if not dataset.has_basic_points:
         raise ValueError("fitting needs all single-BG reaches and the union reach")
     rows = dataset.masks()
-    universe = universe_size or dataset.universe_size or estimate_universe(dataset)
-    singles = [
-        dataset.reach_of(SubsetMask.single(i, dataset.num_bgs))
-        for i in range(1, dataset.num_bgs + 1)
-    ]
-    proportions = np.array(singles, dtype=np.float64) / universe
+    universe = universe_size or dataset_universe(dataset)
+    proportions = np.array(_single_reaches(dataset), dtype=np.float64) / universe
     entries = segment_rows(rows, proportions, d)
     return SegmentMatrix(d, rows, entries, float(universe), proportions)
 
@@ -206,12 +201,8 @@ class CiModel:
             raise ValueError("weights must be finite and non-negative with sum <= 1")
         if not (math.isfinite(self.training_residual) and self.training_residual >= 0):
             raise ValueError("training_residual must be finite and non-negative")
-        w = w.copy()
-        w.flags.writeable = False
-        r = r.copy()
-        r.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "single_bg_proportions", r)
+        object.__setattr__(self, "weights", frozen(w))
+        object.__setattr__(self, "single_bg_proportions", frozen(r))
 
 
 def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:

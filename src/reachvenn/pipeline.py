@@ -3,15 +3,17 @@
 Glues the model-free and model-based halves together: adaptive selection of
 the next subset to measure (largest bound gap first), leave-one-out cross
 validation of the tuning parameter d on the non-basic training points, error
-bars from the validation-error quantiles, and a one-call estimator returning
-a point estimate inside its 100%-confidence interval.  All of these read one
-``Session`` per dataset, which computes each fact they share once: it holds
-one universe size and one segment matrix per d.  A held-out point is a row
-number: its leave-one-out prediction is a query on the stacked fit of that
-matrix without the row (``fit_leave_one_out``, all d at once), and its bounds
-a query on the session's one bounds solver (``BoundsSolver.bounds_without``),
-which runs no new phase 1.  A batch of targets takes its bounds from one
-``bounds_many`` call and its segment rows from one ``segment_rows`` call.
+bars from the validation-error quantiles, and a one-call estimator that
+predicts the target once: it clamps that point into its 100%-confidence
+interval, and ``error_bar`` centres the alpha%-interval on the unclamped
+point.  All of these read one ``Session`` per dataset, which computes each
+fact they share once: it holds one universe size and one segment matrix per
+d.  A held-out point is a row number: its leave-one-out prediction is a query
+on the stacked fit of that matrix without the row (``fit_leave_one_out``, all
+d at once), and its bounds a query on the session's one bounds solver
+(``BoundsSolver.bounds_without``), which runs no new phase 1.  A batch of
+targets takes its bounds from one ``bounds_many`` call and its segment rows
+from one ``segment_rows`` call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .model import (
     CiModel,
     SegmentMatrix,
     build_segment_matrix,
-    estimate_universe,
+    dataset_universe,
     fit_leave_one_out,
     fit_segments,
     predict_row,
@@ -184,8 +186,8 @@ class Session:
 
     @functools.cached_property
     def universe_size(self) -> float:
-        """The declared universe size, else ``estimate_universe``'s."""
-        return self.dataset.universe_size or estimate_universe(self.dataset)
+        """``dataset_universe`` of the dataset."""
+        return dataset_universe(self.dataset)
 
     @functools.cached_property
     def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval, float]]:
@@ -306,19 +308,18 @@ def alpha_interval(
 
 
 def error_bar(
-    session: Session, d: float, target: SubsetMask, alpha: float
+    session: Session, d: float, estimate: Estimate, alpha: float
 ) -> BoundInterval:
-    """alpha%-confidence interval around the model estimate for ``target``.
+    """alpha%-confidence interval around the unclamped model ``estimate`` at d.
 
     The alpha-th nearest-rank percentile q of the absolute leave-one-out
-    relative errors (at the final d) scales the bound gap: the interval is
-    [estimate - q/2*gap, estimate + q/2*gap] intersected with the
+    relative errors (at d) scales the bound gap: the interval is
+    [point - q/2*gap, point + q/2*gap] intersected with the estimate's
     100%-confidence interval.  Requires n > P+1.
     """
     if not session.has_spare_points:
         raise UnavailableError("error bar unavailable: no validation points")
     q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_errors(d)], alpha)
-    estimate = session.estimate(session.model(d), target, clamp=False)
     return alpha_interval(estimate.point, estimate.interval_100, q_alpha)
 
 
@@ -373,20 +374,22 @@ def estimate_subset(
 
     Repairs the data if inconsistent, settles the universe size and d
     (cross-validation when there are spare points, d = infinity otherwise),
-    fits, predicts, and pairs the point with the model-free interval.  The
-    point is clamped into the interval unless options.clamp is off; an
-    alpha%-interval is attached when requested and achievable.
+    fits, and predicts and bounds the target once.  The point is clamped into
+    the interval unless options.clamp is off; an alpha%-interval around the
+    unclamped point is attached when requested and achievable.
     """
     options = options or EstimateOptions()
     if not dataset.has_basic_points:
         raise ValueError("estimation needs the basic observations")
     session = Session(dataset)
     d, policy = resolve_d(session, options.d)
-    estimate = session.estimate(session.model(d), target, options.clamp)
+    estimate = session.estimate(session.model(d), target, clamp=False)
     interval_alpha = alpha = None
     if options.alpha is not None and session.has_spare_points:
-        interval_alpha = error_bar(session, d, target, options.alpha)
+        interval_alpha = error_bar(session, d, estimate, options.alpha)
         alpha = options.alpha
+    if options.clamp:
+        estimate = replace(estimate, point=estimate.interval_100.clamp(estimate.point))
     return replace(
         estimate, d=d, d_policy=policy, interval_alpha=interval_alpha, alpha=alpha
     )

@@ -226,6 +226,21 @@ class TestSubsetBounds:
         assert interval.upper_capped
         assert interval.upper == pytest.approx(40.0)
 
+    @pytest.mark.parametrize("universe", [None, 1000.0])
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_every_single_observed_needs_no_cap(self, rng, universe, extra):
+        # Each non-empty region lies in some single's row, so the observed
+        # singles bound every target's maximum and no cap applies.
+        for num_bgs in range(3, 9):
+            singles = [SubsetMask.single(i, num_bgs) for i in range(1, num_bgs + 1)]
+            others = [m for m in enumerate_masks(num_bgs) if m.popcount > 1]
+            picks = rng.choice(len(others), size=extra, replace=False)
+            masks = singles + [others[i] for i in sorted(picks)]
+            alloc = random_allocation(rng, num_bgs, 1000.0)
+            ds = dataset_from_allocation(alloc, masks, universe_size=universe)
+            intervals = BoundsSolver(ds).bounds_many(enumerate_masks(num_bgs))
+            assert not any(interval.upper_capped for interval in intervals)
+
     def test_monotone_refinement(self, rng):
         for _ in range(10):
             num_bgs = int(rng.integers(3, 6))

@@ -651,6 +651,27 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: num_bgs must be in [2, 20], got {num_bgs}\n"
 
+    # json.load raises RecursionError, a RuntimeError, on a document nested
+    # this deep; such a file is malformed all the same.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "{deep}"),
+            ("predict", "{dataset}", "--target", "101", "--model", "{deep}"),
+            ("select", "{dataset}", "--budget", "1", "--truth", "{deep}"),
+        ],
+        ids=["dataset", "model", "truth"],
+    )
+    def test_deeply_nested_json(self, capsys, tmp_path, triangle_file, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [arg.format(deep=deep, dataset=triangle_file) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_negative_budget(self, capsys, tmp_path):
         truth_path = tmp_path / "truth.json"
         io.save_ground_truth(independent_truth(3, 0.2, 1000.0), truth_path)

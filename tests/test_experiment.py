@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reachvenn import experiment as harness
+from reachvenn import io
 from reachvenn.synth import GeneratorSpec
 
 
@@ -60,7 +61,7 @@ class TestRunExperiment:
 
     def test_report_round_trips_to_json_dict(self):
         report = harness.run_experiment(spec_p4(), replicates=1, seed=2)
-        payload = report.to_json_dict()
+        payload = io.report_to_dict(report)
         assert payload["error_count"] == 6
         assert payload["generator"]["kind"] == "ci_groups"
         assert payload["q90"] == report.q90

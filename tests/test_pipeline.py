@@ -288,8 +288,11 @@ class TestErrorBar:
     def test_unavailable_without_spare_points(self):
         truth = independent_truth(3, 0.2, 1000.0)
         ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
+        session = Session(ds)
+        target = SubsetMask.from_string("110")
+        estimate = session.estimate(session.model(math.inf), target, clamp=False)
         with pytest.raises(UnavailableError, match="error bar"):
-            error_bar(Session(ds), math.inf, SubsetMask.from_string("110"), 90.0)
+            error_bar(session, math.inf, estimate, 90.0)
 
 
 class TestEstimateSubset:
@@ -304,6 +307,22 @@ class TestEstimateSubset:
         est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
         assert est.interval_alpha is not None
         assert [a.shape[:-2] for a, _ in calls] == [(10 * spare,), ()]
+
+    def test_target_is_bounded_once(self, rng, monkeypatch):
+        # The point and the error bar share one prediction and one interval.
+        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
+        calls = []
+        bounds = BoundsSolver.bounds
+
+        def counted(self, target):
+            calls.append(target)
+            return bounds(self, target)
+
+        monkeypatch.setattr(BoundsSolver, "bounds", counted)
+        target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
+        est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
+        assert est.interval_alpha is not None
+        assert calls == [target]
 
     def test_given_d_fits_its_holdouts_in_one_solve(self, rng, monkeypatch):
         ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=1000.0)
