@@ -300,7 +300,10 @@ def build_parser() -> _Parser:
     p.add_argument("--beta-b", type=float, default=2.0)
     p.add_argument("--alpha", type=float, default=2.0, help="dirichlet concentration")
     p.add_argument(
-        "--workers", type=int, default=1, help="processes to run replicates in"
+        "--workers",
+        type=int,
+        default=1,
+        help="processes to run replicates in, at most one per replicate",
     )
     p.add_argument("--out", help="write the full report JSON here")
     p.set_defaults(func=cmd_experiment)

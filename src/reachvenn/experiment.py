@@ -88,11 +88,12 @@ def run_replicate(spec: GeneratorSpec, replicate: int, base_seed: int) -> list[f
 def run_experiment(
     spec: GeneratorSpec, replicates: int, seed: int, max_workers: int = 1
 ) -> ExperimentReport:
-    """Run all replicates, in ``max_workers`` processes, and pool the errors.
+    """Run all replicates and pool the errors.
 
-    Replicate streams derive from (seed, replicate index), so the result is
-    identical whatever the worker count, and a 1-replicate run reproduces the
-    first replicate of a longer one.
+    The replicates run in min(max_workers, replicates) processes, or in this
+    process when that is 1.  Replicate streams derive from (seed, replicate
+    index), so the result is identical whatever the worker count, and a
+    1-replicate run reproduces the first replicate of a longer one.
     """
     if spec.num_bgs < 4:
         raise ValueError("the experiment design needs P >= 4")
@@ -101,10 +102,11 @@ def run_experiment(
     if max_workers < 1:
         raise ValueError("need at least one worker")
     started = time.perf_counter()
-    if max_workers > 1:
+    workers = min(max_workers, replicates)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             specs, seeds = [spec] * replicates, [seed] * replicates
             rows = list(pool.map(run_replicate, specs, range(replicates), seeds))
     else:

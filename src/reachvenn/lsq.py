@@ -2,16 +2,14 @@
 
 One solver, ``simplex_lstsq``: min ||A v - b||^2 with v >= 0 and sum(v) == 1.
 Callers that want sum(v) <= 1 append a zero column and discard its weight.
-It takes a stack of same-shaped problems and picks a loop by stack size
-alone.  A stack of one runs a one-problem loop with scalar control flow and
-one column gather per face solve.  Larger stacks step their problems in
-lock-step, so a round's face subproblems are one stacked QR factorization
-and one stacked solve.  One start rule serves the whole stack: each
-problem's column norms, start column (the column nearest b) and KKT
-tolerance are reductions over its own entries only.  A face solve's
+It takes a stack of same-shaped problems and steps them in lock-step, so a
+round's face subproblems are one stacked QR factorization and one stacked
+solve; a stack of one runs the same loop.  One start rule serves the whole
+stack: each problem's column norms, start column (the column nearest b) and
+KKT tolerance are reductions over its own entries only.  A face solve's
 minimizer is exactly zero off the face, so a round's sign tests and step
-lengths read it without a face mask.  Both loops do the same arithmetic, so
-each problem gets the same bits in either, and in any stack or stack order.
+lengths read it without a face mask.  So each problem gets the same bits in
+any stack and in any stack order.
 
 ``nnls`` (v >= 0 only, for a non-negative A) is a reduction onto it: A's
 columns, scaled so that the sum constraint never binds, and a zero column.
@@ -25,7 +23,6 @@ module's logger, which is silent by default.
 
 from __future__ import annotations
 
-import bisect
 import logging
 
 import numpy as np
@@ -100,41 +97,6 @@ def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return norms, start, _KKT_TOL * top_a * np.maximum(top_a, top_b)
 
 
-def _solve_face(
-    a: np.ndarray, b: np.ndarray, norms: np.ndarray, face: list[int]
-) -> np.ndarray:
-    """The exact minimizer of ||a_F v_F - b||^2 with sum(v_F) == 1
-    (sign-free) for one problem, F being the sorted column list ``face``.
-
-    The arithmetic of ``_solve_faces`` for a stack of one: the same anchor,
-    the same padded m x (m + 1) reduced matrix, the same QR and solve.
-    """
-    m, n = a.shape
-    width = len(face) - 1
-    if width > m:
-        raise RuntimeError(_FACE_TOO_WIDE)
-    top = int(norms[face].argmax())
-    anchor = face[top]
-    others = face[:top] + face[top + 1 :]
-    anchor_column = a[:, anchor]
-    reduced = np.zeros((m, m + 1))
-    reduced[:, :width] = a[:, others] - anchor_column[:, None]
-    reduced[:, m] = b - anchor_column
-    r = np.linalg.qr(reduced, mode="r")
-    padding = np.arange(width, m)
-    r[padding, padding] = 1.0
-    rhs = r[:, m].copy()
-    rhs[width:] = 0.0
-    try:
-        u = np.linalg.solve(r[:, :m], rhs[:, None])[:, 0]
-    except np.linalg.LinAlgError:
-        raise RuntimeError(_FACE_SINGULAR) from None
-    w = np.zeros(n)
-    w[others] = u[:width]
-    w[anchor] = 1.0 - u.sum()
-    return w
-
-
 def _solve_faces(
     a: np.ndarray,
     b: np.ndarray,
@@ -184,67 +146,6 @@ def _solve_faces(
     w[problem, column] = u[problem, slot]
     w[slots, anchor] = 1.0 - u.sum(axis=1)
     return w
-
-
-def _steps(v: np.ndarray, w: np.ndarray, blocking: np.ndarray) -> np.ndarray:
-    """The step from v towards w at which each blocking coordinate reaches
-    zero, and inf at the other coordinates."""
-    steps = np.full(v.shape, np.inf)
-    return np.divide(v, v - w, out=steps, where=blocking & (v > w))
-
-
-def _one_problem(
-    a: np.ndarray,
-    b: np.ndarray,
-    norms: np.ndarray,
-    start: int,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, int]:
-    """One problem's solution, rounds and face solves, on the lock-step
-    loop's path with scalar control flow.  A round is a KKT check that may
-    enter a column, then a face solve if one is due."""
-    v = np.zeros(a.shape[1])
-    v[start] = 1.0
-    face = [start]
-    on_face = False  # a face solve is due, not a KKT check
-    entries = blocked = rounds = face_solves = 0
-    while True:
-        rounds += 1
-        if not on_face:
-            if entries == max_iter:
-                raise RuntimeError(_ITERATION_LIMIT)
-            resid = (a @ v[:, None])[:, 0] - b
-            grad = (resid[None] @ a)[0]
-            nu = grad[face].min()  # equality multiplier
-            grad[face] = np.inf  # the scores of the columns that may enter
-            j = int(grad.argmin())
-            if grad[j] >= nu - tol:
-                return v, rounds, face_solves
-            bisect.insort(face, j)
-            on_face = True
-            entries += 1
-            blocked = 0
-        face_solves += 1
-        w = _solve_face(a, b, norms, face)
-
-        if w[face].min() > -_ZERO_TOL:
-            np.maximum(w, 0.0, out=w)
-            s = w.sum()
-            if s > 0:
-                w /= s
-            v = w
-            on_face = False
-            continue
-        blocking = w < -_ZERO_TOL  # w is zero off the face
-        alpha = np.minimum(1.0, _steps(v, w, blocking).min())
-        v = np.maximum(v + alpha * (w - v), 0.0)
-        v /= v.sum()
-        drop = blocking & (v <= _ZERO_TOL)
-        face = [column for column in face if not drop[column]]
-        blocked += 1
-        if blocked == max_iter:
-            raise RuntimeError(_INNER_LIMIT)
 
 
 def _lock_step(
@@ -303,6 +204,7 @@ def _lock_step(
         inside = (w > -_ZERO_TOL).all(axis=1)
 
         if inside.any():
+            # Clipped at zero and rescaled to sum 1 (an all-zero row stays zero).
             done = solve[inside]
             x = np.maximum(w[inside], 0.0)
             s = x.sum(axis=1, keepdims=True)
@@ -311,10 +213,14 @@ def _lock_step(
             on_face[done] = False
         if inside.all():
             continue
+        # A blocked step: towards w until its first negative coordinate
+        # reaches zero, renormalised, dropping the face columns it zeroes.
         stop = solve[~inside]
         x, w = v[stop], w[~inside]
         blocking = w < -_ZERO_TOL
-        alpha = np.minimum(1.0, _steps(x, w, blocking).min(axis=1))
+        steps = np.full(x.shape, np.inf)
+        np.divide(x, x - w, out=steps, where=blocking & (x > w))
+        alpha = np.minimum(1.0, steps.min(axis=1))
         x = np.maximum(x + alpha[:, None] * (w - x), 0.0)
         x /= x.sum(axis=1, keepdims=True)
         v[stop] = x
@@ -337,13 +243,11 @@ def simplex_lstsq(
     Active-set iteration: each face subproblem is solved exactly, blocked
     steps shrink the face, and coordinates whose gradient beats the current
     equality multiplier are released.  The simplex is compact, so the KKT
-    gap bounds the objective error directly.  A stack of one runs a
-    one-problem loop; larger stacks run in lock-step: each round, every
-    unfinished problem takes its own next step (a KKT check that may enter a
-    column, then a face solve that may block), and the round's face solves
-    are one stacked QR and one stacked solve.  Both loops do the same
-    arithmetic, so a problem follows the same path, bit for bit, in any
-    stack.
+    gap bounds the objective error directly.  The stack runs in lock-step:
+    each round, every unfinished problem takes its own next step (a KKT
+    check that may enter a column, then a face solve that may block), and
+    the round's face solves are one stacked QR and one stacked solve.  A
+    problem follows the same path, bit for bit, in any stack.
 
     Returns the solutions (B, n) and the squared residuals at them (B,).
     Raises RuntimeError when a problem needs more than ``max_iter`` column
@@ -362,13 +266,7 @@ def simplex_lstsq(
         max_iter = 6 * n + 60
 
     norms, start, tol = _start(a, b)
-    if count == 1:
-        v, rounds, face_solves = _one_problem(
-            a[0], b[0], norms[0], int(start[0]), float(tol[0]), max_iter
-        )
-        v = v[None]
-    else:
-        v, rounds, face_solves = _lock_step(a, b, norms, start, tol, max_iter)
+    v, rounds, face_solves = _lock_step(a, b, norms, start, tol, max_iter)
     if _logger.isEnabledFor(logging.DEBUG):
         _logger.debug(
             "simplex_lstsq: %d problems, %d rounds, %d face solves",

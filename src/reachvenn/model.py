@@ -25,6 +25,7 @@ proportions, are never held out), and gets the weights its own
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,7 +66,8 @@ def estimate_universe(dataset: ReachDataset) -> float:
     Raises:
         ValueError: the basic observations are missing.
         InconsistencyError: some single-BG reach exceeds the union reach.
-        UnavailableError: the singles do not overlap (no finite solution).
+        UnavailableError: the singles do not overlap, or the solution
+            exceeds the float range.
     """
     if not dataset.has_basic_points:
         raise ValueError("universe estimation needs all single-BG and union reaches")
@@ -79,21 +81,27 @@ def estimate_universe(dataset: ReachDataset) -> float:
     def gap(u: float) -> float:
         return float(np.prod([1.0 - s / u for s in singles]) - (1.0 - union / u))
 
-    lo = union * (1.0 + 1e-9)
+    # The bracket stops at the largest float: past it, u is inf and the gap 0.
+    top = sys.float_info.max
+    lo = min(union * (1.0 + 1e-9), top)
     if gap(lo) <= 0:
         raise UnavailableError("no finite independent universe")
-    hi = max(2.0 * union, lo * 2.0)
+    hi = min(2.0 * lo, top)
     while gap(hi) > 0:
-        hi *= 2.0
+        if hi == top:
+            raise UnavailableError(
+                "no finite independent universe: it exceeds the float range"
+            )
+        hi = min(2.0 * hi, top)
         if hi > union * 1e15:
             raise UnavailableError("no finite independent universe")
     while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi), without its overflow
         if gap(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def segment_rows(

@@ -119,6 +119,18 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", triangle_file)
         assert code == 64
 
+    def test_unbounded_targets_report_their_cap(self, capsys, tmp_path):
+        # Only "10" is observed and no universe is declared: the masks that
+        # reach BG 2 have no finite maximum, so their upper bound is the cap.
+        path = tmp_path / "one.json"
+        io.save_dataset(ReachDataset.from_pairs(2, [("10", 3.0)]), path)
+        code, out, _ = run_cli(capsys, "bounds", path, "--all")
+        assert code == 0
+        payload = json.loads(out)["bounds"]
+        assert "upper_capped" not in payload["10"]
+        assert payload["01"]["upper_capped"] is True
+        assert payload["11"]["upper_capped"] is True
+
     def test_inconsistent_dataset_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         io.save_dataset(triangle_dataset(claim=3500), path)
@@ -196,6 +208,16 @@ class TestFitPredict:
         assert payload["interval_alpha"] is None
         assert "unavailable" in payload["alpha_note"]
         assert payload["d_policy"] == "default_inf"
+
+    def test_alpha_interval_with_spare_points(self, capsys, triangle_file):
+        code, out, _ = run_cli(
+            capsys, "predict", triangle_file, "--target", "110", "--alpha", "90"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["alpha"] == 90.0
+        inner, outer = payload["interval_alpha"], payload["interval_100"]
+        assert outer["lower"] <= inner["lower"] <= inner["upper"] <= outer["upper"]
 
     @pytest.mark.parametrize("alpha", ["150", "nan", "inf", "0"])
     @pytest.mark.parametrize("spare_points", [False, True])
@@ -290,6 +312,20 @@ class TestFitPredict:
         assert code == 3
         assert out == ""
         assert err.startswith("error: simplex_lstsq")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("predict", "--target", "11"), ("fit",)])
+    def test_universe_past_the_float_range_is_unavailable(self, capsys, tmp_path, argv):
+        # The independent universe of these basics is 2e308.
+        path = tmp_path / "big.json"
+        io.save_dataset(
+            ReachDataset.from_pairs(2, [("10", 1e308), ("01", 1e308), ("11", 1.5e308)]),
+            path,
+        )
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err == "error: no finite independent universe: it exceeds the float range\n"
         assert "Traceback" not in err
 
 
@@ -670,6 +706,22 @@ class TestUsageErrors:
         assert code == 64
         assert out == ""
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bounds", "predict"])
+    @pytest.mark.parametrize(
+        "target, message",
+        [("100", "does not have 2 characters"), ("00", "all-zero mask")],
+    )
+    def test_malformed_target(self, capsys, tmp_path, command, target, message):
+        path = tmp_path / "basics.json"
+        io.save_dataset(
+            ReachDataset.from_pairs(2, [("10", 3.0), ("01", 3.0), ("11", 5.0)]), path
+        )
+        code, out, err = run_cli(capsys, command, path, "--target", target)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
     def test_negative_budget(self, capsys, tmp_path):

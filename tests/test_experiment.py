@@ -1,5 +1,7 @@
 """Experiment harness: design counts, determinism, stream independence."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,33 @@ class TestRunExperiment:
         seq = harness.run_experiment(spec_p4(), replicates=4, seed=1, max_workers=1)
         par = harness.run_experiment(spec_p4(), replicates=4, seed=1, max_workers=2)
         assert seq.errors == par.errors
+
+    def test_pool_has_at_most_one_process_per_replicate(self, monkeypatch):
+        # A stand-in pool that records its size and maps in this process, so
+        # that no process starts.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        seq = harness.run_experiment(spec_p4(), replicates=2, seed=4)
+        assert sizes == []
+        wide = harness.run_experiment(spec_p4(), replicates=2, seed=4, max_workers=10**6)
+        assert sizes == [2]
+        assert wide.errors == seq.errors
+        harness.run_experiment(spec_p4(), replicates=1, seed=4, max_workers=8)
+        assert sizes == [2]  # one replicate runs in this process
 
     def test_q90_is_nearest_rank_of_absolute_errors(self):
         report = harness.run_experiment(spec_p4(), replicates=2, seed=13)

@@ -57,6 +57,25 @@ class TestSolveLp:
         assert result.is_optimal
         assert result.value == pytest.approx(0.0, abs=1e-10)
 
+    def test_beale_cycling_example_switches_to_blands_rule(self):
+        # Beale's example in its slack basis: Dantzig pricing with these tie
+        # breaks stalls at the degenerate vertex, so Bland's rule takes over.
+        # Columns x4..x7, then the slacks x1..x3; min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7.
+        tableau = np.array(
+            [
+                [0.25, -8.0, -1.0, 9.0, 1.0, 0.0, 0.0, 0.0],
+                [0.5, -12.0, -0.5, 3.0, 0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+                [-0.75, 20.0, -0.5, 6.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        status, pivots, bland = lp._run_simplex(tableau, np.array([4, 5, 6]), 7)
+        assert status == lp.OPTIMAL
+        assert bland is True
+        assert pivots > 2 * (3 + 7) + 50  # past the stall limit
+        # The cost row's last entry is minus the objective.
+        assert -tableau[-1, -1] == pytest.approx(-1.25, abs=1e-12)
+
     def test_constraints_satisfied_at_optimum(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

@@ -193,6 +193,56 @@ class TestStackedSimplexLstsq:
             simplex_lstsq(a, b, max_iter=1)
 
 
+def reference_solve_face(a, b, norms, face):
+    """One problem's face solve on the sorted column list ``face``, with the
+    R factor of numpy's ``mode="r"`` QR on 2-D arrays: the arithmetic that
+    the stacked face solver must reproduce on a stack of one."""
+    m, n = a.shape
+    width = len(face) - 1
+    top = int(norms[face].argmax())
+    anchor = face[top]
+    others = face[:top] + face[top + 1 :]
+    anchor_column = a[:, anchor]
+    reduced = np.zeros((m, m + 1))
+    reduced[:, :width] = a[:, others] - anchor_column[:, None]
+    reduced[:, m] = b - anchor_column
+    r = np.linalg.qr(reduced, mode="r")
+    padding = np.arange(width, m)
+    r[padding, padding] = 1.0
+    rhs = r[:, m].copy()
+    rhs[width:] = 0.0
+    u = np.linalg.solve(r[:, :m], rhs[:, None])[:, 0]
+    w = np.zeros(n)
+    w[others] = u[:width]
+    w[anchor] = 1.0 - u.sum()
+    return w
+
+
+class TestSolveFaces:
+    @pytest.mark.parametrize("rows", [1, 2, 5, 12])
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_stack_of_one_equals_the_mode_r_reference(self, rows, zero_column):
+        # Faces of 1 to m + 1 columns; with zero_column, every face holds
+        # column 0, which is all zeros (a slack column).
+        rng = np.random.default_rng(rows)
+        cols = rows + 4
+        a = rng.uniform(0, 1, size=(rows, cols))
+        if zero_column:
+            a[:, 0] = 0.0
+        b = rng.uniform(0, 1.2, size=rows)
+        norms = lsq._start(a[None], b[None])[0]
+        for size in range(1, rows + 2):
+            face = rng.choice(cols, size=size, replace=False)
+            if zero_column and 0 not in face:
+                face[0] = 0
+            face = sorted(face.tolist())
+            free = np.zeros((1, cols), dtype=bool)
+            free[0, face] = True
+            only = np.zeros(1, dtype=np.intp)
+            w = lsq._solve_faces(a[None], b[None], norms, free, only)[0]
+            assert w.tobytes() == reference_solve_face(a, b, norms[0], face).tobytes()
+
+
 def start_stack(rng, kind, count, rows, cols):
     """A stack for the start rule: uniform entries; all-negative entries of
     up to 1e3; targets of either sign up to 1e3, beyond entries of up to 1e2; or
@@ -299,8 +349,8 @@ def record_stacks_of_one(monkeypatch):
 
 
 def assert_same_in_a_stack_of_three(calls):
-    """Each recorded problem, solved at position 1 of a stack of 3 (the
-    lock-step loop), gets the bits it got alone (the one-problem loop)."""
+    """Each recorded problem, solved at position 1 of a stack of 3, gets the
+    bits it got alone."""
     for a, b, v, rss in calls:
         stacked, stacked_rss = simplex_lstsq(
             np.stack([a[::-1], a, a]), np.stack([b[::-1], b, 0.5 * b])
@@ -310,7 +360,7 @@ def assert_same_in_a_stack_of_three(calls):
 
 
 class TestWorkloadShapes:
-    """The two loops on the problems the estimation path really solves: the
+    """Stack order on the problems the estimation path really solves: the
     segment fits of a P=6 and a P=8 session and both branches of the repair."""
 
     @pytest.mark.parametrize("num_bgs", [6, 8])

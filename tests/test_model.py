@@ -59,6 +59,18 @@ class TestEstimateUniverse:
             with pytest.raises(UnavailableError, match="do not overlap"):
                 estimate_universe(ds)
 
+    def test_universe_past_the_float_range_is_unavailable(self):
+        # (1 - s/U)^2 == 1 - 1.5 s/U gives U == 2 s: 2e308 overflows, 2e300 does not.
+        big = ReachDataset.from_pairs(2, [("10", 1e308), ("01", 1e308), ("11", 1.5e308)])
+        with pytest.raises(UnavailableError, match="exceeds the float range"):
+            estimate_universe(big)
+        near = ReachDataset.from_pairs(2, [("10", 1e300), ("01", 1e300), ("11", 1.5e300)])
+        assert estimate_universe(near) == pytest.approx(2e300, rel=1e-9)
+        # (1 - 0.9 s/U)^2 == 1 - s/U gives U == 1.0125 s: finite, though twice
+        # the union is not, so the bracket stops at the largest float.
+        edge = ReachDataset.from_pairs(2, [("10", 0.9e308), ("01", 0.9e308), ("11", 1e308)])
+        assert estimate_universe(edge) == pytest.approx(1.0125e308, rel=1e-9)
+
     def test_single_above_union_is_inconsistent(self):
         ds = ReachDataset.from_pairs(2, [("10", 300.0), ("01", 100.0), ("11", 200.0)])
         with pytest.raises(InconsistencyError, match="inconsistent basics"):
