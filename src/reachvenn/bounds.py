@@ -156,8 +156,9 @@ def _interval(
     in reach units (``cap`` is the scaled ceiling for an unbounded maximum)."""
     lo = solver.optimize(c, "min")
     hi = solver.optimize(c, "max")
-    # A non-negative objective over x >= 0 is never unbounded below.
-    lower = max(0.0, lo.value) if lo.is_optimal else 0.0
+    # The polytope is non-empty, and a non-negative objective over x >= 0 is
+    # never unbounded below: the minimum is always optimal.
+    lower = max(0.0, lo.value)
     capped = False
     if hi.status == UNBOUNDED:
         upper = max(cap, lower)

@@ -10,7 +10,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io
@@ -59,13 +58,9 @@ def _interval_dict(interval: BoundInterval) -> dict:
     return payload
 
 
-def _parse_mask(text: str, num_bgs: int) -> SubsetMask:
-    mask = SubsetMask.from_string(text)
-    if mask.num_bgs != num_bgs:
-        raise ValueError(f"mask {text!r} does not have {num_bgs} characters")
-    if mask.is_empty:
-        raise ValueError("the all-zero mask is not an observable subset")
-    return mask
+def _parse_masks(text: str | None, num_bgs: int) -> list[SubsetMask]:
+    """The subsets of a comma-separated list (none when absent)."""
+    return [SubsetMask.parse(tok, num_bgs) for tok in text.split(",")] if text else []
 
 
 def _parse_d(text: str | None) -> float | None:
@@ -74,19 +69,14 @@ def _parse_d(text: str | None) -> float | None:
     return float(text)
 
 
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def cmd_check(args) -> int:
     dataset = io.load_dataset(args.dataset)
     report = check_consistency(dataset)
-    print(f"{'consistent' if report.consistent else 'inconsistent'}", file=sys.stdout)
-    print(f"t_star: {report.t_star}", file=sys.stdout)
+    print("consistent" if report.consistent else "inconsistent")
+    print(f"t_star: {report.t_star}")
     if args.repair is not None:
         io.save_dataset(repair_dataset(dataset), args.repair)
-        print(f"repaired dataset written to {args.repair}", file=sys.stdout)
+        print(f"repaired dataset written to {args.repair}")
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
@@ -95,16 +85,10 @@ def cmd_bounds(args) -> int:
     if args.all:
         targets = enumerate_masks(dataset.num_bgs)
     else:
-        targets = [_parse_mask(args.target, dataset.num_bgs)]
+        targets = [SubsetMask.parse(args.target, dataset.num_bgs)]
     intervals = BoundsSolver(dataset).bounds_many(targets)
-    _emit(
-        {
-            "num_bgs": dataset.num_bgs,
-            "bounds": {
-                m.to_string(): _interval_dict(iv) for m, iv in zip(targets, intervals)
-            },
-        }
-    )
+    bounds = {m.to_string(): _interval_dict(iv) for m, iv in zip(targets, intervals)}
+    io.write_json({"num_bgs": dataset.num_bgs, "bounds": bounds})
     return EXIT_OK
 
 
@@ -112,19 +96,11 @@ def cmd_curve(args) -> int:
     dataset = io.load_dataset(args.dataset)
     order = [int(tok) for tok in args.order.split(",")]
     rows = incremental_curve_bounds(dataset, order, args.mode)
-    writer = sys.stdout
-    header = "prefix_length,subset,lower,upper"
-    if args.mode != "free":
-        header += ",pinned"
-    writer.write(header + "\n")
+    pinned = args.mode != "free"
+    print("prefix_length,subset,lower,upper" + (",pinned" if pinned else ""))
     for row in rows:
-        line = (
-            f"{row.prefix_length},{row.subset.to_string()},"
-            f"{row.interval.lower},{row.interval.upper}"
-        )
-        if args.mode != "free":
-            line += f",{row.pinned}"
-        writer.write(line + "\n")
+        fields = [row.prefix_length, row.subset, row.interval.lower, row.interval.upper]
+        print(",".join(str(f) for f in fields + ([row.pinned] if pinned else [])))
     return EXIT_OK
 
 
@@ -137,21 +113,17 @@ def cmd_fit(args) -> int:
     payload["repaired"] = session.repaired
     if args.out is not None:
         io.save_model(model, args.out)
-    _emit(payload)
+    io.write_json(payload)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     dataset = io.load_dataset(args.dataset)
-    target = _parse_mask(args.target, dataset.num_bgs)
+    target = SubsetMask.parse(args.target, dataset.num_bgs)
     if args.model is not None:
         if args.alpha is not None or args.d is not None:
             raise ValueError("--model takes neither --alpha nor --d")
         model = io.load_model(args.model)
-        if model.num_bgs != dataset.num_bgs:
-            raise ValueError(
-                f"model has num_bgs={model.num_bgs}, dataset has {dataset.num_bgs}"
-            )
         estimate = Session(dataset).estimate(model, target, clamp=not args.no_clamp)
     else:
         options = EstimateOptions(
@@ -162,7 +134,7 @@ def cmd_predict(args) -> int:
         "target": target.to_string(),
         "point": estimate.point,
         "interval_100": _interval_dict(estimate.interval_100),
-        "d": io.d_to_json(estimate.d),
+        "d": io.json_float(estimate.d),
         "d_policy": estimate.d_policy,
         "universe_size": estimate.universe_size,
         "repaired": estimate.repaired,
@@ -174,7 +146,7 @@ def cmd_predict(args) -> int:
         else:
             payload["interval_alpha"] = _interval_dict(estimate.interval_alpha)
             payload["alpha"] = estimate.alpha
-    _emit(payload)
+    io.write_json(payload)
     return EXIT_OK
 
 
@@ -183,26 +155,19 @@ def cmd_select(args) -> int:
         raise ValueError(f"budget must be non-negative, got {args.budget}")
     dataset = io.load_dataset(args.dataset)
     allocation, _ = io.load_allocation(args.truth)
-    if allocation.num_bgs != dataset.num_bgs:
-        raise ValueError("truth file and dataset disagree on num_bgs")
-    exclude = [
-        _parse_mask(tok, dataset.num_bgs)
-        for tok in (args.exclude.split(",") if args.exclude else [])
-    ]
-    track = [
-        _parse_mask(tok, dataset.num_bgs)
-        for tok in (args.track.split(",") if args.track else [])
-    ]
+    exclude = _parse_masks(args.exclude, dataset.num_bgs)
+    track = _parse_masks(args.track, dataset.num_bgs)
     state = SelectionState.initial(dataset, exclude=exclude)
     rounds = []
     warning = None
     for round_index in range(1, args.budget + 1):
-        if not state.candidates:
+        try:
+            state = select_next_point(
+                state, lambda m: subset_reach_from_allocation(m, allocation)
+            )
+        except UnavailableError:
             warning = f"candidates exhausted after {round_index - 1} selections"
             break
-        state = select_next_point(
-            state, lambda m: subset_reach_from_allocation(m, allocation)
-        )
         selected = state.chosen[-1]
         entry = {
             "round": round_index,
@@ -218,7 +183,7 @@ def cmd_select(args) -> int:
     payload = {"rounds": rounds, "chosen": [m.to_string() for m in state.chosen]}
     if warning:
         payload["warning"] = warning
-    _emit(payload)
+    io.write_json(payload)
     return EXIT_OK
 
 
@@ -240,7 +205,7 @@ def cmd_experiment(args) -> int:
     if args.out is not None:
         io.write_json(payload, args.out)
         del payload["errors"]
-    _emit(payload)
+    io.write_json(payload)
     return EXIT_OK
 
 
@@ -248,7 +213,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="reachvenn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate reach consistency", parents=[])
+    p = sub.add_parser("check", help="validate reach consistency")
     p.add_argument("dataset", help="dataset JSON file")
     p.add_argument("--repair", metavar="OUT", help="write a repaired dataset here")
     p.set_defaults(func=cmd_check)
@@ -295,10 +260,13 @@ def build_parser() -> _Parser:
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--universe", type=float, default=1_000_000.0)
-    p.add_argument("--groups", type=int, default=10, help="ci generator group count")
-    p.add_argument("--beta-a", type=float, default=0.4)
-    p.add_argument("--beta-b", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=2.0, help="dirichlet concentration")
+    defaults = GeneratorSpec  # the generator parameters' defaults are the spec's
+    p.add_argument("--groups", type=int, default=defaults.num_groups, help="ci groups")
+    p.add_argument("--beta-a", type=float, default=defaults.reach_beta_a)
+    p.add_argument("--beta-b", type=float, default=defaults.reach_beta_b)
+    p.add_argument(
+        "--alpha", type=float, default=defaults.alpha, help="dirichlet concentration"
+    )
     p.add_argument(
         "--workers",
         type=int,
@@ -324,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnavailableError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -75,6 +75,20 @@ class SubsetMask:
         return cls(bits=bits, num_bgs=len(text))
 
     @classmethod
+    def parse(cls, text: str, num_bgs: int) -> "SubsetMask":
+        """The observable subset ``text`` of ``num_bgs`` BGs: exactly that
+        many characters over {0,1}, not all zero.  Every subset string read
+        from a file or the command line goes through here."""
+        if len(text) != num_bgs:
+            raise ValueError(
+                f"subset {text!r} does not have {num_bgs} characters (num_bgs={num_bgs})"
+            )
+        mask = cls.from_string(text)
+        if mask.is_empty:
+            raise ValueError(f"subset {text!r} is the all-zero mask, which has no reach")
+        return mask
+
+    @classmethod
     def from_bgs(cls, bgs: Iterable[int], num_bgs: int) -> "SubsetMask":
         """Build from 1-indexed BG numbers."""
         bits = 0

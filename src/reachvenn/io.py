@@ -16,18 +16,22 @@ when produced by a generator, its parameters.  A model document holds a
      "single_bg_proportions": [0.3, 0.3], "weights": [0.0, 0.2, 0.2, 0.3],
      "training_residual": 0.0}
 
-Every file's ``num_bgs`` must lie in [2, ``core.MAX_BGS``], and every file is
-read by ``read_json`` and written by ``write_json``.
+Every file's ``num_bgs`` must lie in [2, ``core.MAX_BGS``], and every subset
+string is read by ``SubsetMask.parse``.  Every file is read by ``read_json``,
+and every JSON document the package writes, to a file or to stdout, is
+written by ``write_json``: strict JSON, where a number JSON cannot spell
+(an infinite d, q90 or error) is the string "inf" (``json_float``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .core import ReachDataset, RegionAllocation, basic_masks
+from .core import ReachDataset, RegionAllocation, SubsetMask, basic_masks
 from .experiment import ExperimentReport
 from .model import CiModel
 from .synth import GroundTruth, true_reach
@@ -42,16 +46,19 @@ def read_json(path: str | Path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def write_json(payload: dict, path: str | Path) -> None:
-    """Write ``payload`` to ``path`` as JSON indented by 2, with a final newline."""
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+def write_json(payload: dict, path: str | Path | None = None) -> None:
+    """Write ``payload`` to ``path`` (stdout when None) as strict JSON indented
+    by 2, with a final newline; a NaN or infinity in it is a ValueError."""
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
-def d_to_json(d: float) -> float | str:
-    """``d`` as JSON: the string "inf" for infinity, which JSON cannot spell."""
-    return "inf" if math.isinf(d) else d
+def json_float(value: float) -> float | str:
+    """``value`` as JSON: the string "inf" for infinity, which JSON cannot spell."""
+    return "inf" if value == math.inf else value
 
 
 def _document(payload, keys: tuple[str, ...], what: str) -> dict:
@@ -105,11 +112,8 @@ def dataset_from_dict(payload: dict) -> ReachDataset:
         subset = entry["subset"]
         if not isinstance(subset, str):
             raise ValueError(f"subset must be a string, got {json.dumps(subset)}")
-        if len(subset) != num_bgs:
-            raise ValueError(
-                f"subset string {subset!r} does not have num_bgs={num_bgs} characters"
-            )
-        pairs.append((subset, _number(entry["reach"], "reach")))
+        mask = SubsetMask.parse(subset, num_bgs)
+        pairs.append((mask, _number(entry["reach"], "reach")))
     return ReachDataset.from_pairs(num_bgs, pairs, universe_size=universe)
 
 
@@ -161,7 +165,7 @@ def _numbers(values, what: str) -> list[float]:
 def model_to_dict(model: CiModel) -> dict:
     return {
         "num_bgs": model.num_bgs,
-        "d": d_to_json(model.d),
+        "d": json_float(model.d),
         "universe_size": model.universe_size,
         "single_bg_proportions": model.single_bg_proportions.tolist(),
         "weights": model.weights.tolist(),
@@ -195,8 +199,8 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "num_bgs": report.generator.num_bgs,
         "replicates": report.replicates,
         "seed": report.seed,
-        "q90": report.q90,
+        "q90": json_float(report.q90),
         "error_count": report.error_count,
         "runtime_seconds": report.runtime_seconds,
-        "errors": [list(row) for row in report.errors],
+        "errors": [[json_float(e) for e in row] for row in report.errors],
     }

@@ -7,7 +7,8 @@ when it is not (r_i is BG i's overall reach proportion, d > 1 the tuning
 parameter).  A subset's reach proportion is then a convex combination over
 segments, and fitting reduces to least squares under w >= 0, sum(w) <= 1.
 As d grows the segment rows approach the subset/region incidence pattern, so
-consistent data is always perfectly fittable in the limit.
+consistent data is always perfectly fittable in the limit.  The estimated
+universe (``estimate_universe``) is precise to 1e-10 relative width.
 
 Fitting is split in two: ``build_segment_matrix`` builds Z(d) and
 ``fit_segments`` solves for the weights on it.  ``segment_rows`` builds the
@@ -25,7 +26,6 @@ proportions, are never held out), and gets the weights its own
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -61,13 +61,18 @@ def estimate_universe(dataset: ReachDataset) -> float:
     """Universe size under which the single-BG reaches look independent.
 
     Solves 1 - R(union)/U == prod_i (1 - R(G_i)/U) for the unique U above the
-    union reach, by doubling a bracket and bisecting to 1e-10 relative width.
+    union reach, to 1e-10 relative width.  In y = R(union)/U, it divides the
+    equation by its root y = 0 and bisects the polynomial left,
+    -overlap/R(union) + e_2 y - e_3 y**2 + ... (e_k the elementary symmetric
+    polynomials of R(G_i)/R(union)), in (0, 1/(1 + 1e-9)).  The overlap
+    sum_i R(G_i) - R(union) is an exactly rounded sum, so BGs close to
+    independent keep that precision.
 
     Raises:
         ValueError: the basic observations are missing.
         InconsistencyError: some single-BG reach exceeds the union reach.
-        UnavailableError: the singles do not overlap, or the solution
-            exceeds the float range.
+        UnavailableError: the singles do not overlap, the solution is the
+            union reach, or it exceeds the float range.
     """
     if not dataset.has_basic_points:
         raise ValueError("universe estimation needs all single-BG and union reaches")
@@ -75,33 +80,33 @@ def estimate_universe(dataset: ReachDataset) -> float:
     singles = _single_reaches(dataset)
     if any(s > union for s in singles):
         raise InconsistencyError("inconsistent basics: a single-BG reach exceeds the union")
-    if sum(singles) <= union:
+    half_overlap = math.fsum([0.5 * s for s in singles] + [-0.5 * union])  # no overflow
+    if half_overlap <= 0:
         raise UnavailableError("no finite independent universe: the BGs do not overlap")
+    shares = np.array(singles) / union
+    # np.poly(shares)[k] is (-1)**k e_k; highest power first, for Horner's rule.
+    coefficients = np.poly(shares)[:1:-1].tolist() + [-half_overlap / (0.5 * union)]
 
-    def gap(u: float) -> float:
-        return float(np.prod([1.0 - s / u for s in singles]) - (1.0 - union / u))
+    def excess(y: float) -> float:
+        value = 0.0
+        for c in coefficients:
+            value = value * y + c
+        return value
 
-    # The bracket stops at the largest float: past it, u is inf and the gap 0.
-    top = sys.float_info.max
-    lo = min(union * (1.0 + 1e-9), top)
-    if gap(lo) <= 0:
+    lo, hi = 0.0, 1.0 / (1.0 + 1e-9)
+    if excess(hi) <= 0:
         raise UnavailableError("no finite independent universe")
-    hi = min(2.0 * lo, top)
-    while gap(hi) > 0:
-        if hi == top:
-            raise UnavailableError(
-                "no finite independent universe: it exceeds the float range"
-            )
-        hi = min(2.0 * hi, top)
-        if hi > union * 1e15:
-            raise UnavailableError("no finite independent universe")
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * lo + 0.5 * hi  # the bits of 0.5 * (lo + hi), without its overflow
-        if gap(mid) > 0:
-            lo = mid
-        else:
+    mid = 0.5 * hi
+    # Subnormal neighbours have no midpoint between them: stop there too.
+    while hi - lo > 1e-10 * hi and lo < mid < hi:
+        if excess(mid) > 0:
             hi = mid
-    return 0.5 * lo + 0.5 * hi
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    if mid == 0 or union / mid == math.inf:
+        raise UnavailableError("no finite independent universe: it exceeds the float range")
+    return union / mid
 
 
 def segment_rows(

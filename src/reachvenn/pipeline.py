@@ -243,7 +243,12 @@ class Session:
         """The model's point for each target (clamped unless told not to)
         beside the target's 100% interval, labelled as loaded at the model's
         d.  The intervals are one ``bounds_many`` batch and the segment rows
-        one ``segment_rows`` call."""
+        one ``segment_rows`` call; a model of another BG count is a ValueError
+        before either."""
+        if model.num_bgs != self.dataset.num_bgs:
+            raise ValueError(
+                f"model has num_bgs={model.num_bgs}, dataset has {self.dataset.num_bgs}"
+            )
         intervals = self.solver.bounds_many(targets)
         rows = segment_rows(targets, model.single_bg_proportions, model.d)
         result = []
@@ -284,7 +289,7 @@ def tune_d(session: Session) -> float:
     # and ties -- including all-infinite columns -- keep the smaller d.
     for d, errors in zip(grid, session.loo_table(grid)):
         score = float(np.mean(np.abs(errors)))
-        if not math.isnan(score) and score < best_score - 1e-8:
+        if score < best_score - 1e-8:
             best_score = score
             best_d = d
     return best_d

@@ -601,3 +601,7 @@ class TestIncrementalCurves:
         ds = triangle_dataset()
         with pytest.raises(ValueError, match="permutation"):
             incremental_curve_bounds(ds, [1, 2, 2], "free")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'wat'"):
+            incremental_curve_bounds(triangle_dataset(), [1, 2, 3], mode="wat")

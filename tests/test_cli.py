@@ -328,6 +328,16 @@ class TestFitPredict:
         assert err == "error: no finite independent universe: it exceeds the float range\n"
         assert "Traceback" not in err
 
+    def test_basics_whose_universe_is_the_union_are_unavailable(self, capsys, tmp_path):
+        path = tmp_path / "basics.json"
+        io.save_dataset(
+            ReachDataset.from_pairs(2, [("10", 10.0), ("01", 5.0), ("11", 10.0)]), path
+        )
+        code, out, err = run_cli(capsys, "predict", path, "--target", "11")
+        assert code == 3
+        assert out == ""
+        assert err == "error: no finite independent universe\n"
+
 
 class TestSelect:
     def test_selection_log_and_budget_overrun(self, capsys, tmp_path):
@@ -426,6 +436,24 @@ class TestExperimentCommand:
         file_payload = json.loads(out_path.read_text())
         assert len(file_payload["errors"]) == 1
 
+    def test_infinite_q90_is_strict_json(self, capsys, tmp_path):
+        # At alpha = 1e-300 some clean truths are zero and their errors infinite.
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "experiment", "--generator", "dirichlet", "--p", "4",
+            "--replicates", "3", "--alpha", "1e-300", "--out", out_path,
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["q90"] == "inf"
+        report = json.loads(out_path.read_text(), parse_constant=reject)
+        assert report["q90"] == "inf"
+        assert "inf" in [e for row in report["errors"] for e in row]
+
     @pytest.mark.parametrize(
         "flag, value, field",
         [
@@ -482,6 +510,25 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "check", path)
         assert code == 64
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("argv", [("check",), ("bounds", "--all")])
+    def test_dataset_with_an_empty_observation_list(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.json"
+        path.write_text('{"num_bgs": 2, "observations": []}')
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 64
+        assert out == ""
+        assert err == "error: dataset has no observations\n"
+
+    def test_truth_file_of_another_bg_count(self, capsys, tmp_path, triangle_file):
+        truth_path = tmp_path / "truth.json"
+        truth_path.write_text('{"num_bgs": 2, "allocation": [5.0, 2.0, 2.0, 1.0]}')
+        code, out, err = run_cli(
+            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: subset and allocation have different BG counts\n"
 
     def test_dataset_without_observations(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -723,6 +770,18 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--exclude", "--track"])
+    def test_malformed_mask_list(self, capsys, tmp_path, triangle_file, flag):
+        truth_path = tmp_path / "truth.json"
+        io.save_ground_truth(independent_truth(3, 0.2, 1000.0), truth_path)
+        code, out, err = run_cli(
+            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path,
+            flag, "110,10",
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: subset '10' does not have 3 characters (num_bgs=3)\n"
 
     def test_negative_budget(self, capsys, tmp_path):
         truth_path = tmp_path / "truth.json"

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachvenn.core import (
+    BoundInterval,
     ReachDataset,
+    ReachObservation,
     RegionAllocation,
     SubsetMask,
     basic_masks,
@@ -45,6 +47,19 @@ class TestSubsetMask:
             SubsetMask.from_string("10a")
         with pytest.raises(ValueError):
             SubsetMask.from_string("")
+
+    @pytest.mark.parametrize(
+        "text, num_bgs, message",
+        [
+            ("100", 2, r"subset '100' does not have 2 characters \(num_bgs=2\)"),
+            ("1", 2, "does not have 2 characters"),
+            ("1a", 2, "non-empty over"),
+            ("00", 2, "subset '00' is the all-zero mask"),
+        ],
+    )
+    def test_parse_rejects(self, text, num_bgs, message):
+        with pytest.raises(ValueError, match=message):
+            SubsetMask.parse(text, num_bgs)
 
     def test_bounds_on_p(self):
         with pytest.raises(ValueError):
@@ -205,3 +220,63 @@ class TestGridOracle:
 def _tiny_p5():
     alloc = RegionAllocation.from_values(5, np.full(32, 1.0))
     return dataset_from_allocation(alloc, basic_masks(5)), alloc
+
+
+# Each constructor and helper rejects the input that breaks its own rule.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SubsetMask(bits=4, num_bgs=2), "bits 4 out of range for 2 BGs"),
+        (lambda: SubsetMask.from_bgs([3], 2), "BG index 3 out of range 1..2"),
+        (
+            lambda: incidence_vector(SubsetMask.from_string("10"), 3),
+            "num_bgs does not match",
+        ),
+        (
+            lambda: ReachObservation(SubsetMask.from_string("00"), 1.0),
+            "empty subset has no reach",
+        ),
+        (
+            lambda: ReachObservation(SubsetMask.from_string("10"), math.nan),
+            "reach must be finite and >= 0",
+        ),
+        (
+            lambda: ReachDataset.from_pairs(2, [("10", 1.0)], universe_size=0.0),
+            "universe_size must be positive and finite",
+        ),
+        (
+            lambda: ReachDataset.from_pairs(2, [("100", 1.0)]),
+            "observation BG count does not match dataset",
+        ),
+        (
+            lambda: ReachDataset.from_pairs(2, [("10", 1.0)]).replace_reaches([1.0, 2.0]),
+            "reach count mismatch",
+        ),
+        (lambda: RegionAllocation(2, np.zeros(3)), "allocation needs 4 entries"),
+        (
+            lambda: subset_reach_from_allocation(
+                SubsetMask.from_string("100"), RegionAllocation(2, np.zeros(4))
+            ),
+            "different BG counts",
+        ),
+        (lambda: BoundInterval(0.0, math.inf), "bounds must be finite"),
+        (lambda: BoundInterval(2.0, 1.0), "lower 2.0 exceeds upper 1.0"),
+    ],
+    ids=[
+        "mask_bits",
+        "bg_index",
+        "incidence_num_bgs",
+        "empty_observation",
+        "nan_reach",
+        "zero_universe",
+        "observation_num_bgs",
+        "reach_count",
+        "allocation_size",
+        "allocation_num_bgs",
+        "infinite_bound",
+        "crossed_bounds",
+    ],
+)
+def test_rule_violations_are_value_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

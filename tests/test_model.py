@@ -1,6 +1,7 @@
 """Universe estimation, segment matrices, fitting, prediction, and d search."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,36 @@ def overlap_pair_dataset(universe=1.0):
     )
 
 
+def basics_dataset(singles, union):
+    """The single-BG reaches ``singles`` and the union reach ``union``."""
+    num_bgs = len(singles)
+    pairs = [(SubsetMask.single(i + 1, num_bgs), s) for i, s in enumerate(singles)]
+    return ReachDataset.from_pairs(num_bgs, pairs + [(SubsetMask.full(num_bgs), union)])
+
+
+def exact_universe(singles, union) -> float:
+    """Oracle for ``estimate_universe``: the root of
+    prod_i (1 - a_i y) - (1 - y), with a_i = single_i / union and y = union / U,
+    bisected in exact rationals to 1e-14 relative width."""
+    union = Fraction(union)
+    shares = [Fraction(s) / union for s in singles]
+
+    def gap(y: Fraction) -> Fraction:
+        product = Fraction(1)
+        for a in shares:
+            product *= 1 - a * y
+        return product - (1 - y)
+
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo > hi / 10**14:
+        mid = (lo + hi) / 2
+        if gap(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return float(union * 2 / (lo + hi))
+
+
 class TestEstimateUniverse:
     def test_five_bg_closed_form(self):
         # (1 - 336160/U) == (1 - 100000/U)^5 holds exactly at U = 500000.
@@ -67,9 +98,44 @@ class TestEstimateUniverse:
         near = ReachDataset.from_pairs(2, [("10", 1e300), ("01", 1e300), ("11", 1.5e300)])
         assert estimate_universe(near) == pytest.approx(2e300, rel=1e-9)
         # (1 - 0.9 s/U)^2 == 1 - s/U gives U == 1.0125 s: finite, though twice
-        # the union is not, so the bracket stops at the largest float.
+        # the union is not.
         edge = ReachDataset.from_pairs(2, [("10", 0.9e308), ("01", 0.9e308), ("11", 1e308)])
         assert estimate_universe(edge) == pytest.approx(1.0125e308, rel=1e-9)
+
+    def test_root_at_the_union_is_unavailable(self):
+        # 1 - 10/U == (1 - 10/U)(1 - 5/U) holds only at U == 10, the union itself.
+        ds = ReachDataset.from_pairs(2, [("10", 10.0), ("01", 5.0), ("11", 10.0)])
+        with pytest.raises(UnavailableError, match="no finite independent universe"):
+            estimate_universe(ds)
+
+    # Near-independent BGs: the overlap is a tiny share of the union.
+    @pytest.mark.parametrize(
+        "singles, union",
+        [
+            ([1e6, 1e6], 1_999_999.0),
+            ([1e6, 1e6], 1_999_999.99),
+            ([1e6] * 5, 4_999_990.0),
+            ([1.0, 1.0], 2.0 - 2.0**-52),
+        ],
+    )
+    def test_matches_the_exact_root_near_independence(self, singles, union):
+        ds = basics_dataset(singles, union)
+        assert estimate_universe(ds) == pytest.approx(
+            exact_universe(singles, union), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("num_bgs", range(2, 13))
+    def test_matches_the_exact_root_on_random_basics(self, num_bgs):
+        rng = np.random.default_rng(20240817 + num_bgs)
+        for _ in range(3):
+            universe = 10.0 ** rng.uniform(2, 12)
+            proportions = 10.0 ** rng.uniform(-5, -0.3, size=num_bgs)
+            singles = [float(r * universe) for r in proportions]
+            union = float((1.0 - np.prod(1.0 - proportions)) * universe)
+            ds = basics_dataset(singles, union)
+            assert estimate_universe(ds) == pytest.approx(
+                exact_universe(singles, union), rel=1e-9
+            )
 
     def test_single_above_union_is_inconsistent(self):
         ds = ReachDataset.from_pairs(2, [("10", 300.0), ("01", 100.0), ("11", 200.0)])

@@ -253,6 +253,19 @@ class TestSession:
         assert len(matrices) == 10
         assert len(universes) == 1
 
+    def test_model_of_another_bg_count_is_rejected_before_any_bounds(self, monkeypatch):
+        _, ds = five_bg_setup()
+        session = Session(ds)
+        small = ReachDataset.from_pairs(2, [("10", 3.0), ("01", 3.0), ("11", 5.0)])
+        other = fit(small, math.inf)
+
+        def no_bounds(targets):
+            raise AssertionError("bounds were solved")
+
+        monkeypatch.setattr(session.solver, "bounds_many", no_bounds)
+        with pytest.raises(ValueError, match="model has num_bgs=2, dataset has 5"):
+            session.estimates(other, [SubsetMask.from_string("11000")])
+
 
 class TestAlphaInterval:
     def test_hand_substitution(self):
