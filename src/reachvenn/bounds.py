@@ -45,14 +45,13 @@ class ConsistencyReport:
     witness: RegionAllocation | None = None
 
 
-def _incidence_rows(dataset: ReachDataset, sort: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _incidence_rows(dataset: ReachDataset) -> tuple[np.ndarray, np.ndarray]:
     """The observation equalities A x = b on the proportion scale, one row
-    per observation (canonical order unless ``sort`` is off)."""
+    per observation in the dataset's (canonical) order."""
     if dataset.n == 0:
         raise ValueError("dataset has no observations")
-    obs = dataset.sorted_observations() if sort else dataset.observations
-    a = np.array([incidence_vector(o.subset) for o in obs])
-    b = np.array([o.reach for o in obs]) / dataset.scale
+    a = np.array([incidence_vector(o.subset) for o in dataset.observations])
+    b = np.array([o.reach for o in dataset.observations]) / dataset.scale
     return a, b
 
 
@@ -120,7 +119,7 @@ class BoundsSolver:
         non-empty, so their complements are distinct and none is all BGs.
         """
         rest = self.dataset.without(mask)
-        row = [m.index for m in self.dataset.masks()].index(mask.index)
+        row = self.dataset.masks().index(mask)
         solver = self._solver.without_row(row, self.scale / rest.scale)
         c = incidence_vector(mask, self.dataset.num_bgs)
         return _interval(solver, c, _upper_cap(rest), rest.scale)
@@ -204,7 +203,7 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     solve is one ``simplex_lstsq`` call: directly on the simplex with a
     universe, and through ``nnls``, its reduction onto that solver, without.
     """
-    a, b = _incidence_rows(dataset, sort=False)
+    a, b = _incidence_rows(dataset)
     if dataset.universe_size is not None:
         x, _ = simplex_lstsq(a, b)  # column 0 is zero: the unreached region
     else:

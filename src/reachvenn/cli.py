@@ -2,7 +2,7 @@
 
 Subcommands: check, bounds, curve, fit, predict, select, experiment.
 Exit codes: 0 ok, 2 inconsistent data, 3 infeasible/unavailable (or a solver
-that stopped before converging), 64 usage.
+that stopped before converging, or an allocation that failed), 64 usage.
 Structured output goes to stdout (JSON, or CSV for curves); diagnostics to
 stderr.
 """
@@ -291,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INCONSISTENT
     except (UnavailableError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNAVAILABLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

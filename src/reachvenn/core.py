@@ -5,7 +5,7 @@ regions.  Every subset of BGs, every primitive region, and every activity
 segment is identified by the same P-bit encoding: flag i (1-indexed) marks
 BG i and contributes 2**(i-1) to the canonical integer index.  The string
 form writes flag 1 leftmost, so "110" with P=3 is the subset {G1, G2} with
-canonical index 3.
+canonical index 3.  A dataset keeps its observations in that index order.
 """
 
 from __future__ import annotations
@@ -171,11 +171,15 @@ class ReachObservation:
 
 @dataclass(frozen=True)
 class ReachDataset:
-    """A set of reach observations over distinct subsets of P BGs."""
+    """A set of reach observations over distinct subsets of P BGs, kept in
+    ascending canonical-index order whatever order they came in: the one row
+    order of every solve on the dataset, so datasets that differ only in input
+    order are equal and give the same results."""
 
     num_bgs: int
     universe_size: float | None
     observations: tuple[ReachObservation, ...]
+    _reaches: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_num_bgs(self.num_bgs)
@@ -183,17 +187,20 @@ class ReachDataset:
             np.isfinite(self.universe_size) and self.universe_size > 0
         ):
             raise ValueError("universe_size must be positive and finite")
-        seen: set[int] = set()
+        reaches: dict[int, float] = {}
         for obs in self.observations:
             if obs.subset.num_bgs != self.num_bgs:
                 raise ValueError("observation BG count does not match dataset")
-            if obs.subset.index in seen:
+            if obs.subset.index in reaches:
                 raise ValueError(f"duplicate mask {obs.subset} in dataset")
-            seen.add(obs.subset.index)
+            reaches[obs.subset.index] = obs.reach
             if self.universe_size is not None and obs.reach > self.universe_size:
                 raise ValueError(
                     f"reach {obs.reach} for {obs.subset} exceeds universe size"
                 )
+        ordered = tuple(sorted(self.observations, key=lambda o: o.subset.index))
+        object.__setattr__(self, "observations", ordered)
+        object.__setattr__(self, "_reaches", reaches)
 
     @classmethod
     def from_pairs(
@@ -214,23 +221,21 @@ class ReachDataset:
         return len(self.observations)
 
     def sorted_observations(self) -> tuple[ReachObservation, ...]:
-        """Observations in ascending canonical-index order."""
-        return tuple(sorted(self.observations, key=lambda o: o.subset.index))
+        """Observations in ascending canonical-index order: ``observations``."""
+        return self.observations
 
     def masks(self) -> tuple[SubsetMask, ...]:
-        return tuple(o.subset for o in self.sorted_observations())
+        """The observed masks, in ascending canonical-index order."""
+        return tuple(o.subset for o in self.observations)
 
     def reach_of(self, subset: SubsetMask) -> float | None:
-        for obs in self.observations:
-            if obs.subset.index == subset.index:
-                return obs.reach
-        return None
+        """The observed reach of ``subset``, None when it is not observed."""
+        return self._reaches.get(subset.index)
 
     @property
     def has_basic_points(self) -> bool:
         """True iff all single-BG masks and the all-ones mask are observed."""
-        present = {o.subset.index for o in self.observations}
-        return {m.index for m in basic_masks(self.num_bgs)} <= present
+        return all(m.index in self._reaches for m in basic_masks(self.num_bgs))
 
     @property
     def scale(self) -> float:
@@ -255,7 +260,7 @@ class ReachDataset:
         return ReachDataset(self.num_bgs, self.universe_size, kept)
 
     def replace_reaches(self, new_reaches: Sequence[float]) -> "ReachDataset":
-        """New dataset with the same masks (insertion order) and given reaches."""
+        """New dataset with the same masks (canonical order) and given reaches."""
         if len(new_reaches) != self.n:
             raise ValueError("reach count mismatch")
         obs = tuple(

@@ -7,10 +7,12 @@ A dataset document looks like::
      "observations": [{"subset": "110", "reach": 4000.0}, ...]}
 
 Subset strings follow the canonical convention: character k (from the left)
-is BG k+1's flag.  Ground-truth files add an ``allocation`` array of 2**P
-region reaches (used by test oracles and the selection harness) and,
-when produced by a generator, its parameters.  A model document holds a
-``CiModel``'s fields, with an infinite d written as the string "inf"::
+is BG k+1's flag.  Observations may come in any order; a dataset is written
+in ascending canonical-index order, the order ``ReachDataset`` keeps.
+Ground-truth files add an ``allocation`` array of 2**P region reaches (used
+by test oracles and the selection harness) and, when produced by a
+generator, its parameters.  A model document holds a ``CiModel``'s fields,
+with an infinite d written as the string "inf"::
 
     {"num_bgs": 2, "d": 2.5, "universe_size": 10.0,
      "single_bg_proportions": [0.3, 0.3], "weights": [0.0, 0.2, 0.2, 0.3],

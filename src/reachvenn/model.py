@@ -280,7 +280,7 @@ def fit_leave_one_out(
 def fit(dataset: ReachDataset, d: float) -> CiModel:
     """Fit segment weights to the dataset's training points at parameter ``d``
     (``fit_segments`` on the dataset's segment matrix)."""
-    reaches = np.array([o.reach for o in dataset.sorted_observations()])
+    reaches = np.array([o.reach for o in dataset.observations])
     return fit_segments(build_segment_matrix(dataset, d), reaches)
 
 

@@ -65,14 +65,15 @@ def d_grid() -> list[float]:
 class SelectionState:
     """Bookkeeping for adaptive training-point selection.
 
-    ``measurements`` holds the starting observations in ascending canonical
-    order, then one observation per round, and ``excluded`` the canonical
-    indices of masks kept out of selection (for example held-out testing
-    points).  ``chosen`` and ``candidates`` follow from the two.
+    ``measurements`` holds every observation so far, ``excluded`` the
+    canonical indices of masks kept out of selection (for example held-out
+    testing points), and ``chosen`` the measured masks in acquisition order:
+    the starting ones in ascending canonical order, then one per round.
     """
 
     measurements: ReachDataset
     excluded: frozenset[int]
+    chosen: tuple[SubsetMask, ...]
 
     @classmethod
     def initial(
@@ -81,16 +82,8 @@ class SelectionState:
         """Start from an already-measured dataset (must contain the basics)."""
         if not measurements.has_basic_points:
             raise ValueError("selection starts from the basic points")
-        observations = measurements.sorted_observations()
-        return cls(
-            replace(measurements, observations=observations),
-            frozenset(m.index for m in exclude),
-        )
-
-    @property
-    def chosen(self) -> tuple[SubsetMask, ...]:
-        """The measured masks in acquisition order (the starting ones first)."""
-        return tuple(o.subset for o in self.measurements.observations)
+        excluded = frozenset(m.index for m in exclude)
+        return cls(measurements, excluded, measurements.masks())
 
     @property
     def candidates(self) -> tuple[SubsetMask, ...]:
@@ -128,7 +121,7 @@ def select_next_point(
             best_mask = mask
     reach = float(measure(best_mask))
     measurements = state.measurements.with_observation(best_mask, reach)
-    return SelectionState(measurements, state.excluded)
+    return SelectionState(measurements, state.excluded, state.chosen + (best_mask,))
 
 
 def relative_error(
@@ -165,8 +158,8 @@ class Session:
 
     The constructor runs one phase 1 and repairs the data if that finds it
     inconsistent; ``dataset`` is the data used from then on, and ``reaches``
-    its reaches in the segment matrices' row order.  The rest is computed on
-    first use, so bounds-only use needs no basic points.
+    its reaches in its (canonical) row order.  The rest is computed on first
+    use, so bounds-only use needs no basic points.
     """
 
     def __init__(self, dataset: ReachDataset):
@@ -178,11 +171,10 @@ class Session:
             self.solver = BoundsSolver(dataset)
             self.repaired = True
         self.dataset = dataset
-        self.reaches = np.array([o.reach for o in dataset.sorted_observations()])
+        self.reaches = np.array([o.reach for o in dataset.observations])
         self.has_spare_points = dataset.n > dataset.num_bgs + 1
         self._segments: dict[float, SegmentMatrix] = {}
         self._errors: dict[float, list[float]] = {}
-        self._models: dict[float, CiModel] = {}
 
     @functools.cached_property
     def universe_size(self) -> float:
@@ -196,10 +188,10 @@ class Session:
         bounds come from ``solver.bounds_without``, which runs no new phase 1."""
         basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
         result = []
-        for row, mask in enumerate(self.dataset.masks()):
-            if mask.index not in basics:
-                interval = self.solver.bounds_without(mask)
-                result.append((row, mask, interval, self.dataset.reach_of(mask)))
+        for row, obs in enumerate(self.dataset.observations):
+            if obs.subset.index not in basics:
+                interval = self.solver.bounds_without(obs.subset)
+                result.append((row, obs.subset, interval, obs.reach))
         return result
 
     def segments(self, d: float) -> SegmentMatrix:
@@ -233,9 +225,7 @@ class Session:
 
     def model(self, d: float) -> CiModel:
         """The model fitted to all points at d (nudged by ``effective_d``)."""
-        if d not in self._models:
-            self._models[d] = fit_segments(self.segments(d), self.reaches)
-        return self._models[d]
+        return fit_segments(self.segments(d), self.reaches)
 
     def estimates(
         self, model: CiModel, targets: Sequence[SubsetMask], clamp: bool = True

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from reachvenn import experiment, io
+from reachvenn import experiment, io, pipeline
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
 from reachvenn.lsq import simplex_lstsq
@@ -314,6 +314,20 @@ class TestFitPredict:
         assert err.startswith("error: simplex_lstsq")
         assert "Traceback" not in err
 
+    def test_failed_allocation_exits_three(self, capsys, monkeypatch, triangle_file):
+        # Stands in for numpy's allocation error, a MemoryError, without
+        # asking for the memory.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.7 GiB for an array")
+
+        monkeypatch.setattr(pipeline, "build_segment_matrix", no_memory)
+        code, out, err = run_cli(
+            capsys, "predict", triangle_file, "--target", "101", "--alpha", "90"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 6.7 GiB for an array\n"
+
     @pytest.mark.parametrize("argv", [("predict", "--target", "11"), ("fit",)])
     def test_universe_past_the_float_range_is_unavailable(self, capsys, tmp_path, argv):
         # The independent universe of these basics is 2e308.
@@ -484,6 +498,14 @@ class TestExperimentCommand:
         assert code == 64
         assert out == ""
         assert "num_bgs must be in [2, 20]" in err
+
+    def test_zero_replicates_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "--generator", "ci", "--p", "4", "--replicates", "0"
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: need at least one replicate\n"
 
     def test_zero_workers_is_usage_error(self, capsys):
         code, out, err = run_cli(
@@ -699,6 +721,31 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith(f"error: {field} must")
         assert "Traceback" not in err
+
+    def test_model_with_mismatched_dimensions(self, capsys, tmp_path):
+        data = tmp_path / "basics.json"
+        io.save_dataset(
+            ReachDataset.from_pairs(2, [("10", 3.0), ("01", 3.0), ("11", 5.0)]), data
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text(
+            json.dumps(
+                {
+                    "num_bgs": 2,
+                    "d": 2.0,
+                    "universe_size": 10.0,
+                    "single_bg_proportions": [0.3, 0.3],
+                    "weights": [0.0, 0.2, 0.2],
+                    "training_residual": 0.0,
+                }
+            )
+        )
+        code, out, err = run_cli(
+            capsys, "predict", data, "--target", "11", "--model", model_path
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: model dimensions do not match num_bgs\n"
 
     # The BG-count rule runs before anything sized by 2**num_bgs is built:
     # at 10**6 that size alone would not fit in memory.

@@ -174,6 +174,19 @@ class TestDataset:
         ds = ReachDataset.from_pairs(2, [("11", 3), ("10", 1), ("01", 2)])
         assert [o.subset.index for o in ds.sorted_observations()] == [1, 2, 3]
 
+    def test_observations_kept_in_canonical_order(self):
+        ds = ReachDataset.from_pairs(2, [("11", 3), ("10", 1), ("01", 2)])
+        assert [o.subset.index for o in ds.observations] == [1, 2, 3]
+        same = ReachDataset.from_pairs(2, [("01", 2), ("11", 3), ("10", 1)])
+        assert same == ds and hash(same) == hash(ds)
+        grown = ReachDataset.from_pairs(2, [("11", 3), ("01", 2)]).with_observation(
+            SubsetMask.from_string("10"), 1
+        )
+        assert grown == ds
+        assert ds.reach_of(SubsetMask.from_string("01")) == 2.0
+        assert ds.reach_of(SubsetMask.from_string("11")) == 3.0
+        assert ds.without(SubsetMask.from_string("11")).reach_of(SubsetMask.full(2)) is None
+
     def test_scale(self):
         ds = ReachDataset.from_pairs(2, [("10", 50)], universe_size=100.0)
         assert ds.scale == 100.0

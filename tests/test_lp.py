@@ -110,6 +110,11 @@ class TestEqualityFormSolver:
         assert lo.value == pytest.approx(0.0, abs=1e-9)
         assert hi.value == pytest.approx(2.0, abs=1e-9)
 
+    def test_unknown_sense_rejected(self):
+        solver = EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="sense must be 'min' or 'max'"):
+            solver.optimize(np.array([1.0, 0.0]), "mid")
+
     def test_infeasible_constraints(self):
         solver = EqualityFormSolver(np.array([[1.0, 1.0]]), np.array([-1.0]))
         # Row flips sign, but x >= 0 cannot produce a negative sum.

@@ -98,6 +98,10 @@ class TestSimplexLstsq:
         with pytest.raises(RuntimeError, match="simplex_lstsq"):
             simplex_lstsq(a, b, max_iter=1)
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            simplex_lstsq(np.zeros((2, 0)), np.array([1.0, 1.0]))
+
     def test_single_column(self):
         v, rss = simplex_lstsq(np.array([[2.0], [0.0]]), np.array([1.0, 1.0]))
         assert v.tolist() == [1.0]

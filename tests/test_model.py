@@ -181,6 +181,11 @@ class TestSegmentMatrix:
             if mask.popcount == 1:
                 assert len(set(np.round(row, 12))) == 2
 
+    def test_requires_basics(self):
+        ds = ReachDataset.from_pairs(2, [("10", 0.2), ("11", 0.36)], universe_size=1.0)
+        with pytest.raises(ValueError, match="single-BG reaches and the union"):
+            build_segment_matrix(ds, 2.0)
+
     def test_d_at_or_below_one_rejected(self):
         ds = overlap_pair_dataset()
         with pytest.raises(ValueError, match="d must exceed 1"):

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from reachvenn import model, pipeline
-from reachvenn.bounds import BoundsSolver
+from reachvenn.bounds import BoundsSolver, check_consistency, repair_dataset
 from reachvenn.core import (
     BoundInterval,
     ReachDataset,
@@ -15,6 +16,7 @@ from reachvenn.core import (
     basic_masks,
     enumerate_masks,
 )
+from reachvenn.experiment import training_masks
 from reachvenn.model import estimate_universe, fit, predict
 from reachvenn.pipeline import (
     EstimateOptions,
@@ -411,3 +413,45 @@ class TestEstimateSubset:
         ds = ReachDataset.from_pairs(3, [("100", 1.0), ("010", 1.0), ("001", 1.0)])
         with pytest.raises(ValueError, match="basic"):
             estimate_subset(ds, SubsetMask.from_string("110"))
+
+
+class TestInputOrder:
+    """A dataset is a set: listing its observations in another order changes
+    no bit of any result."""
+
+    @pytest.mark.parametrize("num_bgs", [4, 5, 6, 7])
+    @pytest.mark.parametrize("declare", [False, True])
+    def test_permuted_observations_give_identical_results(self, num_bgs, declare):
+        universe = 1e6
+        options = EstimateOptions(alpha=90)
+        rng = np.random.default_rng((num_bgs, declare))
+        for kind in ("ci_groups", "dirichlet"):
+            seed = int(rng.integers(2**31))
+            truth = generate(GeneratorSpec(kind, num_bgs, universe, seed=seed))
+            masks = training_masks(num_bgs)
+            extra = [m for m in enumerate_masks(num_bgs) if m not in masks]
+            masks += [extra[i] for i in rng.choice(len(extra), size=2, replace=False)]
+            clean = [ReachObservation(m, true_reach(truth, m)) for m in masks]
+            noisy = [
+                ReachObservation(o.subset, min(o.reach, universe))
+                for o in add_measurement_noise(clean, seed=seed + 1)
+            ]
+            given = ReachDataset(num_bgs, universe if declare else None, tuple(noisy))
+            target = next(m for m in extra if m not in masks)
+            repaired = repair_dataset(given)
+            reaches = {o.subset.index: o.reach for o in repaired.observations}
+            t_star = check_consistency(given).t_star
+            intervals = BoundsSolver(repaired).bounds_many(enumerate_masks(num_bgs))
+            estimate = repr(estimate_subset(given, target, options))
+            for _ in range(3):
+                order = rng.permutation(len(noisy))
+                shuffled = tuple(noisy[i] for i in order)
+                permuted = ReachDataset(given.num_bgs, given.universe_size, shuffled)
+                assert permuted == given
+                again = repair_dataset(permuted)
+                assert {o.subset.index: o.reach for o in again.observations} == reaches
+                assert check_consistency(permuted).t_star == t_star
+                rows = tuple(repaired.observations[i] for i in order)
+                solver = BoundsSolver(ReachDataset(num_bgs, repaired.universe_size, rows))
+                assert solver.bounds_many(enumerate_masks(num_bgs)) == intervals
+                assert repr(estimate_subset(permuted, target, options)) == estimate
