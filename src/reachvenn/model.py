@@ -3,12 +3,14 @@
 The universe is split into 2**P latent activity segments, one per P-bit
 label: inside segment x, BG i reaches users independently with the high
 probability 1 - (1 - r_i)/d when flag i is set, or the low probability r_i/d
-when it is not (r_i is BG i's overall reach proportion, d > 1 the tuning
+when it is not (r_i is BG i's overall reach proportion, d >= 1 the tuning
 parameter).  A subset's reach proportion is then a convex combination over
 segments, and fitting reduces to least squares under w >= 0, sum(w) <= 1.
-As d grows the segment rows approach the subset/region incidence pattern, so
-consistent data is always perfectly fittable in the limit.  The estimated
-universe (``estimate_universe``) is precise to 1e-10 relative width.
+At d = 1 every segment sees each BG's overall reach r_i, which is plain
+conditional independence; as d grows the segment rows approach the
+subset/region incidence pattern, so consistent data is always perfectly
+fittable in the limit (d = inf).  The estimated universe
+(``estimate_universe``) is precise to 1e-10 relative width.
 
 Fitting is split in two: ``build_segment_matrix`` builds Z(d) and
 ``fit_segments`` solves for the weights on it.  ``segment_rows`` builds the
@@ -109,6 +111,12 @@ def estimate_universe(dataset: ReachDataset) -> float:
     return union / mid
 
 
+def check_d(d: float) -> None:
+    """Raise ValueError unless 1 <= ``d`` <= inf (so NaN fails): the one d rule."""
+    if not d >= 1.0:
+        raise ValueError(f"d must be at least 1 (or inf), got {d}")
+
+
 def segment_rows(
     subsets: Sequence[SubsetMask], single_proportions: np.ndarray, d: float
 ) -> np.ndarray:
@@ -121,8 +129,7 @@ def segment_rows(
     ascending order from 1.0, and a BG outside a subset multiplies its row
     by exactly 1.0, so each row has the bits of a product over its own BGs.
     """
-    if d <= 1.0:
-        raise ValueError("d must exceed 1")
+    check_d(d)
     r = np.asarray(single_proportions, dtype=np.float64)
     low, high = r / d, 1.0 - (1.0 - r) / d  # per-BG reach probabilities
     if any(subset.num_bgs != low.size for subset in subsets):
@@ -201,9 +208,8 @@ class CiModel:
         r = np.asarray(self.single_bg_proportions, dtype=np.float64)
         if w.shape != (1 << self.num_bgs,) or r.shape != (self.num_bgs,):
             raise ValueError("model dimensions do not match num_bgs")
+        check_d(self.d)
         # Written so that NaN fails every check.
-        if not self.d > 1.0:
-            raise ValueError(f"d must exceed 1 or be inf, got {self.d}")
         if not (math.isfinite(self.universe_size) and self.universe_size > 0):
             raise ValueError(
                 f"universe_size must be finite and positive, got {self.universe_size}"

@@ -38,6 +38,7 @@ from .model import (
     CiModel,
     SegmentMatrix,
     build_segment_matrix,
+    check_d,
     dataset_universe,
     fit_leave_one_out,
     fit_segments,
@@ -45,14 +46,11 @@ from .model import (
     segment_rows,
 )
 
-# Definition of the segment probabilities degenerates at exactly d = 1, so the
-# grid point 1 is evaluated just above it.
-_D_ONE_NUDGE = 1e-9
-
 
 def effective_d(d: float) -> float:
-    """The d the model is fitted at: d itself, nudged just above 1."""
-    return d if d > 1.0 else 1.0 + _D_ONE_NUDGE
+    """``d`` itself: every d in [1, inf] is fitted as given.  Kept for the
+    acceptance suite, which fits the grid at ``effective_d(d)``."""
+    return d
 
 
 def d_grid() -> list[float]:
@@ -195,11 +193,10 @@ class Session:
         return result
 
     def segments(self, d: float) -> SegmentMatrix:
-        """The segment matrix of all points at d (nudged by ``effective_d``)."""
+        """The segment matrix of all points at d; at d = 1 every column is the
+        independence row z = 1 - prod(1 - r_i)."""
         if d not in self._segments:
-            self._segments[d] = build_segment_matrix(
-                self.dataset, effective_d(d), self.universe_size
-            )
+            self._segments[d] = build_segment_matrix(self.dataset, d, self.universe_size)
         return self._segments[d]
 
     def loo_table(self, ds: Sequence[float]) -> list[list[float]]:
@@ -219,12 +216,9 @@ class Session:
                 ]
         return [self._errors[d] for d in ds]
 
-    def loo_errors(self, d: float) -> list[float]:
-        """Leave-one-out relative errors at d (``loo_table`` of d alone)."""
-        return self.loo_table([d])[0]
-
     def model(self, d: float) -> CiModel:
-        """The model fitted to all points at d (nudged by ``effective_d``)."""
+        """The model fitted to all points at d; at d = 1 it predicts
+        U clip(z.y / z.z, 0, 1) z_T, y being the reach proportions."""
         return fit_segments(self.segments(d), self.reaches)
 
     def estimates(
@@ -275,8 +269,8 @@ def tune_d(session: Session) -> float:
     grid = d_grid()
     best_d = grid[0]
     best_score = math.inf
-    # Scores within 1e-8 (solver noise, e.g. the d=1 nudge) count as ties,
-    # and ties -- including all-infinite columns -- keep the smaller d.
+    # Scores within 1e-8 (solver noise) count as ties, and ties -- including
+    # all-infinite columns -- keep the smaller d.
     for d, errors in zip(grid, session.loo_table(grid)):
         score = float(np.mean(np.abs(errors)))
         if score < best_score - 1e-8:
@@ -314,7 +308,7 @@ def error_bar(
     """
     if not session.has_spare_points:
         raise UnavailableError("error bar unavailable: no validation points")
-    q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_errors(d)], alpha)
+    q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_table([d])[0]], alpha)
     return alpha_interval(estimate.point, estimate.interval_100, q_alpha)
 
 
@@ -327,9 +321,7 @@ def resolve_d(session: Session, d: float | None) -> tuple[float, str]:
     ("default_inf").
     """
     if d is not None:
-        # Written so that NaN fails the check.
-        if not d >= 1.0:
-            raise ValueError(f"d must be at least 1 (or inf), got {d}")
+        check_d(d)
         return d, "given"
     if session.has_spare_points:
         return tune_d(session), "cross_validated"

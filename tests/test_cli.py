@@ -248,6 +248,22 @@ class TestFitPredict:
         assert payload["d_policy"] == "loaded"
         assert payload["d"] == 2.5
 
+    def test_d_one_is_fitted_saved_and_loaded_as_one(self, capsys, tmp_path, triangle_file):
+        model_path = tmp_path / "m.json"
+        code, out, _ = run_cli(capsys, "fit", triangle_file, "--d", "1", "--out", model_path)
+        assert code == 0
+        assert '"d": 1.0,' in out
+        target = ["predict", triangle_file, "--target", "101"]
+        code, out, _ = run_cli(capsys, *target, "--model", model_path)
+        assert code == 0
+        loaded = json.loads(out)
+        code, out, _ = run_cli(capsys, *target, "--d", "1")
+        assert code == 0
+        fitted = json.loads(out)
+        assert loaded["d"] == fitted["d"] == 1.0
+        assert loaded["point"] == fitted["point"]
+        assert loaded["interval_100"] == fitted["interval_100"]
+
     def test_saved_model_on_inconsistent_data_is_repaired(self, capsys, tmp_path):
         data = tmp_path / "noisy.json"
         model_path = tmp_path / "model.json"
@@ -692,7 +708,7 @@ class TestUsageErrors:
         "field, index, value",
         [
             ("d", None, math.nan),
-            ("d", None, 1.0),
+            ("d", None, 0.5),
             ("universe_size", None, math.nan),
             ("universe_size", None, -1000.0),
             ("universe_size", None, math.inf),

@@ -186,11 +186,6 @@ class TestSegmentMatrix:
         with pytest.raises(ValueError, match="single-BG reaches and the union"):
             build_segment_matrix(ds, 2.0)
 
-    def test_d_at_or_below_one_rejected(self):
-        ds = overlap_pair_dataset()
-        with pytest.raises(ValueError, match="d must exceed 1"):
-            build_segment_matrix(ds, 1.0)
-
     def test_infinite_d_rows_equal_incidence(self, rng):
         for num_bgs in range(2, 7):
             proportions = rng.uniform(0.05, 0.9, size=num_bgs)
@@ -220,7 +215,7 @@ class TestSegmentRows:
         if len(masks) > 64:
             masks = [masks[i] for i in sorted(rng.choice(len(masks), 64, replace=False))]
         proportions = rng.uniform(0.01, 0.95, size=num_bgs)
-        for d in (1.0 + 1e-9, 1.3, 2.0, 5.0, 1e6, math.inf):
+        for d in (1.0, 1.0 + 1e-9, 1.3, 2.0, 5.0, 1e6, math.inf):
             rows = segment_rows(masks, proportions, d)
             assert rows.shape == (len(masks), 1 << num_bgs)
             for mask, row in zip(masks, rows):
@@ -257,7 +252,7 @@ class TestFit:
 
     def test_residual_nonincreasing_in_d(self, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2)
-        grid = [1.0 + 1e-9, 13 / 9, 17 / 9, 3.0, 5.0, 50.0, math.inf]
+        grid = [1.0, 13 / 9, 17 / 9, 3.0, 5.0, 50.0, math.inf]
         residuals = [fit(ds, d).training_residual for d in grid]
         for larger_d_resid, smaller_d_resid in zip(residuals[1:], residuals):
             assert larger_d_resid <= smaller_d_resid + 1e-9

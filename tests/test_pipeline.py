@@ -24,7 +24,6 @@ from reachvenn.pipeline import (
     Session,
     alpha_interval,
     d_grid,
-    effective_d,
     error_bar,
     estimate_subset,
     nearest_rank_percentile,
@@ -62,6 +61,17 @@ def noisy_p5_dataset(declare_universe: bool) -> ReachDataset:
         for o in add_measurement_noise(clean, seed=18)
     ]
     return ReachDataset(5, universe if declare_universe else None, tuple(noisy))
+
+
+def noisy_design_dataset(num_bgs, seed, declare_universe):
+    """Noisy reaches of the 2P+1 design of a Dirichlet(0.5) truth."""
+    universe = 1e6
+    truth = generate(GeneratorSpec("dirichlet", num_bgs, universe, seed=seed, alpha=0.5))
+    clean = [ReachObservation(m, true_reach(truth, m)) for m in training_masks(num_bgs)]
+    noisy = add_measurement_noise(clean, seed=seed + 100)
+    if declare_universe:
+        noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
+    return ReachDataset(num_bgs, universe if declare_universe else None, tuple(noisy))
 
 
 def counting(monkeypatch, name, modules):
@@ -238,12 +248,12 @@ class TestSession:
             assert interval.upper_capped == fresh.upper_capped
             assert abs(interval.lower - fresh.lower) <= 1e-12 * ds.scale
             assert abs(interval.upper - fresh.upper) <= 1e-12 * ds.scale
-        for d in d_grid():
+        for d, errors in zip(d_grid(), session.loo_table(d_grid())):
             expected = []
             for _, mask, interval, truth in session.holdouts:
-                estimate = predict(fit(ds.without(mask), effective_d(d)), mask)
+                estimate = predict(fit(ds.without(mask), d), mask)
                 expected.append(relative_error(estimate, truth, interval, universe))
-            assert session.loo_errors(d) == expected
+            assert errors == expected
 
     def test_one_segment_matrix_per_grid_d(self, monkeypatch):
         ds = noisy_p5_dataset(declare_universe=False)
@@ -267,6 +277,83 @@ class TestSession:
         monkeypatch.setattr(session.solver, "bounds_many", no_bounds)
         with pytest.raises(ValueError, match="model has num_bgs=2, dataset has 5"):
             session.estimates(other, [SubsetMask.from_string("11000")])
+
+
+def independence_prediction(z, y, z_target, universe):
+    """U clip(z.y / z.z, 0, 1) z_target: the least-squares fit of y by t z
+    with t in [0, 1], which is every fit whose segment columns all equal z."""
+    return universe * min(max(z @ y / (z @ z), 0.0), 1.0) * z_target
+
+
+class TestIndependenceModel:
+    """At d = 1 every segment column is the independence row
+    z = 1 - prod(1 - r_i), so each fit has a closed form."""
+
+    @pytest.mark.parametrize("num_bgs", range(3, 9))
+    @pytest.mark.parametrize("declare_universe", [True, False])
+    def test_fits_at_one_are_the_closed_form(self, num_bgs, declare_universe):
+        for seed in (1, 2, 3):
+            session = Session(noisy_design_dataset(num_bgs, seed, declare_universe))
+            ds, universe = session.dataset, session.universe_size
+            singles = [SubsetMask.single(i + 1, num_bgs) for i in range(num_bgs)]
+            r = [ds.reach_of(single) / universe for single in singles]
+
+            def z(mask):
+                bgs = [i for i in range(num_bgs) if mask.bits >> i & 1]
+                return 1.0 - math.prod(1.0 - r[i] for i in bgs)
+
+            z_rows = np.array([z(mask) for mask in ds.masks()])
+            y = session.reaches / universe
+            tol = 1e-12 * universe
+            fitted = session.model(1.0)
+            for mask in enumerate_masks(num_bgs):
+                expected = independence_prediction(z_rows, y, z(mask), universe)
+                assert abs(predict(fitted, mask) - expected) <= tol
+            rows = [row for row, *_ in session.holdouts]
+            matrices = [session.segments(1.0)]
+            points = model.fit_leave_one_out(matrices, session.reaches, rows)[0]
+            for row, point in zip(rows, points):
+                keep = np.arange(ds.n) != row
+                expected = independence_prediction(
+                    z_rows[keep], y[keep], z_rows[row], universe
+                )
+                assert abs(point - expected) <= tol
+
+
+def p2_dataset():
+    return ReachDataset.from_pairs(
+        2, [("10", 3.0), ("01", 3.0), ("11", 5.0)], universe_size=10.0
+    )
+
+
+D_ENTRY_POINTS = {
+    "segment_rows": lambda d: model.segment_rows(
+        p2_dataset().masks(), np.array([0.3, 0.3]), d
+    ),
+    "build_segment_matrix": lambda d: model.build_segment_matrix(p2_dataset(), d),
+    "fit": lambda d: model.fit(p2_dataset(), d),
+    "CiModel": lambda d: model.CiModel(
+        2, d, 10.0, np.array([0.3, 0.3]), np.zeros(4), 0.0
+    ),
+    "resolve_d": lambda d: pipeline.resolve_d(Session(p2_dataset()), d),
+}
+
+
+class TestOneDRule:
+    """``model.check_d`` is the one rule on d: 1 <= d <= inf."""
+
+    @pytest.mark.parametrize("entry", D_ENTRY_POINTS)
+    @pytest.mark.parametrize("d", [math.nan, -3.0, 0.5])
+    def test_rejected_with_one_message(self, monkeypatch, entry, d):
+        fits = counting(monkeypatch, "simplex_lstsq", [model])
+        with pytest.raises(ValueError, match=r"^d must be at least 1 \(or inf\), got "):
+            D_ENTRY_POINTS[entry](d)
+        assert fits == []
+
+    @pytest.mark.parametrize("entry", D_ENTRY_POINTS)
+    @pytest.mark.parametrize("d", [1.0, math.inf])
+    def test_one_and_inf_accepted(self, entry, d):
+        D_ENTRY_POINTS[entry](d)
 
 
 class TestAlphaInterval:
@@ -363,7 +450,7 @@ class TestEstimateSubset:
         target = next(m for m in enumerate_masks(4) if ds.reach_of(m) is None)
         est = estimate_subset(ds, target, EstimateOptions(alpha=90.0))
         assert est.d_policy == "cross_validated" and est.interval_alpha is not None
-        assert built == [effective_d(est.d)]
+        assert built == [est.d]
 
     @pytest.mark.parametrize("d", [math.nan, -3.0, 0.5])
     def test_given_d_below_one_rejected(self, d):
