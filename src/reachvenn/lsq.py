@@ -3,10 +3,10 @@
 One solver, ``simplex_lstsq``: min ||A v - b||^2 with v >= 0 and sum(v) == 1.
 Callers that want sum(v) <= 1 append a zero column and discard its weight.
 It takes a stack of same-shaped problems and steps them in lock-step, so a
-round's face subproblems are one stacked QR factorization and one stacked
-solve; a stack of one runs the same loop.  One start rule serves the whole
-stack: each problem's column norms, start column (the column nearest b) and
-KKT tolerance are reductions over its own entries only.  A face solve's
+round's face subproblems are one stacked QR factorization and one back
+substitution; a stack of one runs the same loop.  One start rule serves the
+whole stack: each problem's column norms, start column (the column nearest b)
+and KKT tolerance are reductions over its own entries only.  A face solve's
 minimizer is exactly zero off the face, so a round's sign tests and step
 lengths read it without a face mask.  So each problem gets the same bits in
 any stack and in any stack order.
@@ -16,7 +16,7 @@ columns, scaled so that the sum constraint never binds, and a zero column.
 
 The solver runs to a KKT tolerance that puts the squared-residual objective
 within ~1e-10 of the true constrained optimum on unit-scale data, and raises
-RuntimeError when ``max_iter`` outer or inner iterations end before that.
+RuntimeError when a problem's ``max_iter`` face solves end before that.
 It logs each call's problems, rounds and face solves at DEBUG level on this
 module's logger, which is silent by default.
 """
@@ -31,8 +31,7 @@ _KKT_TOL = 1e-10
 _ZERO_TOL = 1e-13
 _START_BLOCK = 1 << 16
 
-_ITERATION_LIMIT = "simplex_lstsq: iteration limit exceeded"
-_INNER_LIMIT = "simplex_lstsq: inner iteration limit exceeded"
+_ITERATION_LIMIT = "simplex_lstsq: face-solve limit exceeded"
 _FACE_TOO_WIDE = "simplex_lstsq: a face has more than m + 1 columns"
 _FACE_SINGULAR = "simplex_lstsq: a face is singular"
 
@@ -112,8 +111,9 @@ def _solve_faces(
     the equality.  The other face columns minus the anchor, in ascending
     order, then zero columns up to width m, then b minus the anchor form an
     m x (m + 1) matrix whose R factor carries the reduced least-squares
-    problem.  Every problem has that width whatever its face size, so its
-    arithmetic does not depend on the rest of the stack.
+    problem, solved by back substitution over the face's rows.  Every
+    problem has that width whatever its face size, so its arithmetic does
+    not depend on the rest of the stack.
     """
     m, n = a.shape[1:]
     count = problems.size
@@ -130,18 +130,19 @@ def _solve_faces(
     reduced = np.zeros((count, m, m + 1))
     reduced[problem, :, slot] = a[problems[problem], :, column] - anchors[problem]
     reduced[:, :, m] = b[problems] - anchors
-    r = np.linalg.qr(reduced, mode="r")
-    # The zero columns leave zero rows and columns in R; a unit diagonal and
-    # a zero right-hand side there pin their coefficients at zero.
-    padding = np.arange(m) >= width[:, None]
+    # R[k, j] is h[:, j, k]: the upper triangle that mode "r" would copy out.
+    h = np.linalg.qr(reduced, mode="raw")[0]
     diagonal = np.arange(m)
-    tri = r[:, :, :m]
-    tri[:, diagonal, diagonal] = np.where(padding, 1.0, tri[:, diagonal, diagonal])
-    rhs = np.where(padding, 0.0, r[:, :, m])
-    try:
-        u = np.linalg.solve(tri, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise RuntimeError(_FACE_SINGULAR) from None
+    live = diagonal < width[:, None]
+    if (live & (h[:, diagonal, diagonal] == 0.0)).any():
+        raise RuntimeError(_FACE_SINGULAR)
+    # Back substitution over the live rows; the padded coefficients stay
+    # zero.  Row k's products sum over the fixed length m - k - 1 (the
+    # padded ones are zero), whatever the face sizes in the stack.
+    u = np.zeros((count, m))
+    for k in range(width.max() - 1, -1, -1):
+        s = np.add.reduce(h[:, k + 1 : m, k] * u[:, k + 1 :], axis=1)
+        np.divide(h[:, m, k] - s, h[:, k, k], out=u[:, k], where=live[:, k])
     w = np.zeros((count, n))
     w[problem, column] = u[problem, slot]
     w[slots, anchor] = 1.0 - u.sum(axis=1)
@@ -158,7 +159,7 @@ def _lock_step(
 ) -> tuple[np.ndarray, int, int]:
     """A stack's solutions, rounds and face solves.  Each round, every
     unfinished problem takes its own next step, and the round's face solves
-    are one stacked QR and one stacked solve."""
+    are one stacked QR and one back substitution."""
     count, m, n = a.shape
     problems = np.arange(count)
     v = np.zeros((count, n))
@@ -167,16 +168,13 @@ def _lock_step(
     free[problems, start] = True
     live = np.ones(count, dtype=bool)
     on_face = np.zeros(count, dtype=bool)  # a face solve is due, not a KKT check
-    entries = np.zeros(count, dtype=np.intp)
-    blocked = np.zeros(count, dtype=np.intp)  # blocked face solves since the entry
-    rounds = face_solves = 0
+    solves = np.zeros(count, dtype=np.intp)  # face solves per problem
+    rounds = 0
 
     while live.any():
         rounds += 1
         check = np.flatnonzero(live & ~on_face)
         if check.size:
-            if entries[check].max() == max_iter:
-                raise RuntimeError(_ITERATION_LIMIT)
             # One slab of the stack, a view: the checked problems and those between.
             lo, hi = check[0], check[-1] + 1
             resid = (a[lo:hi] @ v[lo:hi, :, None])[:, :, 0] - b[lo:hi]
@@ -193,12 +191,12 @@ def _lock_step(
             enter, j = check[~done], j[~done]
             free[enter, j] = True
             on_face[enter] = True
-            entries[enter] += 1
-            blocked[enter] = 0
         solve = np.flatnonzero(on_face)
         if not solve.size:
             continue
-        face_solves += solve.size
+        solves[solve] += 1
+        if solves[solve].max() > max_iter:
+            raise RuntimeError(_ITERATION_LIMIT)
         w = _solve_faces(a, b, norms, free, solve)
         # w is zero off each face, so its sign tests need no face mask.
         inside = (w > -_ZERO_TOL).all(axis=1)
@@ -225,10 +223,7 @@ def _lock_step(
         x /= x.sum(axis=1, keepdims=True)
         v[stop] = x
         free[stop] &= ~(blocking & (x <= _ZERO_TOL))
-        blocked[stop] += 1
-        if (blocked[stop] == max_iter).any():
-            raise RuntimeError(_INNER_LIMIT)
-    return v, rounds, face_solves
+    return v, rounds, int(solves.sum())
 
 
 def simplex_lstsq(
@@ -246,13 +241,12 @@ def simplex_lstsq(
     gap bounds the objective error directly.  The stack runs in lock-step:
     each round, every unfinished problem takes its own next step (a KKT
     check that may enter a column, then a face solve that may block), and
-    the round's face solves are one stacked QR and one stacked solve.  A
-    problem follows the same path, bit for bit, in any stack.
+    the round's face solves are one stacked QR and one back substitution.
+    A problem follows the same path, bit for bit, in any stack.
 
     Returns the solutions (B, n) and the squared residuals at them (B,).
-    Raises RuntimeError when a problem needs more than ``max_iter`` column
-    entries, or ``max_iter`` blocked face solves after one entry, or meets a
-    face that has no unique solution.
+    Raises RuntimeError when a problem needs more than ``max_iter`` face
+    solves (default 6 n + 60), or meets a face that has no unique solution.
     """
     single = np.ndim(a) == 2
     a = np.ascontiguousarray(a, dtype=np.float64)

@@ -313,8 +313,7 @@ def min_perfect_fit_d(dataset: ReachDataset) -> float:
     The fit residual is non-increasing in d and reaches zero for consistent
     data (in the limit the segment rows become the incidence pattern), so a
     doubling search brackets the threshold and bisection narrows it to 1e-3.
-    Returns the search floor 1 + 1e-6 when even the near-independence model
-    already fits.
+    Returns the floor 1 when the independence model already fits.
 
     Raises:
         InconsistencyError: the training points are not consistent (no d can
@@ -325,15 +324,14 @@ def min_perfect_fit_d(dataset: ReachDataset) -> float:
     def residual(d: float) -> float:
         return fit(dataset, d).training_residual
 
-    floor = 1.0 + 1e-6
-    if residual(floor) <= PERFECT_FIT_EPS:
-        return floor
+    if residual(1.0) <= PERFECT_FIT_EPS:
+        return 1.0
     hi = 2.0
     while residual(hi) > PERFECT_FIT_EPS:
         hi *= 2.0
         if hi > 2.0**40:
             raise RuntimeError("no finite d reached a zero residual")
-    lo = max(floor, hi / 2.0)
+    lo = hi / 2.0
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if residual(mid) <= PERFECT_FIT_EPS:

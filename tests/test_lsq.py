@@ -199,8 +199,9 @@ class TestStackedSimplexLstsq:
 
 def reference_solve_face(a, b, norms, face):
     """One problem's face solve on the sorted column list ``face``, with the
-    R factor of numpy's ``mode="r"`` QR on 2-D arrays: the arithmetic that
-    the stacked face solver must reproduce on a stack of one."""
+    R factor of numpy's ``mode="r"`` QR on 2-D arrays and a scalar back
+    substitution over the face's rows: the arithmetic that the stacked face
+    solver must reproduce on a stack of one."""
     m, n = a.shape
     width = len(face) - 1
     top = int(norms[face].argmax())
@@ -211,19 +212,25 @@ def reference_solve_face(a, b, norms, face):
     reduced[:, :width] = a[:, others] - anchor_column[:, None]
     reduced[:, m] = b - anchor_column
     r = np.linalg.qr(reduced, mode="r")
-    padding = np.arange(width, m)
-    r[padding, padding] = 1.0
-    rhs = r[:, m].copy()
-    rhs[width:] = 0.0
-    u = np.linalg.solve(r[:, :m], rhs[:, None])[:, 0]
+    u = np.zeros(m)
+    for k in reversed(range(width)):
+        u[k] = (r[k, m] - np.add.reduce(r[k, k + 1 : m] * u[k + 1 :])) / r[k, k]
     w = np.zeros(n)
     w[others] = u[:width]
     w[anchor] = 1.0 - u.sum()
     return w
 
 
+def solve_one_face(a, b, face):
+    """The stacked face solver on one problem and its column list ``face``."""
+    free = np.zeros((1, a.shape[1]), dtype=bool)
+    free[0, face] = True
+    norms = lsq._start(a[None], b[None])[0]
+    return lsq._solve_faces(a[None], b[None], norms, free, np.zeros(1, dtype=np.intp))[0]
+
+
 class TestSolveFaces:
-    @pytest.mark.parametrize("rows", [1, 2, 5, 12])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 12, 16])
     @pytest.mark.parametrize("zero_column", [False, True])
     def test_stack_of_one_equals_the_mode_r_reference(self, rows, zero_column):
         # Faces of 1 to m + 1 columns; with zero_column, every face holds
@@ -240,11 +247,21 @@ class TestSolveFaces:
             if zero_column and 0 not in face:
                 face[0] = 0
             face = sorted(face.tolist())
-            free = np.zeros((1, cols), dtype=bool)
-            free[0, face] = True
-            only = np.zeros(1, dtype=np.intp)
-            w = lsq._solve_faces(a[None], b[None], norms, free, only)[0]
+            w = solve_one_face(a, b, face)
             assert w.tobytes() == reference_solve_face(a, b, norms[0], face).tobytes()
+
+    def test_two_zero_columns_are_a_singular_face(self):
+        a = np.random.default_rng(3).uniform(0, 1, size=(4, 6))
+        a[:, [1, 4]] = 0.0
+        with pytest.raises(RuntimeError, match="simplex_lstsq: a face is singular"):
+            solve_one_face(a, np.ones(4), [1, 4])
+
+    def test_face_wider_than_m_plus_one_rejected(self):
+        a = np.random.default_rng(4).uniform(0, 1, size=(4, 8))
+        with pytest.raises(
+            RuntimeError, match=r"simplex_lstsq: a face has more than m \+ 1 columns"
+        ):
+            solve_one_face(a, np.ones(4), list(range(6)))
 
 
 def start_stack(rng, kind, count, rows, cols):

@@ -26,6 +26,7 @@ from reachvenn.model import (
     segment_row,
     segment_rows,
 )
+from reachvenn.synth import independent_truth, true_dataset
 
 from conftest import random_consistent_dataset
 
@@ -362,11 +363,13 @@ class TestFitLeaveOneOut:
 
 class TestMinPerfectFitD:
     def test_independent_dataset_returns_floor(self):
-        ds = ReachDataset.from_pairs(
+        # d = 1 is the independence model, which fits these data exactly.
+        pair = ReachDataset.from_pairs(
             2, [("10", 0.2), ("01", 0.2), ("11", 0.36)], universe_size=1.0
         )
-        d_star = min_perfect_fit_d(ds)
-        assert d_star == pytest.approx(1.0 + 1e-6)
+        triple = true_dataset(independent_truth(3, 0.2, 1000.0), enumerate_masks(3))
+        for ds in (pair, triple):
+            assert min_perfect_fit_d(ds) == 1.0
 
     def test_overlap_dataset_needs_finite_d_above_one(self):
         ds = overlap_pair_dataset()

@@ -63,10 +63,10 @@ def noisy_p5_dataset(declare_universe: bool) -> ReachDataset:
     return ReachDataset(5, universe if declare_universe else None, tuple(noisy))
 
 
-def noisy_design_dataset(num_bgs, seed, declare_universe):
-    """Noisy reaches of the 2P+1 design of a Dirichlet(0.5) truth."""
+def noisy_design_dataset(num_bgs, seed, declare_universe, kind="dirichlet"):
+    """Noisy reaches of the 2P+1 design of a ci_groups or Dirichlet(0.5) truth."""
     universe = 1e6
-    truth = generate(GeneratorSpec("dirichlet", num_bgs, universe, seed=seed, alpha=0.5))
+    truth = generate(GeneratorSpec(kind, num_bgs, universe, seed=seed, alpha=0.5))
     clean = [ReachObservation(m, true_reach(truth, m)) for m in training_masks(num_bgs)]
     noisy = add_measurement_noise(clean, seed=seed + 100)
     if declare_universe:
@@ -500,6 +500,36 @@ class TestEstimateSubset:
         ds = ReachDataset.from_pairs(3, [("100", 1.0), ("010", 1.0), ("001", 1.0)])
         with pytest.raises(ValueError, match="basic"):
             estimate_subset(ds, SubsetMask.from_string("110"))
+
+    @pytest.mark.parametrize("num_bgs", [4, 5])
+    @pytest.mark.parametrize("kind", ["ci_groups", "dirichlet"])
+    @pytest.mark.parametrize("declare", [False, True])
+    def test_scaling_reaches_scales_estimates(self, num_bgs, kind, declare):
+        # A power of two scales every reach exactly, and the estimate's
+        # arithmetic with it: the point, both intervals and the universe
+        # scale by exactly 2**k, and d and the repair stay.
+        options = EstimateOptions(alpha=90)
+        for seed in (31, 32):
+            ds = noisy_design_dataset(num_bgs, seed, declare, kind)
+            targets = [m for m in enumerate_masks(num_bgs) if ds.reach_of(m) is None]
+            for target in targets[::7]:
+                before = estimate_subset(ds, target, options)
+                for k in (-3, 10):
+                    factor = 2.0**k
+                    scaled = ReachDataset.from_pairs(
+                        num_bgs,
+                        [(o.subset, o.reach * factor) for o in ds.observations],
+                        universe_size=ds.universe_size * factor if declare else None,
+                    )
+                    after = estimate_subset(scaled, target, options)
+                    assert (after.d, after.repaired) == (before.d, before.repaired)
+                    assert after.point == before.point * factor
+                    assert after.universe_size == before.universe_size * factor
+                    for interval in ("interval_100", "interval_alpha"):
+                        ends = getattr(before, interval)
+                        assert getattr(after, interval) == BoundInterval(
+                            ends.lower * factor, ends.upper * factor, ends.upper_capped
+                        )
 
 
 class TestInputOrder:
