@@ -118,14 +118,16 @@ class BoundsSolver:
         transform is unitriangular), and observed masks are distinct and
         non-empty, so their complements are distinct and none is all BGs.
         """
+        mask.check_observable(self.dataset.num_bgs)
         rest = self.dataset.without(mask)
         row = self.dataset.masks().index(mask)
         solver = self._solver.without_row(row, self.scale / rest.scale)
-        c = incidence_vector(mask, self.dataset.num_bgs)
+        c = incidence_vector(mask)
         return _interval(solver, c, _upper_cap(rest), rest.scale)
 
     def bounds(self, target: SubsetMask) -> BoundInterval:
-        c = incidence_vector(target, self.dataset.num_bgs)
+        target.check_observable(self.dataset.num_bgs)
+        c = incidence_vector(target)
         return _interval(self._solver, c, self._cap, self.scale)
 
     def bounds_many(self, targets: Sequence[SubsetMask]) -> list[BoundInterval]:

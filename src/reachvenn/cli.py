@@ -30,6 +30,7 @@ from .core import (
 )
 from .experiment import run_experiment
 from .pipeline import (
+    NO_SPARE_POINTS,
     EstimateOptions,
     SelectionState,
     Session,
@@ -142,7 +143,7 @@ def cmd_predict(args) -> int:
     if args.alpha is not None:
         if estimate.interval_alpha is None:
             payload["interval_alpha"] = None
-            payload["alpha_note"] = "unavailable: no spare training points (n = P+1)"
+            payload["alpha_note"] = NO_SPARE_POINTS
         else:
             payload["interval_alpha"] = _interval_dict(estimate.interval_alpha)
             payload["alpha"] = estimate.alpha
@@ -155,6 +156,8 @@ def cmd_select(args) -> int:
         raise ValueError(f"budget must be non-negative, got {args.budget}")
     dataset = io.load_dataset(args.dataset)
     allocation, _ = io.load_allocation(args.truth)
+    if allocation.num_bgs != dataset.num_bgs:
+        raise ValueError(f"truth has {allocation.num_bgs} BGs, dataset {dataset.num_bgs}")
     exclude = _parse_masks(args.exclude, dataset.num_bgs)
     track = _parse_masks(args.track, dataset.num_bgs)
     state = SelectionState.initial(dataset, exclude=exclude)

@@ -48,6 +48,12 @@ def check_num_bgs(num_bgs: int) -> None:
         raise ValueError(f"num_bgs must be in [2, {MAX_BGS}], got {num_bgs}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless 0 < ``value`` < inf (so NaN fails): the one size rule."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SubsetMask:
     """A subset of the P buying groups, encoded as a bit mask.
@@ -84,8 +90,7 @@ class SubsetMask:
                 f"subset {text!r} does not have {num_bgs} characters (num_bgs={num_bgs})"
             )
         mask = cls.from_string(text)
-        if mask.is_empty:
-            raise ValueError(f"subset {text!r} is the all-zero mask, which has no reach")
+        mask.check_observable(num_bgs)
         return mask
 
     @classmethod
@@ -122,6 +127,11 @@ class SubsetMask:
     def is_empty(self) -> bool:
         return self.bits == 0
 
+    def check_observable(self, num_bgs: int) -> None:
+        """Raise ValueError unless this is a non-empty subset of ``num_bgs`` BGs."""
+        if self.is_empty or self.num_bgs != num_bgs:
+            raise ValueError(f"subset '{self}' is not a non-empty subset of {num_bgs} BGs")
+
     def __str__(self) -> str:
         return self.to_string()
 
@@ -138,20 +148,15 @@ def basic_masks(num_bgs: int) -> list[SubsetMask]:
     return [SubsetMask(j, num_bgs) for j in indices]
 
 
-def incidence_vector(subset: SubsetMask, num_bgs: int | None = None) -> np.ndarray:
+def incidence_vector(subset: SubsetMask) -> np.ndarray:
     """0/1 vector over the 2**P primitive regions covered by ``subset``.
 
     Entry j is 1 iff region j shares a set flag with the subset; entry 0 is
     always 0.  The dot product of this vector with a region allocation is the
     subset's reach.
     """
-    if num_bgs is None:
-        num_bgs = subset.num_bgs
-    elif num_bgs != subset.num_bgs:
-        raise ValueError("num_bgs does not match the subset's BG count")
-    if subset.is_empty:
-        raise ValueError("empty subset has no reach")
-    region_ids = np.arange(1 << num_bgs)
+    subset.check_observable(subset.num_bgs)
+    region_ids = np.arange(1 << subset.num_bgs)
     return ((region_ids & subset.bits) != 0).astype(np.float64)
 
 
@@ -163,8 +168,7 @@ class ReachObservation:
     reach: float
 
     def __post_init__(self) -> None:
-        if self.subset.is_empty:
-            raise ValueError("empty subset has no reach")
+        self.subset.check_observable(self.subset.num_bgs)
         if not np.isfinite(self.reach) or self.reach < 0:
             raise ValueError(f"reach must be finite and >= 0, got {self.reach}")
 
@@ -183,14 +187,11 @@ class ReachDataset:
 
     def __post_init__(self) -> None:
         check_num_bgs(self.num_bgs)
-        if self.universe_size is not None and not (
-            np.isfinite(self.universe_size) and self.universe_size > 0
-        ):
-            raise ValueError("universe_size must be positive and finite")
+        if self.universe_size is not None:
+            check_positive("universe_size", self.universe_size)
         reaches: dict[int, float] = {}
         for obs in self.observations:
-            if obs.subset.num_bgs != self.num_bgs:
-                raise ValueError("observation BG count does not match dataset")
+            obs.subset.check_observable(self.num_bgs)
             if obs.subset.index in reaches:
                 raise ValueError(f"duplicate mask {obs.subset} in dataset")
             reaches[obs.subset.index] = obs.reach
@@ -212,7 +213,7 @@ class ReachDataset:
         obs = []
         for mask, reach in pairs:
             if isinstance(mask, str):
-                mask = SubsetMask.from_string(mask)
+                mask = SubsetMask.parse(mask, num_bgs)
             obs.append(ReachObservation(mask, float(reach)))
         return cls(num_bgs=num_bgs, universe_size=universe_size, observations=tuple(obs))
 
@@ -232,10 +233,10 @@ class ReachDataset:
         """The observed reach of ``subset``, None when it is not observed."""
         return self._reaches.get(subset.index)
 
-    @property
-    def has_basic_points(self) -> bool:
-        """True iff all single-BG masks and the all-ones mask are observed."""
-        return all(m.index in self._reaches for m in basic_masks(self.num_bgs))
+    def check_basic_points(self) -> None:
+        """Raise ValueError unless every mask of ``basic_masks`` is observed."""
+        if not all(m.index in self._reaches for m in basic_masks(self.num_bgs)):
+            raise ValueError("dataset lacks a basic point: a single-BG or union reach")
 
     @property
     def scale(self) -> float:
@@ -321,8 +322,7 @@ class RegionAllocation:
 
 def subset_reach_from_allocation(subset: SubsetMask, alloc: RegionAllocation) -> float:
     """Reach of ``subset``: the sum of its primitive regions' reaches."""
-    if subset.num_bgs != alloc.num_bgs:
-        raise ValueError("subset and allocation have different BG counts")
+    subset.check_observable(alloc.num_bgs)
     return float(incidence_vector(subset) @ alloc.values)
 
 

@@ -18,11 +18,11 @@ with an infinite d written as the string "inf"::
      "single_bg_proportions": [0.3, 0.3], "weights": [0.0, 0.2, 0.2, 0.3],
      "training_residual": 0.0}
 
-Every file's ``num_bgs`` must lie in [2, ``core.MAX_BGS``], and every subset
-string is read by ``SubsetMask.parse``.  Every file is read by ``read_json``,
-and every JSON document the package writes, to a file or to stdout, is
-written by ``write_json``: strict JSON, where a number JSON cannot spell
-(an infinite d, q90 or error) is the string "inf" (``json_float``).
+Every file's ``num_bgs`` lies in [2, ``core.MAX_BGS``], a subset string is
+read by ``SubsetMask.parse``, a dataset or model universe by ``check_positive``.
+Every file is read by ``read_json``; every JSON document the package writes,
+to a file or stdout, by ``write_json``: strict JSON, where a number JSON cannot
+spell (an infinite d, q90 or error) is the string "inf" (``json_float``).
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from .core import (
     SubsetMask,
     UnavailableError,
     check_num_bgs,
+    check_positive,
     frozen,
 )
 from .lsq import simplex_lstsq
@@ -76,8 +77,7 @@ def estimate_universe(dataset: ReachDataset) -> float:
         UnavailableError: the singles do not overlap, the solution is the
             union reach, or it exceeds the float range.
     """
-    if not dataset.has_basic_points:
-        raise ValueError("universe estimation needs all single-BG and union reaches")
+    dataset.check_basic_points()
     union = dataset.reach_of(SubsetMask.full(dataset.num_bgs))
     singles = _single_reaches(dataset)
     if any(s > union for s in singles):
@@ -132,10 +132,8 @@ def segment_rows(
     check_d(d)
     r = np.asarray(single_proportions, dtype=np.float64)
     low, high = r / d, 1.0 - (1.0 - r) / d  # per-BG reach probabilities
-    if any(subset.num_bgs != low.size for subset in subsets):
-        raise ValueError(f"subsets must have {low.size} BGs")
-    if any(subset.is_empty for subset in subsets):
-        raise ValueError("empty subset has no reach")
+    for subset in subsets:
+        subset.check_observable(low.size)
     segments = np.arange(1 << low.size)
     bits = np.array([subset.bits for subset in subsets], dtype=np.int64)
     survive = np.ones((bits.size, segments.size))
@@ -177,8 +175,7 @@ def build_segment_matrix(
     proportions come from ``universe_size`` when given, else from
     ``dataset_universe``.
     """
-    if not dataset.has_basic_points:
-        raise ValueError("fitting needs all single-BG reaches and the union reach")
+    dataset.check_basic_points()
     rows = dataset.masks()
     universe = universe_size or dataset_universe(dataset)
     proportions = np.array(_single_reaches(dataset), dtype=np.float64) / universe
@@ -210,10 +207,7 @@ class CiModel:
             raise ValueError("model dimensions do not match num_bgs")
         check_d(self.d)
         # Written so that NaN fails every check.
-        if not (math.isfinite(self.universe_size) and self.universe_size > 0):
-            raise ValueError(
-                f"universe_size must be finite and positive, got {self.universe_size}"
-            )
+        check_positive("universe_size", self.universe_size)
         if not (r.min() >= 0.0 and r.max() <= 1.0):
             raise ValueError("single_bg_proportions must lie in [0, 1]")
         if not (w.min() >= 0.0 and w.sum() <= 1.0 + 1e-9):

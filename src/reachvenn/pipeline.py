@@ -2,18 +2,18 @@
 
 Glues the model-free and model-based halves together: adaptive selection of
 the next subset to measure (largest bound gap first), leave-one-out cross
-validation of the tuning parameter d on the non-basic training points, error
-bars from the validation-error quantiles, and a one-call estimator that
-predicts the target once: it clamps that point into its 100%-confidence
-interval, and ``error_bar`` centres the alpha%-interval on the unclamped
-point.  All of these read one ``Session`` per dataset, which computes each
-fact they share once: it holds one universe size and one segment matrix per
-d.  A held-out point is a row number: its leave-one-out prediction is a query
-on the stacked fit of that matrix without the row (``fit_leave_one_out``, all
-d at once), and its bounds a query on the session's one bounds solver
-(``BoundsSolver.bounds_without``), which runs no new phase 1.  A batch of
-targets takes its bounds from one ``bounds_many`` call and its segment rows
-from one ``segment_rows`` call.
+validation of d on the non-basic points, alpha% error bars from the
+validation-error quantiles, and a one-call estimator that predicts the target
+once, clamps that point into its 100% interval, and centres the alpha%
+interval on the unclamped point.  Validation needs spare points, n > P + 1
+(else ``NO_SPARE_POINTS``), and alpha in (0, 100] (``check_alpha``).  All of
+these read one ``Session`` per dataset, which computes each fact they share
+once: one universe size and one segment matrix per d.  A held-out point is a
+row number: its leave-one-out prediction is a query on the stacked fit of that
+matrix without the row (``fit_leave_one_out``, all d at once), and its bounds
+a query on the session's one bounds solver (``BoundsSolver.bounds_without``),
+which runs no new phase 1.  A batch of targets takes its bounds from one
+``bounds_many`` call and its segment rows from one ``segment_rows`` call.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .model import (
     predict_row,
     segment_rows,
 )
+
+NO_SPARE_POINTS = "unavailable without spare points: leave-one-out needs n > P + 1"
 
 
 def effective_d(d: float) -> float:
@@ -78,8 +80,7 @@ class SelectionState:
         cls, measurements: ReachDataset, exclude: Sequence[SubsetMask] = ()
     ) -> "SelectionState":
         """Start from an already-measured dataset (must contain the basics)."""
-        if not measurements.has_basic_points:
-            raise ValueError("selection starts from the basic points")
+        measurements.check_basic_points()
         excluded = frozenset(m.index for m in exclude)
         return cls(measurements, excluded, measurements.masks())
 
@@ -140,12 +141,17 @@ def relative_error(
     return (estimate - truth) / gap
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 0 < ``alpha`` <= 100 (so NaN fails)."""
+    if not 0 < alpha <= 100:
+        raise ValueError(f"alpha must lie in (0, 100], got {alpha}")
+
+
 def nearest_rank_percentile(values: Sequence[float], alpha: float) -> float:
     """The alpha-th percentile by the nearest-rank rule (alpha in (0, 100])."""
     if not values:
         raise ValueError("no values")
-    if not 0 < alpha <= 100:
-        raise ValueError("alpha must lie in (0, 100]")
+    check_alpha(alpha)
     ordered = sorted(values)
     rank = max(1, math.ceil(alpha / 100.0 * len(ordered)))
     return ordered[rank - 1]
@@ -265,7 +271,7 @@ def tune_d(session: Session) -> float:
     n > P+1; the basics are never held out.
     """
     if not session.has_spare_points:
-        raise UnavailableError("no validation points; use default_d")
+        raise UnavailableError(NO_SPARE_POINTS)
     grid = d_grid()
     best_d = grid[0]
     best_score = math.inf
@@ -307,7 +313,7 @@ def error_bar(
     100%-confidence interval.  Requires n > P+1.
     """
     if not session.has_spare_points:
-        raise UnavailableError("error bar unavailable: no validation points")
+        raise UnavailableError(NO_SPARE_POINTS)
     q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_table([d])[0]], alpha)
     return alpha_interval(estimate.point, estimate.interval_100, q_alpha)
 
@@ -335,8 +341,8 @@ class EstimateOptions:
     d: float | None = None  # None: cross-validate, or d = inf when impossible
 
     def __post_init__(self) -> None:
-        if self.alpha is not None and not 0 < self.alpha <= 100:
-            raise ValueError(f"alpha must lie in (0, 100], got {self.alpha}")
+        if self.alpha is not None:
+            check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -366,8 +372,8 @@ def estimate_subset(
     unclamped point is attached when requested and achievable.
     """
     options = options or EstimateOptions()
-    if not dataset.has_basic_points:
-        raise ValueError("estimation needs the basic observations")
+    dataset.check_basic_points()
+    target.check_observable(dataset.num_bgs)
     session = Session(dataset)
     d, policy = resolve_d(session, options.d)
     estimate = session.estimate(session.model(d), target, clamp=False)

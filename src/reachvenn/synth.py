@@ -13,7 +13,6 @@ derived as seed XOR replicate_index so runs parallelize reproducibly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from .core import (
     RegionAllocation,
     SubsetMask,
     check_num_bgs,
+    check_positive,
     dataset_from_allocation,
     subset_reach_from_allocation,
 )
@@ -62,9 +62,7 @@ class GeneratorSpec:
         if self.kind == "ci_groups" and self.num_groups < 1:
             raise ValueError("num_groups must be >= 1")
         for name in ("universe_size", "alpha", "reach_beta_a", "reach_beta_b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_positive(name, getattr(self, name))
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
         return replace(self, seed=seed)

@@ -1,5 +1,6 @@
-"""Shared fixtures: random ground truths, the projected-gradient oracle and
-the per-problem start rule of the least-squares solver."""
+"""Shared fixtures: random ground truths, the hand-made datasets several
+files use, the projected-gradient oracle and the per-problem start rule of the
+least-squares solver."""
 
 from __future__ import annotations
 
@@ -55,6 +56,26 @@ def random_consistent_dataset(
         picks = rng.choice(len(pool), size=min(extra, len(pool)), replace=False)
         masks = masks + [pool[i] for i in sorted(picks)]
     return dataset_from_allocation(alloc, masks, universe_size=universe), alloc
+
+
+def triangle_dataset(claim=None):
+    """P=3, singles 3000, full union 7000, R(G2 u G3) = 5000; ``claim`` adds
+    an observed R(G1 u G3)."""
+    pairs = [("100", 3000), ("010", 3000), ("001", 3000), ("111", 7000), ("011", 5000)]
+    if claim is not None:
+        pairs.append(("101", claim))
+    return ReachDataset.from_pairs(3, pairs)
+
+
+def five_bg_basics(union=336160.0, single=100000.0):
+    """The basic points of five BGs, each single at ``single``."""
+    pairs = [(m, single) for m in ["10000", "01000", "00100", "00010", "00001"]]
+    pairs.append(("11111", union))
+    return ReachDataset.from_pairs(5, pairs)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a debug record was built with DEBUG off")
 
 
 def project_to_simplex(y: np.ndarray) -> np.ndarray:

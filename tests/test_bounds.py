@@ -28,16 +28,13 @@ from reachvenn.core import (
 from reachvenn.experiment import training_masks
 from reachvenn.pipeline import EstimateOptions, estimate_subset
 
-from conftest import random_allocation, random_consistent_dataset
+from conftest import (
+    five_bg_basics,
+    random_allocation,
+    random_consistent_dataset,
+    triangle_dataset,
+)
 from grid_oracle import oracle_bounds_by_grid
-
-
-def triangle_dataset(claim=None):
-    """P=3, singles 3000, full union 7000, R(G2 u G3) = 5000."""
-    pairs = [("100", 3000), ("010", 3000), ("001", 3000), ("111", 7000), ("011", 5000)]
-    if claim is not None:
-        pairs.append(("101", claim))
-    return ReachDataset.from_pairs(3, pairs)
 
 
 def epsilon_triangle(eps, universe=10000.0):
@@ -50,12 +47,6 @@ def epsilon_triangle(eps, universe=10000.0):
         ("011", 6000 + eps * universe),
     ]
     return ReachDataset.from_pairs(3, pairs, universe_size=universe)
-
-
-def five_bg_basics(union=336160.0, single=100000.0):
-    pairs = [(m, single) for m in ["10000", "01000", "00100", "00010", "00001"]]
-    pairs.append(("11111", union))
-    return ReachDataset.from_pairs(5, pairs)
 
 
 def five_bg_with_extras():

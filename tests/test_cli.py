@@ -6,19 +6,13 @@ import math
 import pytest
 
 from reachvenn import experiment, io, pipeline
+from reachvenn.bounds import BoundsSolver
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
 from reachvenn.lsq import simplex_lstsq
 from reachvenn.synth import independent_truth, true_dataset
 
-from conftest import random_consistent_dataset
-
-
-def triangle_dataset(claim=None):
-    pairs = [("100", 3000), ("010", 3000), ("001", 3000), ("111", 7000), ("011", 5000)]
-    if claim is not None:
-        pairs.append(("101", claim))
-    return ReachDataset.from_pairs(3, pairs)
+from conftest import random_consistent_dataset, triangle_dataset
 
 
 @pytest.fixture
@@ -73,7 +67,7 @@ class TestIoRoundTrip:
         assert alloc.values.tolist() == truth.allocation.values.tolist()
         # A truth file doubles as a dataset holding the basic observations.
         ds = io.load_dataset(path)
-        assert ds.has_basic_points
+        ds.check_basic_points()
         assert ds.reach_of(SubsetMask.full(3)) == pytest.approx(488.0)
 
 
@@ -558,15 +552,24 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: dataset has no observations\n"
 
-    def test_truth_file_of_another_bg_count(self, capsys, tmp_path, triangle_file):
+    def test_truth_file_of_another_bg_count(
+        self, capsys, monkeypatch, tmp_path, triangle_file
+    ):
+        # The truth is checked against the dataset before any round runs, so
+        # a budget of 0 fails too and no bounds solver is built.
+        def refuse(self, dataset):
+            raise AssertionError("a bounds solver was built")
+
+        monkeypatch.setattr(BoundsSolver, "__init__", refuse)
         truth_path = tmp_path / "truth.json"
-        truth_path.write_text('{"num_bgs": 2, "allocation": [5.0, 2.0, 2.0, 1.0]}')
-        code, out, err = run_cli(
-            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err == "error: subset and allocation have different BG counts\n"
+        truth_path.write_text(json.dumps({"num_bgs": 4, "allocation": [1.0] * 16}))
+        for budget in ("1", "0"):
+            code, out, err = run_cli(
+                capsys, "select", triangle_file, "--budget", budget, "--truth", truth_path
+            )
+            assert code == 64
+            assert out == ""
+            assert err == "error: truth has 4 BGs, dataset 3\n"
 
     def test_dataset_without_observations(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -821,7 +824,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["bounds", "predict"])
     @pytest.mark.parametrize(
         "target, message",
-        [("100", "does not have 2 characters"), ("00", "all-zero mask")],
+        [("100", "does not have 2 characters"), ("00", "not a non-empty subset of 2 BGs")],
     )
     def test_malformed_target(self, capsys, tmp_path, command, target, message):
         path = tmp_path / "basics.json"

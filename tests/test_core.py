@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachvenn.bounds import BoundsSolver
 from reachvenn.core import (
     BoundInterval,
     ReachDataset,
@@ -20,6 +21,7 @@ from reachvenn.core import (
     subset_reach_from_allocation,
 )
 
+from conftest import triangle_dataset
 from grid_oracle import oracle_bounds_by_grid
 
 
@@ -39,7 +41,7 @@ class TestSubsetMask:
     def test_zero_mask_is_constructible_but_empty(self):
         mask = SubsetMask.from_string("000")
         assert mask.is_empty
-        with pytest.raises(ValueError, match="empty subset"):
+        with pytest.raises(ValueError, match=r"^subset '000' is not a non-empty subset of 3 BGs$"):
             incidence_vector(mask)
 
     def test_bad_strings(self):
@@ -54,7 +56,7 @@ class TestSubsetMask:
             ("100", 2, r"subset '100' does not have 2 characters \(num_bgs=2\)"),
             ("1", 2, "does not have 2 characters"),
             ("1a", 2, "non-empty over"),
-            ("00", 2, "subset '00' is the all-zero mask"),
+            ("00", 2, "subset '00' is not a non-empty subset of 2 BGs"),
         ],
     )
     def test_parse_rejects(self, text, num_bgs, message):
@@ -167,8 +169,9 @@ class TestDataset:
 
     def test_has_basic_points(self):
         ds = ReachDataset.from_pairs(3, [("100", 1), ("010", 1), ("001", 1), ("111", 2)])
-        assert ds.has_basic_points
-        assert not ds.without(SubsetMask.from_string("111")).has_basic_points
+        ds.check_basic_points()
+        with pytest.raises(ValueError, match="^dataset lacks a basic point"):
+            ds.without(SubsetMask.from_string("111")).check_basic_points()
 
     def test_sorted_observations(self):
         ds = ReachDataset.from_pairs(2, [("11", 3), ("10", 1), ("01", 2)])
@@ -193,23 +196,15 @@ class TestDataset:
         assert ReachDataset.from_pairs(2, [("10", 50)]).scale == 50.0
 
 
-def triangle_example_dataset(extra=None):
-    """P=3 with all singles 3000, full union 7000, R(G2 u G3) = 5000."""
-    pairs = [("100", 3000), ("010", 3000), ("001", 3000), ("111", 7000), ("011", 5000)]
-    if extra is not None:
-        pairs.append(extra)
-    return ReachDataset.from_pairs(3, pairs)
-
-
 class TestGridOracle:
     def test_triangle_example_target_interval(self):
-        ds = triangle_example_dataset()
+        ds = triangle_dataset()
         interval = oracle_bounds_by_grid(ds, SubsetMask.from_string("101"), step=250.0)
         assert interval.lower == 5000.0
         assert interval.upper == 6000.0
 
     def test_observed_target_degenerate(self):
-        ds = triangle_example_dataset()
+        ds = triangle_dataset()
         interval = oracle_bounds_by_grid(ds, SubsetMask.from_string("011"), step=250.0)
         assert interval.lower == interval.upper == 5000.0
 
@@ -242,12 +237,14 @@ def _tiny_p5():
         (lambda: SubsetMask(bits=4, num_bgs=2), "bits 4 out of range for 2 BGs"),
         (lambda: SubsetMask.from_bgs([3], 2), "BG index 3 out of range 1..2"),
         (
-            lambda: incidence_vector(SubsetMask.from_string("10"), 3),
-            "num_bgs does not match",
+            lambda: BoundsSolver(triangle_dataset()).bounds(
+                SubsetMask.from_string("10")
+            ),
+            "subset '10' is not a non-empty subset of 3 BGs",
         ),
         (
             lambda: ReachObservation(SubsetMask.from_string("00"), 1.0),
-            "empty subset has no reach",
+            "subset '00' is not a non-empty subset of 2 BGs",
         ),
         (
             lambda: ReachObservation(SubsetMask.from_string("10"), math.nan),
@@ -258,8 +255,8 @@ def _tiny_p5():
             "universe_size must be positive and finite",
         ),
         (
-            lambda: ReachDataset.from_pairs(2, [("100", 1.0)]),
-            "observation BG count does not match dataset",
+            lambda: ReachDataset(2, None, (ReachObservation(SubsetMask(1, 3), 1.0),)),
+            "subset '100' is not a non-empty subset of 2 BGs",
         ),
         (
             lambda: ReachDataset.from_pairs(2, [("10", 1.0)]).replace_reaches([1.0, 2.0]),
@@ -270,7 +267,7 @@ def _tiny_p5():
             lambda: subset_reach_from_allocation(
                 SubsetMask.from_string("100"), RegionAllocation(2, np.zeros(4))
             ),
-            "different BG counts",
+            "subset '100' is not a non-empty subset of 2 BGs",
         ),
         (lambda: BoundInterval(0.0, math.inf), "bounds must be finite"),
         (lambda: BoundInterval(2.0, 1.0), "lower 2.0 exceeds upper 1.0"),
@@ -278,7 +275,7 @@ def _tiny_p5():
     ids=[
         "mask_bits",
         "bg_index",
-        "incidence_num_bgs",
+        "bounds_target_num_bgs",
         "empty_observation",
         "nan_reach",
         "zero_universe",

@@ -14,6 +14,8 @@ from reachvenn.lp import (
     solve_lp,
 )
 
+from conftest import refuse
+
 
 class TestSolveLp:
     def test_max_with_two_ceilings(self):
@@ -308,10 +310,6 @@ class TestWidePivots:
         finally:
             tracemalloc.stop()
         assert peak < tableau.nbytes / 4
-
-
-def refuse(*args, **kwargs):
-    raise AssertionError("a debug record was built with DEBUG off")
 
 
 class TestLogging:

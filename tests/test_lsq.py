@@ -13,7 +13,7 @@ from reachvenn import bounds, experiment, lsq, model, pipeline, synth
 from reachvenn.core import ReachDataset, ReachObservation
 from reachvenn.lsq import nnls, simplex_lstsq
 
-from conftest import pgd_simplex_lstsq, reference_start
+from conftest import pgd_simplex_lstsq, reference_start, refuse
 
 
 def kkt_gap(a, b, v):
@@ -406,10 +406,6 @@ class TestWorkloadShapes:
         [(a, _, _, _)] = calls
         assert (a[:, 0] == 0).all()  # the unreached region, or nnls's slack
         assert_same_in_a_stack_of_three(calls)
-
-
-def refuse(*args, **kwargs):
-    raise AssertionError("a debug record was built with DEBUG off")
 
 
 def logged_counts(caplog):

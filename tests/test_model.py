@@ -28,13 +28,7 @@ from reachvenn.model import (
 )
 from reachvenn.synth import independent_truth, true_dataset
 
-from conftest import random_consistent_dataset
-
-
-def five_bg_basics():
-    pairs = [(m, 100000.0) for m in ["10000", "01000", "00100", "00010", "00001"]]
-    pairs.append(("11111", 336160.0))
-    return ReachDataset.from_pairs(5, pairs)
+from conftest import five_bg_basics, random_consistent_dataset
 
 
 def overlap_pair_dataset(universe=1.0):
@@ -184,7 +178,7 @@ class TestSegmentMatrix:
 
     def test_requires_basics(self):
         ds = ReachDataset.from_pairs(2, [("10", 0.2), ("11", 0.36)], universe_size=1.0)
-        with pytest.raises(ValueError, match="single-BG reaches and the union"):
+        with pytest.raises(ValueError, match="^dataset lacks a basic point"):
             build_segment_matrix(ds, 2.0)
 
     def test_infinite_d_rows_equal_incidence(self, rng):

@@ -1,6 +1,7 @@
 """Adaptive selection, d tuning, error bars, and the combined estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from reachvenn.core import (
 from reachvenn.experiment import training_masks
 from reachvenn.model import estimate_universe, fit, predict
 from reachvenn.pipeline import (
+    NO_SPARE_POINTS,
     EstimateOptions,
     SelectionState,
     Session,
@@ -213,7 +215,7 @@ class TestTuneD:
     def test_requires_spare_points(self):
         truth = independent_truth(3, 0.2, 1000.0)
         ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
-        with pytest.raises(UnavailableError, match="default_d"):
+        with pytest.raises(UnavailableError, match=f"^{re.escape(NO_SPARE_POINTS)}$"):
             tune_d(Session(ds))
 
     def test_independence_data_selects_smallest_d(self):
@@ -393,7 +395,7 @@ class TestErrorBar:
         session = Session(ds)
         target = SubsetMask.from_string("110")
         estimate = session.estimate(session.model(math.inf), target, clamp=False)
-        with pytest.raises(UnavailableError, match="error bar"):
+        with pytest.raises(UnavailableError, match=f"^{re.escape(NO_SPARE_POINTS)}$"):
             error_bar(session, math.inf, estimate, 90.0)
 
 
