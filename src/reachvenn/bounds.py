@@ -206,13 +206,11 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     universe, and through ``nnls``, its reduction onto that solver, without.
     """
     a, b = _incidence_rows(dataset)
-    if dataset.universe_size is not None:
-        x, _ = simplex_lstsq(a, b)  # column 0 is zero: the unreached region
-    else:
-        x, _ = nnls(a, b)
-    repaired = a @ x * dataset.scale
-    if dataset.universe_size is not None:
-        repaired = np.minimum(repaired, dataset.universe_size)
+    universe = dataset.universe_size
+    if universe is None:
+        repaired = a @ nnls(a, b) * dataset.scale
+    else:  # column 0 is zero: the unreached region
+        repaired = np.minimum(a @ simplex_lstsq(a, b) * dataset.scale, universe)
     return dataset.replace_reaches(np.clip(repaired, 0.0, None))
 
 

@@ -29,6 +29,7 @@ from .core import (
     subset_reach_from_allocation,
 )
 from .experiment import run_experiment
+from .model import check_d
 from .pipeline import (
     NO_SPARE_POINTS,
     EstimateOptions,
@@ -67,7 +68,9 @@ def _parse_masks(text: str | None, num_bgs: int) -> list[SubsetMask]:
 def _parse_d(text: str | None) -> float | None:
     if text is None or text == "auto":
         return None
-    return float(text)
+    d = float(text)
+    check_d(d)
+    return d
 
 
 def cmd_check(args) -> int:
@@ -106,8 +109,11 @@ def cmd_curve(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    session = Session(io.load_dataset(args.dataset))
-    d, policy = resolve_d(session, _parse_d(args.d))
+    dataset = io.load_dataset(args.dataset)
+    d = _parse_d(args.d)
+    dataset.check_basic_points()
+    session = Session(dataset)
+    d, policy = resolve_d(session, d)
     model = session.model(d)
     payload = io.model_to_dict(model)
     payload["d_policy"] = policy
@@ -155,7 +161,7 @@ def cmd_select(args) -> int:
     if args.budget < 0:
         raise ValueError(f"budget must be non-negative, got {args.budget}")
     dataset = io.load_dataset(args.dataset)
-    allocation, _ = io.load_allocation(args.truth)
+    allocation = io.load_allocation(args.truth)
     if allocation.num_bgs != dataset.num_bgs:
         raise ValueError(f"truth has {allocation.num_bgs} BGs, dataset {dataset.num_bgs}")
     exclude = _parse_masks(args.exclude, dataset.num_bgs)

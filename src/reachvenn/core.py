@@ -305,16 +305,6 @@ class RegionAllocation:
             raise ValueError("allocation entries must be non-negative")
         return cls(num_bgs=num_bgs, values=np.clip(arr, 0.0, None))
 
-    @classmethod
-    def from_region_dict(
-        cls, num_bgs: int, regions: dict[str, float]
-    ) -> "RegionAllocation":
-        """Build from {region string: reach}; unlisted regions are zero."""
-        arr = np.zeros(1 << num_bgs)
-        for key, value in regions.items():
-            arr[SubsetMask.from_string(key).index] = value
-        return cls(num_bgs=num_bgs, values=arr)
-
     @property
     def total(self) -> float:
         return float(self.values.sum())

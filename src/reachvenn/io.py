@@ -147,14 +147,12 @@ def save_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     write_json(ground_truth_to_dict(truth), path)
 
 
-def load_allocation(path: str | Path) -> tuple[RegionAllocation, float | None]:
-    """Read a ground-truth file down to (allocation, universe_size)."""
+def load_allocation(path: str | Path) -> RegionAllocation:
+    """A ground-truth file's allocation; its other fields are not read."""
     payload = _document(read_json(path), ("num_bgs", "allocation"), "a truth file")
     num_bgs = _integer(payload["num_bgs"], "num_bgs")
     values = _numbers(payload["allocation"], "allocation")
-    universe = payload.get("universe_size")
-    alloc = RegionAllocation.from_values(num_bgs, values)
-    return alloc, None if universe is None else _number(universe, "universe_size")
+    return RegionAllocation.from_values(num_bgs, values)
 
 
 def _numbers(values, what: str) -> list[float]:

@@ -16,7 +16,7 @@ columns, scaled so that the sum constraint never binds, and a zero column.
 
 The solver runs to a KKT tolerance that puts the squared-residual objective
 within ~1e-10 of the true constrained optimum on unit-scale data, and raises
-RuntimeError when a problem's ``max_iter`` face solves end before that.
+RuntimeError when a problem's 6 n + 60 face solves end before that.
 It logs each call's problems, rounds and face solves at DEBUG level on this
 module's logger, which is silent by default.
 """
@@ -38,7 +38,7 @@ _FACE_SINGULAR = "simplex_lstsq: a face is singular"
 _logger = logging.getLogger(__name__)
 
 
-def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||a @ v - b||^2 subject to v >= 0, for a non-negative ``a``.
 
     Every optimum has the same fitted values a v*, of norm at most ||b||, so
@@ -48,8 +48,8 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     sum constraint that never binds, so its optimum solves this one.  Zero
     columns get weight zero.
 
-    Returns the solution and the squared residual at it.  Raises ValueError
-    when ``a`` has a negative entry, for which the bound does not hold.
+    Returns the solution.  Raises ValueError when ``a`` has a negative
+    entry, for which the bound does not hold.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -58,10 +58,9 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     sums = a.sum(axis=0)
     bound = np.sqrt(len(b)) * np.linalg.norm(b) / sums[sums > 0].min(initial=np.inf)
     scale = 2.0 * bound + 1.0
-    v, rss = simplex_lstsq(np.hstack([np.zeros((len(b), 1)), a * scale]), b)
-    x = v[1:] * scale
+    x = simplex_lstsq(np.hstack([np.zeros((len(b), 1)), a * scale]), b)[1:] * scale
     x[sums == 0] = 0.0
-    return x, rss
+    return x
 
 
 def _start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,14 +225,12 @@ def _lock_step(
     return v, rounds, int(solves.sum())
 
 
-def simplex_lstsq(
-    a: np.ndarray, b: np.ndarray, max_iter: int | None = None
-) -> tuple[np.ndarray, np.ndarray | float]:
+def simplex_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize ||a[i] @ v[i] - b[i]||^2 subject to v[i] >= 0 and
     sum(v[i]) == 1, for each problem i of a stack.
 
     ``a`` is (B, m, n) and ``b`` is (B, m).  A 2-D ``a`` with a 1-D ``b`` is
-    a stack of one whose solution and squared residual come back unstacked.
+    a stack of one whose solution comes back unstacked.
 
     Active-set iteration: each face subproblem is solved exactly, blocked
     steps shrink the face, and coordinates whose gradient beats the current
@@ -244,9 +241,9 @@ def simplex_lstsq(
     the round's face solves are one stacked QR and one back substitution.
     A problem follows the same path, bit for bit, in any stack.
 
-    Returns the solutions (B, n) and the squared residuals at them (B,).
-    Raises RuntimeError when a problem needs more than ``max_iter`` face
-    solves (default 6 n + 60), or meets a face that has no unique solution.
+    Returns the solutions (B, n).  Raises RuntimeError when a problem needs
+    more than 6 n + 60 face solves, or meets a face that has no unique
+    solution.
     """
     single = np.ndim(a) == 2
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -256,18 +253,11 @@ def simplex_lstsq(
     count, m, n = a.shape
     if n == 0:
         raise ValueError("need at least one column")
-    if max_iter is None:
-        max_iter = 6 * n + 60
-
     norms, start, tol = _start(a, b)
-    v, rounds, face_solves = _lock_step(a, b, norms, start, tol, max_iter)
+    v, rounds, face_solves = _lock_step(a, b, norms, start, tol, 6 * n + 60)
     if _logger.isEnabledFor(logging.DEBUG):
         _logger.debug(
             "simplex_lstsq: %d problems, %d rounds, %d face solves",
             count, rounds, face_solves,
         )
-    resid = b - (a @ v[:, :, None])[:, :, 0]
-    rss = (resid * resid).sum(axis=1)
-    if single:
-        return v[0], float(rss[0])
-    return v, rss
+    return v[0] if single else v

@@ -228,14 +228,14 @@ def fit_segments(matrix: SegmentMatrix, reaches: np.ndarray) -> CiModel:
     """
     target = np.asarray(reaches, dtype=np.float64) / matrix.universe_size
     padded = np.hstack([matrix.entries, np.zeros((len(matrix.rows), 1))])
-    v, _ = simplex_lstsq(padded, target)
-    resid = target - matrix.entries @ v[:-1]
+    weights = simplex_lstsq(padded, target)[:-1]
+    resid = target - matrix.entries @ weights
     return CiModel(
         num_bgs=len(matrix.single_bg_proportions),
         d=matrix.d,
         universe_size=matrix.universe_size,
         single_bg_proportions=matrix.single_bg_proportions,
-        weights=v[:-1],
+        weights=weights,
         training_residual=float(resid @ resid),
     )
 
@@ -264,8 +264,7 @@ def fit_leave_one_out(
     universes = np.array([matrix.universe_size for matrix in matrices])
     targets = np.asarray(reaches, dtype=np.float64)[keep] / universes[:, None, None]
     targets = targets.reshape(-1, m - 1)
-    v, _ = simplex_lstsq(stack, targets)
-    weights = v[:, :-1].reshape(len(matrices), rows.size, n)
+    weights = simplex_lstsq(stack, targets)[:, :-1].reshape(len(matrices), rows.size, n)
     return np.array(
         [
             [

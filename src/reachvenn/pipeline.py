@@ -81,6 +81,8 @@ class SelectionState:
     ) -> "SelectionState":
         """Start from an already-measured dataset (must contain the basics)."""
         measurements.check_basic_points()
+        for mask in exclude:
+            mask.check_observable(measurements.num_bgs)
         excluded = frozenset(m.index for m in exclude)
         return cls(measurements, excluded, measurements.masks())
 
@@ -343,6 +345,8 @@ class EstimateOptions:
     def __post_init__(self) -> None:
         if self.alpha is not None:
             check_alpha(self.alpha)
+        if self.d is not None:
+            check_d(self.d)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Shared fixtures: random ground truths, the hand-made datasets several
-files use, the projected-gradient oracle and the per-problem start rule of the
-least-squares solver."""
+files use, the projected-gradient oracle, and the per-problem start rule, the
+residual and a face-solve limit of the least-squares solver."""
 
 from __future__ import annotations
 
@@ -120,6 +120,19 @@ def pgd_simplex_lstsq(
         y = nxt + (t - 1.0) / t_next * (nxt - v)
         v, t = nxt, t_next
     raise RuntimeError("projected gradient oracle: no optimality certificate")
+
+
+def squared_residual(a: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """||a v - b||^2 at a solution, or one per problem for a stack."""
+    resid = b - (a @ v[..., None])[..., 0]
+    return (resid * resid).sum(axis=-1)
+
+
+def face_solve_limit(monkeypatch, limit: int) -> None:
+    """Let each ``simplex_lstsq`` problem take at most ``limit`` face solves
+    (the last argument of ``lsq._lock_step``) instead of 6 n + 60."""
+    lock_step = lsq._lock_step
+    monkeypatch.setattr(lsq, "_lock_step", lambda *args: lock_step(*args[:-1], limit))
 
 
 def reference_start(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int, float]:

@@ -9,10 +9,9 @@ from reachvenn import experiment, io, pipeline
 from reachvenn.bounds import BoundsSolver
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
-from reachvenn.lsq import simplex_lstsq
 from reachvenn.synth import independent_truth, true_dataset
 
-from conftest import random_consistent_dataset, triangle_dataset
+from conftest import face_solve_limit, random_consistent_dataset, triangle_dataset
 
 
 @pytest.fixture
@@ -62,8 +61,7 @@ class TestIoRoundTrip:
         truth = independent_truth(3, 0.2, 1000.0)
         path = tmp_path / "truth.json"
         io.save_ground_truth(truth, path)
-        alloc, universe = io.load_allocation(path)
-        assert universe == 1000.0
+        alloc = io.load_allocation(path)
         assert alloc.values.tolist() == truth.allocation.values.tolist()
         # A truth file doubles as a dataset holding the basic observations.
         ds = io.load_dataset(path)
@@ -312,12 +310,7 @@ class TestFitPredict:
         assert "d must be at least 1" in err
 
     def test_solver_that_stops_early_exits_three(self, capsys, monkeypatch, triangle_file):
-        from reachvenn import model
-
-        def one_iteration(a, b):
-            return simplex_lstsq(a, b, max_iter=1)
-
-        monkeypatch.setattr(model, "simplex_lstsq", one_iteration)
+        face_solve_limit(monkeypatch, 1)
         code, out, err = run_cli(capsys, "fit", triangle_file, "--d", "3")
         assert code == 3
         assert out == ""

@@ -113,7 +113,7 @@ class TestIncidenceVector:
 
 class TestAllocationReach:
     def test_partial_sum(self):
-        alloc = RegionAllocation.from_region_dict(2, {"10": 2000.0, "11": 1000.0})
+        alloc = RegionAllocation.from_values(2, [0.0, 2000.0, 0.0, 1000.0])
         assert subset_reach_from_allocation(SubsetMask.from_string("10"), alloc) == 3000.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -131,9 +131,8 @@ class TestAllocationReach:
             assert subset_reach_from_allocation(mask, alloc) == 0.0
 
     def test_hand_sum_p3(self):
-        alloc = RegionAllocation.from_region_dict(
-            3, {"100": 2000, "110": 1000, "010": 1000, "011": 1000, "001": 2000}
-        )
+        # By canonical index: 100 (1), 010 (2), 110 (3), 001 (4) and 011 (6).
+        alloc = RegionAllocation.from_values(3, [0, 2000, 1000, 1000, 2000, 0, 1000, 0])
         reach = subset_reach_from_allocation(SubsetMask.from_string("101"), alloc)
         assert reach == 6000.0
 

@@ -1,10 +1,11 @@
 """One owner and one message per input rule, at every entry point.
 
-Five rules on the inputs each have one owner: the basic points
+Six rules on the inputs each have one owner: the basic points
 (``ReachDataset.check_basic_points``), a non-empty subset of P BGs
 (``SubsetMask.check_observable``), a positive finite size
-(``core.check_positive``), alpha in (0, 100] (``pipeline.check_alpha``) and the
-spare points n > P + 1 (``pipeline.NO_SPARE_POINTS``).  Every library call and
+(``core.check_positive``), alpha in (0, 100] (``pipeline.check_alpha``), d in
+[1, inf] (``model.check_d``) and the spare points n > P + 1
+(``pipeline.NO_SPARE_POINTS``).  Every library call and
 CLI command that reads such an input goes through the owner, so they all give
 its one message, and the CLI exits 64 with it.  A check that runs up front
 runs no solver: no phase 1 and no least-squares fit.
@@ -137,10 +138,10 @@ BASICS_ENTRIES = {
         True,
     ),
     "Session.model": (lambda run, ds: run.lib(lambda: Session(ds).model(2.0)), False),
-    "cli fit": (lambda run, ds: run.cli("fit", run.dataset_file(ds)), False),
+    "cli fit": (lambda run, ds: run.cli("fit", run.dataset_file(ds)), True),
     "cli fit --d 2": (
         lambda run, ds: run.cli("fit", run.dataset_file(ds), "--d", "2"),
-        False,
+        True,
     ),
     "cli predict": (
         lambda run, ds: run.cli("predict", run.dataset_file(ds), "--target", "101"),
@@ -196,6 +197,9 @@ SUBSET_LIBRARY = {
     ),
     "estimate_subset": lambda run, bad, _: run.lib(
         lambda: estimate_subset(triangle_dataset(), bad)
+    ),
+    "SelectionState.initial exclude": lambda run, bad, _: run.lib(
+        lambda: SelectionState.initial(triangle_dataset(), exclude=[bad])
     ),
 }
 
@@ -395,6 +399,36 @@ class TestOneAlphaRule:
         if up_front:
             no_solver()
         assert call(run, alpha) == f"alpha must lie in (0, 100], got {alpha}"
+
+
+# -- d in [1, inf] -----------------------------------------------------------
+
+BAD_DS = [math.nan, -3.0, 0.5]
+
+# The library's own d entry points (``segment_rows``, ``fit``, ``resolve_d``,
+# ...) are in ``test_pipeline.py``; these take d as an option or a flag.
+D_ENTRIES = {
+    "EstimateOptions": lambda run, d: run.lib(lambda: EstimateOptions(d=d)),
+    "estimate_subset": lambda run, d: run.lib(
+        lambda: estimate_subset(
+            triangle_dataset(), SubsetMask(5, 3), EstimateOptions(d=d)
+        )
+    ),
+    "cli predict --d": lambda run, d: run.cli(
+        "predict", run.dataset_file(triangle_dataset()), "--target", "101", "--d", d
+    ),
+    "cli fit --d": lambda run, d: run.cli(
+        "fit", run.dataset_file(triangle_dataset()), "--d", d
+    ),
+}
+
+
+class TestOneDRule:
+    @pytest.mark.parametrize("entry", D_ENTRIES)
+    @pytest.mark.parametrize("d", BAD_DS)
+    def test_rejected_with_one_message(self, run, no_solver, entry, d):
+        no_solver()
+        assert D_ENTRIES[entry](run, d) == f"d must be at least 1 (or inf), got {d}"
 
 
 # -- Spare points: n > P + 1 -------------------------------------------------

@@ -13,7 +13,13 @@ from reachvenn import bounds, experiment, lsq, model, pipeline, synth
 from reachvenn.core import ReachDataset, ReachObservation
 from reachvenn.lsq import nnls, simplex_lstsq
 
-from conftest import pgd_simplex_lstsq, reference_start, refuse
+from conftest import (
+    face_solve_limit,
+    pgd_simplex_lstsq,
+    reference_start,
+    refuse,
+    squared_residual,
+)
 
 
 def kkt_gap(a, b, v):
@@ -29,22 +35,23 @@ class TestNnls:
         rng = np.random.default_rng(3)
         a = rng.uniform(0, 1, size=(8, 5))
         x_true = np.array([0.0, 1.5, 0.0, 0.2, 3.0])
-        x, rss = nnls(a, a @ x_true)
-        assert rss < 1e-18
+        x = nnls(a, a @ x_true)
+        assert squared_residual(a, a @ x_true, x) < 1e-18
         assert np.allclose(a @ x, a @ x_true, atol=1e-9)
 
     def test_negative_directions_clipped(self):
         # b = -column forces the zero solution.
         a = np.eye(3)
-        x, rss = nnls(a, np.array([-1.0, -2.0, -3.0]))
+        b = np.array([-1.0, -2.0, -3.0])
+        x = nnls(a, b)
         assert np.all(x == 0.0)
-        assert rss == pytest.approx(14.0)
+        assert squared_residual(a, b, x) == pytest.approx(14.0)
 
     def test_matches_normal_equations_on_interior(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(0.1, 1, size=(12, 4))
         b = a @ np.array([0.5, 0.7, 0.1, 0.9]) + 0.01 * rng.normal(size=12)
-        x, rss = nnls(a, b)
+        x = nnls(a, b)
         if np.all(x > 1e-9):  # interior: must equal plain least squares
             ls = np.linalg.lstsq(a, b, rcond=None)[0]
             assert np.allclose(x, ls, atol=1e-8)
@@ -69,7 +76,7 @@ class TestNnls:
         a = rng.integers(0, 2, size=(rows, cols)).astype(float)
         a[:, rng.choice(cols, size=min(zero_columns, cols), replace=False)] = 0.0
         b = rng.uniform(low, 1.2, size=rows)
-        x, rss = nnls(a, b)
+        x = nnls(a, b)
         assert x.shape == (cols,)
         assert x.min() >= 0.0
         assert np.all(x[~a.any(axis=0)] == 0.0)
@@ -77,7 +84,6 @@ class TestNnls:
         grad = a.T @ (b - a @ x)  # minus half the objective's gradient
         assert grad.max() <= tol
         assert np.abs(x * grad).max() <= tol
-        assert rss == pytest.approx(float((b - a @ x) @ (b - a @ x)), abs=1e-12)
 
 
 class TestSimplexLstsq:
@@ -85,27 +91,29 @@ class TestSimplexLstsq:
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 1, size=(6, 4))
         v_true = np.array([0.1, 0.2, 0.3, 0.4])
-        v, rss = simplex_lstsq(a, a @ v_true)
-        assert rss < 1e-16
+        v = simplex_lstsq(a, a @ v_true)
+        assert squared_residual(a, a @ v_true, v) < 1e-16
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(v) >= 0.0
 
-    def test_iteration_limit_raises(self):
+    def test_iteration_limit_raises(self, monkeypatch):
         # All four columns carry weight; the start holds one of them.
         rng = np.random.default_rng(8)
         a = rng.uniform(0, 1, size=(6, 4))
         b = a @ np.array([0.1, 0.2, 0.3, 0.4])
+        face_solve_limit(monkeypatch, 1)
         with pytest.raises(RuntimeError, match="simplex_lstsq"):
-            simplex_lstsq(a, b, max_iter=1)
+            simplex_lstsq(a, b)
 
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="at least one column"):
             simplex_lstsq(np.zeros((2, 0)), np.array([1.0, 1.0]))
 
     def test_single_column(self):
-        v, rss = simplex_lstsq(np.array([[2.0], [0.0]]), np.array([1.0, 1.0]))
+        a, b = np.array([[2.0], [0.0]]), np.array([1.0, 1.0])
+        v = simplex_lstsq(a, b)
         assert v.tolist() == [1.0]
-        assert rss == pytest.approx(2.0)
+        assert squared_residual(a, b, v) == pytest.approx(2.0)
 
     def test_against_pgd_oracle(self, rng):
         for trial in range(12):
@@ -116,11 +124,11 @@ class TestSimplexLstsq:
                 b = a @ (rng.dirichlet(np.ones(m)) * rng.uniform(0.3, 1.0))
             else:
                 b = rng.uniform(0, 1.2, size=n)  # usually unattainable
-            v, rss = simplex_lstsq(a, b)
+            v = simplex_lstsq(a, b)
             assert v.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.min(v) >= 0.0
             _, rss_pgd = pgd_simplex_lstsq(a, b)
-            assert rss <= rss_pgd + 1e-8
+            assert squared_residual(a, b, v) <= rss_pgd + 1e-8
             assert kkt_gap(a, b, v) < 1e-8
 
     def test_zero_slack_column_gives_sum_le_one(self):
@@ -128,10 +136,10 @@ class TestSimplexLstsq:
         rng = np.random.default_rng(21)
         a = rng.uniform(0, 1, size=(5, 6))
         b = a @ (0.25 * np.ones(6) / 6 * np.array([1, 2, 0, 3, 0, 0]))
-        v, rss = simplex_lstsq(np.hstack([a, np.zeros((5, 1))]), b)
+        v = simplex_lstsq(np.hstack([a, np.zeros((5, 1))]), b)
         w = v[:-1]
         assert w.sum() <= 1.0 + 1e-12
-        assert rss < 1e-16
+        assert squared_residual(a, b, w) < 1e-16
 
 
 def random_stack(rng, kind, count, rows, cols):
@@ -168,12 +176,10 @@ class TestStackedSimplexLstsq:
     def test_each_problem_solves_as_if_alone(self, seed, count, rows, cols, kind):
         rng = np.random.default_rng(seed)
         a, b = random_stack(rng, kind, count, rows, cols)
-        v, rss = simplex_lstsq(a, b)
-        assert v.shape == (count, cols) and rss.shape == (count,)
+        v = simplex_lstsq(a, b)
+        assert v.shape == (count, cols)
         for i in range(count):
-            alone, alone_rss = simplex_lstsq(a[i], b[i])
-            assert np.array_equal(v[i], alone)
-            assert rss[i] == alone_rss
+            assert np.array_equal(v[i], simplex_lstsq(a[i], b[i]))
             assert v[i].min() >= 0.0
             assert v[i].sum() == pytest.approx(1.0, abs=1e-12)
             # KKT: no column's gradient undercuts the support's, up to the
@@ -183,7 +189,7 @@ class TestStackedSimplexLstsq:
             grad = a[i].T @ (a[i] @ v[i] - b[i])
             assert grad[v[i] > 0].max() - grad.min() <= 1e-9 * scale
 
-    def test_iteration_limit_on_one_problem_raises(self):
+    def test_iteration_limit_on_one_problem_raises(self, monkeypatch):
         # Problems 0 and 2 sit on a column and pass their first KKT check;
         # problem 1 needs all four columns.
         rng = np.random.default_rng(8)
@@ -191,10 +197,10 @@ class TestStackedSimplexLstsq:
         b = a[:, :, 0].copy()
         b[1] = a[1] @ np.array([0.1, 0.2, 0.3, 0.4])
         easy = [0, 2]
-        v, _ = simplex_lstsq(a[easy], b[easy], max_iter=1)
-        assert v[:, 0].tolist() == [1.0, 1.0]
+        face_solve_limit(monkeypatch, 1)
+        assert simplex_lstsq(a[easy], b[easy])[:, 0].tolist() == [1.0, 1.0]
         with pytest.raises(RuntimeError, match="simplex_lstsq"):
-            simplex_lstsq(a, b, max_iter=1)
+            simplex_lstsq(a, b)
 
 
 def reference_solve_face(a, b, norms, face):
@@ -332,10 +338,8 @@ class TestStackOrder:
         rng = np.random.default_rng(seed)
         a, b = random_stack(rng, kind, count, rows, cols)
         order = rng.permutation(count)
-        v, rss = simplex_lstsq(a, b)
-        permuted, permuted_rss = simplex_lstsq(a[order], b[order])
-        assert permuted.tobytes() == v[order].tobytes()
-        assert permuted_rss.tobytes() == rss[order].tobytes()
+        v = simplex_lstsq(a, b)
+        assert simplex_lstsq(a[order], b[order]).tobytes() == v[order].tobytes()
 
 
 def noisy_dataset(num_bgs, seed, declare):
@@ -358,11 +362,11 @@ def record_stacks_of_one(monkeypatch):
     keeps each 2-D call's problem and answer."""
     calls = []
 
-    def spy(a, b, max_iter=None):
-        v, rss = simplex_lstsq(a, b, max_iter)
+    def spy(a, b):
+        v = simplex_lstsq(a, b)
         if np.ndim(a) == 2:
-            calls.append((np.array(a, dtype=float), np.array(b, dtype=float), v, rss))
-        return v, rss
+            calls.append((np.array(a, dtype=float), np.array(b, dtype=float), v))
+        return v
 
     for module in (lsq, model, bounds):
         monkeypatch.setattr(module, "simplex_lstsq", spy)
@@ -372,12 +376,11 @@ def record_stacks_of_one(monkeypatch):
 def assert_same_in_a_stack_of_three(calls):
     """Each recorded problem, solved at position 1 of a stack of 3, gets the
     bits it got alone."""
-    for a, b, v, rss in calls:
-        stacked, stacked_rss = simplex_lstsq(
+    for a, b, v in calls:
+        stacked = simplex_lstsq(
             np.stack([a[::-1], a, a]), np.stack([b[::-1], b, 0.5 * b])
         )
         assert stacked[1].tobytes() == v.tobytes()
-        assert stacked_rss[1] == rss
 
 
 class TestWorkloadShapes:
@@ -392,7 +395,7 @@ class TestWorkloadShapes:
         before = len(calls)  # the repair, when the data are inconsistent
         weights = [session.model(d).weights for d in pipeline.d_grid()]
         assert len(calls) - before == len(weights)
-        for fitted, (_, _, v, _) in zip(weights, calls[before:]):
+        for fitted, (_, _, v) in zip(weights, calls[before:]):
             assert fitted.tobytes() == v[:-1].tobytes()
         assert_same_in_a_stack_of_three(calls)
 
@@ -403,7 +406,7 @@ class TestWorkloadShapes:
         # it goes through nnls.
         calls = record_stacks_of_one(monkeypatch)
         bounds.repair_dataset(noisy_dataset(num_bgs, 200 + num_bgs, declare))
-        [(a, _, _, _)] = calls
+        [(a, _, _)] = calls
         assert (a[:, 0] == 0).all()  # the unreached region, or nnls's slack
         assert_same_in_a_stack_of_three(calls)
 

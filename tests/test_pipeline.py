@@ -462,8 +462,9 @@ class TestEstimateSubset:
              ("110", 5200)],
             universe_size=1e4,
         )
-        options = EstimateOptions(d=d, alpha=90.0)
+        # The options reject d themselves, before estimate_subset runs.
         with pytest.raises(ValueError, match="d must be at least 1"):
+            options = EstimateOptions(d=d, alpha=90.0)
             estimate_subset(ds, SubsetMask.from_string("101"), options)
 
     def test_observed_target_degenerate(self, rng):
