@@ -1,5 +1,10 @@
 """Reach Venn diagram estimation: consistency checks, LP bounds, and a
-conditional-independence model for the reach of unobserved subsets."""
+conditional-independence model for the reach of unobserved subsets.
+
+The names below are the public API (README.md, "Public API").  The fit and
+LP machinery stays in its modules and is imported from them, for example
+``from reachvenn.model import fit_segments``.
+"""
 
 from .bounds import (
     BoundsSolver,
@@ -20,26 +25,10 @@ from .core import (
     SubsetMask,
     UnavailableError,
     basic_masks,
-    dataset_from_allocation,
     enumerate_masks,
-    incidence_vector,
-    subset_reach_from_allocation,
 )
 from .experiment import ExperimentReport, run_experiment
-from .model import (
-    CiModel,
-    SegmentMatrix,
-    build_segment_matrix,
-    estimate_universe,
-    fit,
-    fit_leave_one_out,
-    fit_segments,
-    min_perfect_fit_d,
-    predict,
-    predict_row,
-    segment_row,
-    segment_rows,
-)
+from .model import CiModel, estimate_universe
 from .pipeline import (
     Estimate,
     EstimateOptions,
@@ -48,8 +37,6 @@ from .pipeline import (
     d_grid,
     error_bar,
     estimate_subset,
-    nearest_rank_percentile,
-    relative_error,
     select_next_point,
     tune_d,
 )
@@ -79,40 +66,25 @@ __all__ = [
     "ReachObservation",
     "ReachVennError",
     "RegionAllocation",
-    "SegmentMatrix",
     "SelectionState",
     "Session",
     "SubsetMask",
     "UnavailableError",
     "add_measurement_noise",
     "basic_masks",
-    "build_segment_matrix",
     "check_consistency",
     "d_grid",
-    "dataset_from_allocation",
     "enumerate_masks",
     "error_bar",
     "estimate_subset",
     "estimate_universe",
-    "fit",
-    "fit_leave_one_out",
-    "fit_segments",
     "generate",
-    "incidence_vector",
     "incremental_curve_bounds",
     "independent_truth",
-    "min_perfect_fit_d",
-    "nearest_rank_percentile",
-    "predict",
-    "predict_row",
-    "relative_error",
     "repair_dataset",
     "run_experiment",
-    "segment_row",
-    "segment_rows",
     "select_next_point",
     "subset_bounds",
-    "subset_reach_from_allocation",
     "true_dataset",
     "true_reach",
     "tune_d",

@@ -232,26 +232,6 @@ class TestSubsetBounds:
             intervals = BoundsSolver(ds).bounds_many(enumerate_masks(num_bgs))
             assert not any(interval.upper_capped for interval in intervals)
 
-    def test_monotone_refinement(self, rng):
-        for _ in range(10):
-            num_bgs = int(rng.integers(3, 6))
-            ds, alloc = random_consistent_dataset(rng, num_bgs, extra=1)
-            observed = {m.index for m in ds.masks()}
-            unobserved = [m for m in enumerate_masks(num_bgs) if m.index not in observed]
-            if not unobserved:
-                continue
-            new = unobserved[int(rng.integers(0, len(unobserved)))]
-            wider = BoundsSolver(ds)
-            tighter = BoundsSolver(
-                ds.with_observation(new, subset_reach_from_allocation(new, alloc))
-            )
-            for target in enumerate_masks(num_bgs):
-                before = wider.bounds(target)
-                after = tighter.bounds(target)
-                tol = 1e-6 * ds.scale
-                assert after.lower >= before.lower - tol
-                assert after.upper <= before.upper + tol
-
 
 def relabelled(mask, perm):
     """``mask`` with BG i + 1 renamed to BG perm[i] + 1."""
@@ -362,6 +342,35 @@ class TestBoundsProperties:
             assert abs(a.lower - b.lower) <= tol
             assert abs(a.upper - b.upper) <= tol
             assert a.upper_capped == b.upper_capped
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_bgs=st.integers(3, 6),
+        extra=st.integers(0, 4),
+        added=st.integers(1, 3),
+        universe=st.sampled_from([1.0, None]),
+    )
+    def test_adding_observations_only_narrows_bounds(
+        self, seed, num_bgs, extra, added, universe
+    ):
+        rng = np.random.default_rng(seed)
+        # Leave at least one mask unobserved to add.
+        extra = min(extra, (1 << num_bgs) - num_bgs - 3)
+        ds, alloc = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
+        observed = {m.index for m in ds.masks()}
+        unobserved = [m for m in enumerate_masks(num_bgs) if m.index not in observed]
+        grown = ds
+        for i in rng.choice(len(unobserved), size=min(added, len(unobserved)), replace=False):
+            mask = unobserved[i]
+            grown = grown.with_observation(mask, subset_reach_from_allocation(mask, alloc))
+        masks = enumerate_masks(num_bgs)
+        before = BoundsSolver(ds).bounds_many(masks)
+        after = BoundsSolver(grown).bounds_many(masks)
+        tol = 1e-9 * ds.scale
+        for b, a in zip(before, after):
+            assert a.lower >= b.lower - tol
+            assert a.upper <= b.upper + tol
 
     @settings(max_examples=12, deadline=None)
     @given(
