@@ -12,6 +12,7 @@ phase 1 (``BoundsSolver.bounds_without``): those are the leave-one-out bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .core import (
     ReachDataset,
     RegionAllocation,
     SubsetMask,
+    UnavailableError,
     incidence_vector,
 )
 from .lp import UNBOUNDED, EqualityFormSolver, solve_lp
@@ -37,7 +39,8 @@ class ConsistencyReport:
     ``consistent`` is the phase-1 verdict that BoundsSolver also acts on.
     ``t_star`` is the optimum of the max-min-region program in reach units,
     negative when no non-negative allocation fits; when the data is
-    consistent, ``witness`` realizes every observation.
+    consistent, ``witness`` realizes every observation, unless a region of it
+    lies past the float range in reach units (then it is None).
     """
 
     consistent: bool
@@ -77,8 +80,10 @@ def check_consistency(dataset: ReachDataset) -> ConsistencyReport:
     t_scaled = 1.0 - result.value
     witness = None
     if consistent:
-        regions = np.clip(result.solution[:-1] + t_scaled, 0.0, None) * dataset.scale
-        witness = RegionAllocation.from_values(dataset.num_bgs, regions)
+        with np.errstate(over="ignore"):
+            regions = np.clip(result.solution[:-1] + t_scaled, 0.0, None) * dataset.scale
+        if not np.isinf(regions).any():
+            witness = RegionAllocation.from_values(dataset.num_bgs, regions)
     return ConsistencyReport(
         consistent=consistent, t_star=float(t_scaled * dataset.scale), witness=witness
     )
@@ -155,7 +160,8 @@ def _interval(
     solver: EqualityFormSolver, c: np.ndarray, cap: float, scale: float
 ) -> BoundInterval:
     """Bounds of the incidence functional ``c`` over ``solver``'s polytope,
-    in reach units (``cap`` is the scaled ceiling for an unbounded maximum)."""
+    in reach units (``cap`` is the scaled ceiling for an unbounded maximum).
+    An upper bound past the float range in reach units is UnavailableError."""
     lo = solver.optimize(c, "min")
     hi = solver.optimize(c, "max")
     # The polytope is non-empty, and a non-negative objective over x >= 0 is
@@ -170,7 +176,10 @@ def _interval(
     if upper - lower < TOL_FEAS:
         mid = 0.5 * (lower + upper)
         lower = upper = max(0.0, mid)
-    return BoundInterval(lower=lower * scale, upper=upper * scale, upper_capped=capped)
+    lower, upper = lower * scale, upper * scale
+    if math.isinf(upper):
+        raise UnavailableError("no finite bounds: the upper bound exceeds the float range")
+    return BoundInterval(lower=lower, upper=upper, upper_capped=capped)
 
 
 def _gray_rank(bits: int) -> int:
@@ -189,7 +198,8 @@ def subset_bounds(dataset: ReachDataset, target: SubsetMask) -> BoundInterval:
     consistent with the data, and no value outside is.  Raises
     InconsistencyError for inconsistent datasets; an upper bound that only
     the cap provides (the universe size when declared, else the sum of the
-    observed reaches) carries ``upper_capped=True``.
+    observed reaches) carries ``upper_capped=True``.  An upper bound past the
+    float range raises UnavailableError.
     """
     return BoundsSolver(dataset).bounds(target)
 
@@ -205,13 +215,18 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     inside it (the unreached region absorbs the slack).  Either way the
     solve is one ``simplex_lstsq`` call: directly on the simplex with a
     universe, and through ``nnls``, its reduction onto that solver, without.
+    A repaired reach past the float range raises UnavailableError.
     """
     a, b = _incidence_rows(dataset)
     universe = dataset.universe_size
-    if universe is None:
-        repaired = a @ nnls(a, b) * dataset.scale
-    else:  # column 0 is zero: the unreached region
-        repaired = np.minimum(a @ simplex_lstsq(a, b) * dataset.scale, universe)
+    # With a universe, column 0 is zero: the unreached region.
+    x = nnls(a, b) if universe is None else simplex_lstsq(a, b)
+    with np.errstate(over="ignore"):
+        repaired = a @ x * dataset.scale
+    if universe is not None:
+        repaired = np.minimum(repaired, universe)
+    if np.isinf(repaired).any():
+        raise UnavailableError("no finite repair: a repaired reach exceeds the float range")
     return dataset.replace_reaches(np.clip(repaired, 0.0, None))
 
 

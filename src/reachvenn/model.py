@@ -82,12 +82,13 @@ def estimate_universe(dataset: ReachDataset) -> float:
     singles = _single_reaches(dataset)
     if any(s > union for s in singles):
         raise InconsistencyError("inconsistent basics: a single-BG reach exceeds the union")
-    half_overlap = math.fsum([0.5 * s for s in singles] + [-0.5 * union])  # no overflow
-    if half_overlap <= 0:
+    # The overlap over 32, so that up to 20 singles sum inside the float range.
+    overlap = math.fsum([s / 32 for s in singles] + [-union / 32])
+    if overlap <= 0:
         raise UnavailableError("no finite independent universe: the BGs do not overlap")
     shares = np.array(singles) / union
     # np.poly(shares)[k] is (-1)**k e_k; highest power first, for Horner's rule.
-    coefficients = np.poly(shares)[:1:-1].tolist() + [-half_overlap / (0.5 * union)]
+    coefficients = np.poly(shares)[:1:-1].tolist() + [-overlap / (union / 32)]
 
     def excess(y: float) -> float:
         value = 0.0

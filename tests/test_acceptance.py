@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  The optional P=8 benchmark rows are enabled by setting
-REACHVENN_ACCEPT_P8=1 (runtime budget ~30 minutes).
+REACHVENN_ACCEPT_P8=1 (about 30 seconds on a 2-vCPU host).
 """
 
 import math

@@ -20,6 +20,7 @@ from reachvenn.core import (
     InconsistencyError,
     ReachDataset,
     SubsetMask,
+    UnavailableError,
     dataset_from_allocation,
     enumerate_masks,
     incidence_vector,
@@ -231,6 +232,49 @@ class TestSubsetBounds:
             ds = dataset_from_allocation(alloc, masks, universe_size=universe)
             intervals = BoundsSolver(ds).bounds_many(enumerate_masks(num_bgs))
             assert not any(interval.upper_capped for interval in intervals)
+
+
+TOP = np.finfo(float).max
+PAST_THE_RANGE = {
+    "bound": "no finite bounds: the upper bound exceeds the float range",
+    "repair": "no finite repair: a repaired reach exceeds the float range",
+}
+
+
+class TestPastTheFloatRange:
+    """A bound or a repaired reach past the float range in reach units is
+    unavailable, and a witness past it is None; a bound just inside is kept."""
+
+    @pytest.mark.parametrize(
+        "pairs, call, what",
+        [
+            ([("10", 1e308), ("01", 1e308)],
+             lambda ds: subset_bounds(ds, SubsetMask(3, 2)), "bound"),
+            ([("100", 1e308), ("010", 1e308), ("001", 1e308)],
+             lambda ds: subset_bounds(ds, SubsetMask(3, 3)), "bound"),
+            # Pinning the first prefix at 1e308 makes the reaches sum past it.
+            ([("1101", 1e308), ("1001", 1000.0)],
+             lambda ds: incremental_curve_bounds(ds, [1, 2, 3, 4], "upper"), "bound"),
+            ([("1101", 1e308), ("1001", 1000.0)],
+             lambda ds: incremental_curve_bounds(ds, [1, 2, 3, 4], "lower"), "bound"),
+            ([("10", TOP), ("01", TOP)], repair_dataset, "repair"),
+        ],
+        ids=["union", "pair", "upper trace", "lower trace", "repair"],
+    )
+    def test_unavailable(self, pairs, call, what):
+        ds = ReachDataset.from_pairs(len(pairs[0][0]), pairs)
+        with pytest.raises(UnavailableError, match=f"^{PAST_THE_RANGE[what]}$"):
+            call(ds)
+
+    def test_witness_past_it_is_none(self):
+        report = check_consistency(ReachDataset.from_pairs(2, [("10", 1.0), ("11", TOP)]))
+        assert report.consistent and report.witness is None
+
+    def test_bound_inside_it_is_kept(self):
+        ds = ReachDataset.from_pairs(2, [("10", 1e308), ("01", 5e307)])
+        interval = BoundsSolver(ds).bounds(SubsetMask.full(2))
+        assert interval.lower == 1e308
+        assert interval.upper == pytest.approx(1.5e308, rel=1e-12)
 
 
 def relabelled(mask, perm):

@@ -1,4 +1,4 @@
-"""One owner and one message per input rule, at every entry point.
+"""Every input-rule case: one owner and one message per rule, at every entry point.
 
 Six rules on the inputs each have one owner: the basic points
 (``ReachDataset.check_basic_points``), a non-empty subset of P BGs
@@ -27,6 +27,7 @@ from reachvenn.core import (
     SubsetMask,
     UnavailableError,
     check_positive,
+    incidence_vector,
     subset_reach_from_allocation,
 )
 from reachvenn.model import CiModel, build_segment_matrix, estimate_universe, fit
@@ -39,6 +40,7 @@ from reachvenn.pipeline import (
     error_bar,
     estimate_subset,
     nearest_rank_percentile,
+    resolve_d,
     tune_d,
 )
 from reachvenn.synth import GeneratorSpec
@@ -115,10 +117,12 @@ def triangle_truth(run):
 BASICS = "dataset lacks a basic point: a single-BG or union reach"
 
 
-def no_union(universe):
-    """The triangle without its union: a spare point, but not every basic one."""
-    pairs = [("100", 3000), ("010", 3000), ("001", 3000), ("011", 5000)]
-    return ReachDataset.from_pairs(3, pairs, universe_size=universe)
+def lacking_basics(universe):
+    """The triangle without its union (a spare point, but not every basic
+    one), and the triangle without its third single."""
+    no_union = [("100", 3000), ("010", 3000), ("001", 3000), ("011", 5000)]
+    no_single = [("100", 3000), ("010", 3000), ("111", 7000), ("011", 5000)]
+    return [ReachDataset.from_pairs(3, p, universe) for p in (no_union, no_single)]
 
 
 # name -> (entry, up front: runs no solver before the rule fails)
@@ -163,14 +167,14 @@ class TestOneBasicsRule:
         call, up_front = BASICS_ENTRIES[entry]
         if up_front:
             no_solver()
-        assert call(run, no_union(universe)) == BASICS
+        for dataset in lacking_basics(universe):
+            assert call(run, dataset) == BASICS
 
 
 # -- A non-empty subset of the dataset's P BGs ------------------------------
 
 
-# name -> entry(run, mask, solver of the triangle); the CLI reads only strings,
-# so its entries take the empty mask alone.
+# name -> entry(run, mask, solver of the triangle)
 SUBSET_LIBRARY = {
     "check_observable": lambda run, bad, _: run.lib(lambda: bad.check_observable(3)),
     "ReachObservation in a dataset": lambda run, bad, _: run.lib(
@@ -203,7 +207,11 @@ SUBSET_LIBRARY = {
     ),
 }
 
-SUBSET_CLI = {
+# The CLI reads only strings, whose length ``SubsetMask.parse`` checks first,
+# and ``incidence_vector`` knows no P but the mask's own: these entries take
+# the empty mask alone.
+SUBSET_EMPTY_ONLY = {
+    "incidence_vector": lambda run, bad, _: run.lib(lambda: incidence_vector(bad)),
     "cli bounds": lambda run, *_: run.cli(
         "bounds", run.dataset_file(triangle_dataset()), "--target", "000"
     ),
@@ -228,12 +236,12 @@ class TestOneSubsetRule:
     @pytest.mark.parametrize(
         "entry, bad",
         [(entry, bad) for entry in SUBSET_LIBRARY for bad in ("000", "10")]
-        + [(entry, "000") for entry in SUBSET_CLI],
+        + [(entry, "000") for entry in SUBSET_EMPTY_ONLY],
     )
     def test_rejected_with_one_message(self, run, no_solver, entry, bad):
         solver = BoundsSolver(triangle_dataset())  # its phase 1 runs before the spy
         no_solver()
-        call = {**SUBSET_LIBRARY, **SUBSET_CLI}[entry]
+        call = {**SUBSET_LIBRARY, **SUBSET_EMPTY_ONLY}[entry]
         message = call(run, SubsetMask.from_string(bad), solver)
         assert message == f"subset '{bad}' is not a non-empty subset of 3 BGs"
 
@@ -250,11 +258,11 @@ class TestOneSubsetRule:
 BAD_SIZES = [0.0, -1.0, math.nan, math.inf]
 
 
-def model_payload(universe):
-    """A model document of 2 BGs at d = 2."""
+def model_payload(universe=10.0, d=2.0):
+    """A model document of 2 BGs."""
     return {
         "num_bgs": 2,
-        "d": 2.0,
+        "d": io.json_float(d),
         "universe_size": universe,
         "single_bg_proportions": [0.3, 0.3],
         "weights": [0.0, 0.2, 0.2, 0.3],
@@ -263,6 +271,11 @@ def model_payload(universe):
 
 
 BASICS_2 = [("10", 3.0), ("01", 3.0), ("11", 5.0)]
+
+
+def basics_2():
+    """The basics of 2 BGs in a universe of 10."""
+    return ReachDataset.from_pairs(2, BASICS_2, universe_size=10.0)
 
 
 def basics_payload(universe):
@@ -310,7 +323,7 @@ SIZE_ENTRIES = {
     ),
     "io.load_model": (
         lambda run, v: run.lib(
-            lambda: io.load_model(run.file("model.json", model_payload(v)))
+            lambda: io.load_model(run.file("model.json", model_payload(universe=v)))
         ),
         "universe_size",
     ),
@@ -321,7 +334,7 @@ SIZE_ENTRIES = {
     "cli predict --model": (
         lambda run, v: run.cli(
             "predict", run.file("ds.json", basics_payload(None)), "--target", "11",
-            "--model", run.file("model.json", model_payload(v)),
+            "--model", run.file("model.json", model_payload(universe=v)),
         ),
         "universe_size",
     ),
@@ -331,6 +344,20 @@ SIZE_ENTRIES = {
             "--universe", v,
         ),
         "universe_size",
+    ),
+    "cli experiment --beta-a": (
+        lambda run, v: run.cli(
+            "experiment", "--generator", "ci", "--p", "4", "--replicates", "1",
+            "--beta-a", v,
+        ),
+        "reach_beta_a",
+    ),
+    "cli experiment --beta-b": (
+        lambda run, v: run.cli(
+            "experiment", "--generator", "ci", "--p", "4", "--replicates", "1",
+            "--beta-b", v,
+        ),
+        "reach_beta_b",
     ),
     "cli experiment --alpha": (
         lambda run, v: run.cli(
@@ -405,38 +432,67 @@ class TestOneAlphaRule:
 
 BAD_DS = [math.nan, -3.0, 0.5]
 
-# The library's own d entry points (``segment_rows``, ``fit``, ``resolve_d``,
-# ...) are in ``test_pipeline.py``; these take d as an option or a flag.
-D_ENTRIES = {
-    "EstimateOptions": lambda run, d: run.lib(lambda: EstimateOptions(d=d)),
-    "estimate_subset": lambda run, d: run.lib(
-        lambda: estimate_subset(
-            triangle_dataset(), SubsetMask(5, 3), EstimateOptions(d=d)
-        )
+# name -> call(run, d, session of ``basics_2``)
+D_LIBRARY = {
+    "segment_rows": lambda run, d, _: model.segment_rows(
+        basics_2().masks(), np.full(2, 0.3), d
     ),
+    "segment_row": lambda run, d, _: model.segment_row(SubsetMask(1, 2), np.full(2, 0.3), d),
+    "build_segment_matrix": lambda run, d, _: build_segment_matrix(basics_2(), d),
+    "fit": lambda run, d, _: fit(basics_2(), d),
+    "CiModel": lambda run, d, _: CiModel(2, d, 10.0, np.full(2, 0.3), np.zeros(4), 0.0),
+    "resolve_d": lambda run, d, session: resolve_d(session, d),
+    "Session.model": lambda run, d, session: session.model(d),
+    "Session.loo_table": lambda run, d, session: session.loo_table([d]),
+    "EstimateOptions": lambda run, d, _: EstimateOptions(d=d),
+    "estimate_subset": lambda run, d, _: estimate_subset(
+        triangle_dataset(), SubsetMask(5, 3), EstimateOptions(d=d)
+    ),
+    "io.load_model": lambda run, d, _: io.load_model(
+        run.file("model.json", model_payload(d=d))
+    ),
+}
+
+D_CLI = {
     "cli predict --d": lambda run, d: run.cli(
         "predict", run.dataset_file(triangle_dataset()), "--target", "101", "--d", d
     ),
     "cli fit --d": lambda run, d: run.cli(
         "fit", run.dataset_file(triangle_dataset()), "--d", d
     ),
+    "cli predict --model": lambda run, d: run.cli(
+        "predict", run.file("ds.json", basics_payload(None)), "--target", "11",
+        "--model", run.file("model.json", model_payload(d=d)),
+    ),
 }
 
 
 class TestOneDRule:
-    @pytest.mark.parametrize("entry", D_ENTRIES)
+    @pytest.mark.parametrize("entry", {**D_LIBRARY, **D_CLI})
     @pytest.mark.parametrize("d", BAD_DS)
     def test_rejected_with_one_message(self, run, no_solver, entry, d):
+        session = Session(basics_2())  # its phase 1 runs before the spy
         no_solver()
-        assert D_ENTRIES[entry](run, d) == f"d must be at least 1 (or inf), got {d}"
+        if entry in D_LIBRARY:
+            message = run.lib(lambda: D_LIBRARY[entry](run, d, session))
+        else:
+            message = D_CLI[entry](run, d)
+        assert message == f"d must be at least 1 (or inf), got {d}"
+
+    @pytest.mark.parametrize("entry", D_LIBRARY)
+    @pytest.mark.parametrize("d", [1.0, math.inf])
+    def test_one_and_inf_accepted(self, run, entry, d):
+        D_LIBRARY[entry](run, d, Session(basics_2()))
 
 
 # -- Spare points: n > P + 1 -------------------------------------------------
 
+SPARE = "unavailable without spare points: leave-one-out needs n > P + 1"
+
 
 def basics_session_estimate():
     """A session on the basics alone, and an estimate it made."""
-    session = Session(ReachDataset.from_pairs(2, BASICS_2, universe_size=10.0))
+    session = Session(basics_2())
     return session, session.estimate(session.model(math.inf), SubsetMask(1, 2))
 
 
@@ -470,5 +526,4 @@ class TestOneSparePointsRule:
         session, estimate = basics_session_estimate()
         if up_front:
             no_solver()
-        assert call(run, session, estimate) == NO_SPARE_POINTS
-        assert "n > P + 1" in NO_SPARE_POINTS
+        assert call(run, session, estimate) == NO_SPARE_POINTS == SPARE
