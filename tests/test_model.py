@@ -147,6 +147,11 @@ class TestEstimateUniverse:
         with pytest.raises(InconsistencyError, match="inconsistent basics"):
             estimate_universe(ds)
 
+    def test_requires_basics(self):
+        ds = ReachDataset.from_pairs(2, [("10", 100.0), ("01", 100.0)])
+        with pytest.raises(ValueError, match="single-BG"):
+            estimate_universe(ds)
+
 
 class TestSegmentMatrix:
     def test_infinite_d_p2_matrix(self):
@@ -180,6 +185,11 @@ class TestSegmentMatrix:
         for row, mask in zip(matrix.entries, matrix.rows):
             if mask.popcount == 1:
                 assert len(set(np.round(row, 12))) == 2
+
+    def test_requires_basics(self):
+        ds = ReachDataset.from_pairs(2, [("10", 0.2), ("11", 0.36)], universe_size=1.0)
+        with pytest.raises(ValueError, match="^dataset lacks a basic point"):
+            build_segment_matrix(ds, 2.0)
 
     def test_infinite_d_rows_equal_incidence(self, rng):
         for num_bgs in range(2, 7):

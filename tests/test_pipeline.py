@@ -1,6 +1,7 @@
 """Adaptive selection, d tuning, error bars, and the combined estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from reachvenn.core import (
 from reachvenn.experiment import training_masks
 from reachvenn.model import estimate_universe, fit, predict
 from reachvenn.pipeline import (
+    NO_SPARE_POINTS,
     EstimateOptions,
     SelectionState,
     Session,
     alpha_interval,
     d_grid,
+    error_bar,
     estimate_subset,
     nearest_rank_percentile,
     relative_error,
@@ -202,6 +205,12 @@ class TestNearestRank:
 
 
 class TestTuneD:
+    def test_requires_spare_points(self):
+        truth = independent_truth(3, 0.2, 1000.0)
+        ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
+        with pytest.raises(UnavailableError, match=f"^{re.escape(NO_SPARE_POINTS)}$"):
+            tune_d(Session(ds))
+
     def test_independence_data_selects_smallest_d(self):
         # Exact independence fits perfectly already at the grid's d = 1.
         ds, _ = independence_p3_dataset()
@@ -336,6 +345,15 @@ class TestErrorBar:
         assert est.interval_alpha is not None
         assert est.interval_alpha.lower >= est.interval_100.lower - 1e-9
         assert est.interval_alpha.upper <= est.interval_100.upper + 1e-9
+
+    def test_unavailable_without_spare_points(self):
+        truth = independent_truth(3, 0.2, 1000.0)
+        ds = true_dataset(truth, [m for m in enumerate_masks(3) if m.popcount in (1, 3)])
+        session = Session(ds)
+        target = SubsetMask.from_string("110")
+        estimate = session.estimate(session.model(math.inf), target, clamp=False)
+        with pytest.raises(UnavailableError, match=f"^{re.escape(NO_SPARE_POINTS)}$"):
+            error_bar(session, math.inf, estimate, 90.0)
 
 
 class TestEstimateSubset:
