@@ -115,9 +115,10 @@ class BoundsSolver:
     def bounds_without(self, mask: SubsetMask) -> BoundInterval:
         """Bounds of the observed ``mask`` under the other observations.
 
-        They come from this solver's phase 1 (``EqualityFormSolver.without_row``)
-        with the scale and cap of ``dataset.without(mask)``, so they equal
-        ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to round-off.
+        They come from this solver's phase 1 (``EqualityFormSolver.without_row``),
+        solved in this solver's scale with the cap of ``dataset.without(mask)``,
+        so they equal ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to
+        round-off.
         Phase 1 here leaves no artificial in the basis, so no other path is
         needed: mask S's row is 1[j within all BGs] - 1[j within S's
         complement], the indicators 1[j within T] form a basis (the zeta
@@ -125,11 +126,9 @@ class BoundsSolver:
         non-empty, so their complements are distinct and none is all BGs.
         """
         mask.check_observable(self.dataset.num_bgs)
-        rest = self.dataset.without(mask)
-        row = self.dataset.masks().index(mask)
-        solver = self._solver.without_row(row, self.scale / rest.scale)
-        c = incidence_vector(mask)
-        return _interval(solver, c, _upper_cap(rest), rest.scale)
+        cap = _upper_cap(self.dataset.without(mask))
+        solver = self._solver.without_row(self.dataset.masks().index(mask))
+        return _interval(solver, incidence_vector(mask), cap, self.scale)
 
     def bounds(self, target: SubsetMask) -> BoundInterval:
         target.check_observable(self.dataset.num_bgs)
@@ -149,18 +148,17 @@ class BoundsSolver:
 
 
 def _upper_cap(dataset: ReachDataset) -> float:
-    """Scaled ceiling for a target the observations leave unbounded above:
-    the universe size when declared, else the sum of the observed reaches."""
-    if dataset.universe_size is not None:
-        return 1.0
-    return float(sum(o.reach for o in dataset.observations)) / dataset.scale
+    """Ceiling in reach units for a target the observations leave unbounded
+    above: the universe size when declared, else the sum of the observed reaches."""
+    return dataset.universe_size or float(sum(o.reach for o in dataset.observations))
 
 
 def _interval(
     solver: EqualityFormSolver, c: np.ndarray, cap: float, scale: float
 ) -> BoundInterval:
     """Bounds of the incidence functional ``c`` over ``solver``'s polytope,
-    in reach units (``cap`` is the scaled ceiling for an unbounded maximum).
+    whose rows are divided by ``scale``, in reach units (``cap``, in reach
+    units too, is the ceiling for an unbounded maximum).
     An upper bound past the float range in reach units is UnavailableError."""
     lo = solver.optimize(c, "min")
     hi = solver.optimize(c, "max")
@@ -169,7 +167,7 @@ def _interval(
     lower = max(0.0, lo.value)
     capped = False
     if hi.status == UNBOUNDED:
-        upper = max(cap, lower)
+        upper = max(cap / scale, lower)
         capped = True
     else:
         upper = hi.value

@@ -19,8 +19,8 @@ pivots and the results are the same bits, and a skipped row keeps its bits
 exactly.  The crossover, in µs per ``BoundsSolver.bounds`` call on an exact
 2P+1 design (broadcast / row-wise, min of 7, 2-vCPU x86 host): P=9 (512
 regions) 295 / 390, P=10 (1024) 450 / 480, P=11 (2048) 734 / 522.  At P=10
-the Fortran-ordered tableaux of ``without_row`` favour rows (2.2 / 1.3 ms
-per held-out bound), so P=10 is on the row-wise side.  Set the
+the derived tableaux of ``without_row`` favour rows (0.77 / 0.61 ms per
+held-out bound, same design), so P=10 is on the row-wise side.  Set the
 ``reachvenn.lp`` logger to DEBUG to see each phase 1 (pivots, artificials
 left in the basis) and each ``optimize`` (sense, status, pivots, whether
 Bland's rule fired).
@@ -191,9 +191,9 @@ class EqualityFormSolver:
             _logger.debug("phase 1: %d pivots, %d artificials left", pivots, (basis >= n).sum())
         self._by_sense["min"] = (tableau, basis)
 
-    def without_row(self, row: int, scale: float = 1.0) -> "EqualityFormSolver":
-        """A solver of the same program without equality ``row``, with the
-        right-hand side multiplied by ``scale``.
+    def without_row(self, row: int) -> "EqualityFormSolver":
+        """A solver of the same program without equality ``row``, in this
+        solver's scale.
 
         No phase 1 runs: equality ``row`` gets a free slack, the column pair
         +/-B^-1 e_row, so the ``min`` sense's current basis B stays feasible
@@ -212,12 +212,7 @@ class EqualityFormSolver:
         if (basis >= self.n).any():
             raise RuntimeError("an artificial left in the basis: no basis inverse")
         slack = tableau[:, self.n + row]
-        # Fortran order, as a column gather gives: the phase-2 cost product
-        # rounds by memory order.
-        derived = np.asfortranarray(
-            np.column_stack([tableau[:, : self.n], slack, -slack, tableau[:, -1]])
-        )
-        derived[:-1, -1] *= scale
+        derived = np.column_stack([tableau[:, : self.n], slack, -slack, tableau[:, -1]])
         solver = copy.copy(self)
         solver._by_sense = {"min": (derived, basis.copy())}
         solver._ncols = self.n + 2

@@ -49,12 +49,6 @@ from .model import (
 NO_SPARE_POINTS = "unavailable without spare points: leave-one-out needs n > P + 1"
 
 
-def effective_d(d: float) -> float:
-    """``d`` itself: every d in [1, inf] is fitted as given.  Kept for the
-    acceptance suite, which fits the grid at ``effective_d(d)``."""
-    return d
-
-
 def d_grid() -> list[float]:
     """The candidate values of d: ten evenly spaced from 1 to 5."""
     step = (5.0 - 1.0) / 9

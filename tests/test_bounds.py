@@ -233,6 +233,16 @@ class TestSubsetBounds:
             intervals = BoundsSolver(ds).bounds_many(enumerate_masks(num_bgs))
             assert not any(interval.upper_capped for interval in intervals)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the bounds LP has no row for a declared universe",
+    )
+    def test_a_declared_universe_bounds_an_upper_the_observations_bound(self):
+        # The observations give 111 <= 110 + 011 = 6000; the universe is tighter.
+        pairs = [("110", 3000.0), ("011", 3000.0), ("010", 0.0)]
+        ds = ReachDataset.from_pairs(3, pairs, universe_size=5000.0)
+        assert BoundsSolver(ds).bounds(SubsetMask.parse("111", 3)).upper <= 5000.0
+
 
 TOP = np.finfo(float).max
 PAST_THE_RANGE = {
@@ -550,7 +560,7 @@ class TestWidePivots:
         targets = enumerate_masks(num_bgs)[::16]
 
         def intervals():
-            # Held-out bounds pivot on Fortran-ordered tableaux.
+            # Held-out bounds pivot on derived tableaux with a slack pair.
             solver = BoundsSolver(ds)
             return solver.bounds_many(targets), [solver.bounds_without(m) for m in ds.masks()]
 

@@ -157,6 +157,17 @@ class TestCurve:
         assert lines[0].endswith(",pinned")
         assert len(lines[1].split(",")) == 5
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the bounds LP has no row for a declared universe",
+    )
+    def test_upper_trace_stays_inside_a_declared_universe(self, capsys, tmp_path):
+        # 1100 is pinned at its cap, the universe; without a universe row, 1110
+        # is then bounded by 3000 + 1 and pinned past it.
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(document_of([("0110", 1.0), ("0111", 1.0)], universe=3000.0)))
+        assert run_cli(capsys, "curve", path, "--order", "1,2,3,4", "--mode", "upper")[0] == 0
+
 
 class TestFitPredict:
     def test_fit_writes_loadable_model(self, capsys, tmp_path, rng):
