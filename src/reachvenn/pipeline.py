@@ -2,18 +2,19 @@
 
 Glues the model-free and model-based halves together: adaptive selection of
 the next subset to measure (largest bound gap first), leave-one-out cross
-validation of d on the non-basic points, alpha% error bars from the
-validation-error quantiles, and a one-call estimator that predicts the target
-once, clamps that point into its 100% interval, and centres the alpha%
-interval on the unclamped point.  Validation needs spare points, n > P + 1
-(else ``NO_SPARE_POINTS``), and alpha in (0, 100] (``check_alpha``).  All of
-these read one ``Session`` per dataset, which computes each fact they share
-once: one universe size and one segment matrix per d.  A held-out point is a
-row number: its leave-one-out prediction is a query on the stacked fit of that
-matrix without the row (``fit_leave_one_out``, all d at once), and its bounds
-a query on the session's one bounds solver (``BoundsSolver.bounds_without``),
-which runs no new phase 1.  A batch of targets takes its bounds from one
-``bounds_many`` call and its segment rows from one ``segment_rows`` call.
+validation of d on the non-basic points, alpha% error bars from quantiles of
+the leave-one-out error table (absolute errors over held-out bound gaps), and
+a one-call estimator that predicts the target once, clamps that point into its
+100% interval, and centres the alpha% interval on the unclamped point.
+Validation needs spare points, n > P + 1 (else ``NO_SPARE_POINTS``), and alpha
+in (0, 100] (``check_alpha``).  All of these read one ``Session`` per dataset,
+which computes each fact they share once: one universe size and one segment
+matrix per d.  A held-out point is a row number: its leave-one-out prediction
+is a query on the stacked fit of that matrix without the row
+(``fit_leave_one_out``, all d at once), and its bounds a query on the session's
+one bounds solver (``BoundsSolver.bounds_without``), which runs no new phase 1.
+A batch of targets takes its bounds from one ``bounds_many`` call and its
+segment rows from one ``segment_rows`` call.
 """
 
 from __future__ import annotations
@@ -119,22 +120,18 @@ def select_next_point(
     return SelectionState(measurements, state.excluded, state.chosen + (best_mask,))
 
 
-def relative_error(
-    estimate: float, truth: float, interval: BoundInterval, scale: float
-) -> float:
-    """(estimate - truth) / (upper - lower), the bound-gap-normalized error.
+def relative_errors(
+    predictions: np.ndarray, truths: np.ndarray, gaps: np.ndarray, scale: float
+) -> np.ndarray:
+    """|prediction - truth| / gap per entry, the bound-gap-normalized error.
 
-    When the bounds coincide (gap below 1e-9 of ``scale``, the universe size)
-    the error is 0 if the estimate matches the truth to the same tolerance and
-    signed infinity otherwise.
+    A gap of exactly 0 is an interval the bounds solver collapsed: there the
+    error is 0 if the prediction matches the truth to 1e-9 of ``scale`` (the
+    universe size) and infinity otherwise.
     """
-    tol_gap = 1e-9 * scale
-    gap = interval.gap
-    if gap < tol_gap:
-        if abs(estimate - truth) <= tol_gap:
-            return 0.0
-        return math.copysign(math.inf, estimate - truth)
-    return (estimate - truth) / gap
+    misses = np.abs(predictions - truths)
+    collapsed = np.where(misses <= 1e-9 * scale, 0.0, math.inf)
+    return np.divide(misses, gaps, out=collapsed, where=gaps > 0)
 
 
 def check_alpha(alpha: float) -> None:
@@ -144,13 +141,13 @@ def check_alpha(alpha: float) -> None:
 
 
 def nearest_rank_percentile(values: Sequence[float], alpha: float) -> float:
-    """The alpha-th percentile by the nearest-rank rule (alpha in (0, 100])."""
-    if not values:
+    """The alpha-th percentile by the nearest-rank rule (alpha in (0, 100]) of
+    a sequence or 1-d array."""
+    if len(values) == 0:
         raise ValueError("no values")
     check_alpha(alpha)
-    ordered = sorted(values)
-    rank = max(1, math.ceil(alpha / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    rank = max(1, math.ceil(alpha / 100.0 * len(values)))
+    return float(np.sort(values)[rank - 1])
 
 
 class Session:
@@ -174,7 +171,7 @@ class Session:
         self.reaches = np.array([o.reach for o in dataset.observations])
         self.has_spare_points = dataset.n > dataset.num_bgs + 1
         self._segments: dict[float, SegmentMatrix] = {}
-        self._errors: dict[float, list[float]] = {}
+        self._errors: dict[float, np.ndarray] = {}
 
     @functools.cached_property
     def universe_size(self) -> float:
@@ -182,17 +179,16 @@ class Session:
         return dataset_universe(self.dataset)
 
     @functools.cached_property
-    def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval, float]]:
-        """(row number, mask, the mask's bounds under the other points, its
-        reach) for each non-basic point; the basics are never held out.  The
-        bounds come from ``solver.bounds_without``, which runs no new phase 1."""
+    def holdouts(self) -> list[tuple[int, SubsetMask, BoundInterval]]:
+        """(row number, mask, the mask's bounds under the other points) for
+        each non-basic point; the basics are never held out.  The bounds come
+        from ``solver.bounds_without``, which runs no new phase 1."""
         basics = {m.index for m in basic_masks(self.dataset.num_bgs)}
-        result = []
-        for row, obs in enumerate(self.dataset.observations):
-            if obs.subset.index not in basics:
-                interval = self.solver.bounds_without(obs.subset)
-                result.append((row, obs.subset, interval, obs.reach))
-        return result
+        return [
+            (row, obs.subset, self.solver.bounds_without(obs.subset))
+            for row, obs in enumerate(self.dataset.observations)
+            if obs.subset.index not in basics
+        ]
 
     def segments(self, d: float) -> SegmentMatrix:
         """The segment matrix of all points at d; at d = 1 every column is the
@@ -201,22 +197,24 @@ class Session:
             self._segments[d] = build_segment_matrix(self.dataset, d, self.universe_size)
         return self._segments[d]
 
-    def loo_table(self, ds: Sequence[float]) -> list[list[float]]:
-        """Leave-one-out relative errors for each d in ``ds``, one per held-out
-        point, each from a fit on ``segments(d)`` without the point's row.
-        The fits for the ds not yet known are one stacked solve, and each
-        prediction reads the held-out point's row of ``segments(d)``."""
+    def loo_table(self, ds: Sequence[float]) -> np.ndarray:
+        """Leave-one-out errors, of shape (len(ds), held-out points): entry
+        (i, j) is |prediction - reach| / gap of held-out point j, predicted by
+        the fit on ``segments(ds[i])`` without its row, its gap being its bound
+        gap under the other points (``relative_errors``: a gap is degenerate
+        only when the bounds solver collapsed it to 0).  The fits for the ds
+        not yet known are one stacked solve."""
         missing = [d for d in dict.fromkeys(ds) if d not in self._errors]
         if missing:
             matrices = [self.segments(d) for d in missing]
-            rows = [row for row, *_ in self.holdouts]
+            rows = [row for row, _, _ in self.holdouts]
+            gaps = np.array([interval.gap for _, _, interval in self.holdouts])
             predictions = fit_leave_one_out(matrices, self.reaches, rows)
-            for d, points in zip(missing, predictions.tolist()):
-                self._errors[d] = [
-                    relative_error(point, truth, interval, self.universe_size)
-                    for point, (_, _, interval, truth) in zip(points, self.holdouts)
-                ]
-        return [self._errors[d] for d in ds]
+            errors = relative_errors(
+                predictions, self.reaches[rows], gaps, self.universe_size
+            )
+            self._errors.update(zip(missing, errors))
+        return np.array([self._errors[d] for d in ds])
 
     def model(self, d: float) -> CiModel:
         """The model fitted to all points at d; at d = 1 it predicts
@@ -259,12 +257,13 @@ class Session:
 
 
 def tune_d(session: Session) -> float:
-    """Pick d from the grid by minimum mean absolute leave-one-out error.
+    """Pick d from the grid by the minimum mean of ``Session.loo_table``.
 
     Each non-basic training point is held out once: the model fits on the
-    other n-1 points and the error is normalized by the held-out point's
-    bound gap under those n-1 points.  Ties go to the smaller d.  Requires
-    n > P+1; the basics are never held out.
+    other n-1 points and the absolute error is divided by the held-out point's
+    bound gap under those n-1 points (a gap the bounds solver collapsed to 0
+    gives 0 or infinity).  Ties go to the smaller d.  Requires n > P+1; the
+    basics are never held out.
     """
     if not session.has_spare_points:
         raise UnavailableError(NO_SPARE_POINTS)
@@ -272,9 +271,8 @@ def tune_d(session: Session) -> float:
     best_d = grid[0]
     best_score = math.inf
     # Scores within 1e-8 (solver noise) count as ties, and ties -- including
-    # all-infinite columns -- keep the smaller d.
-    for d, errors in zip(grid, session.loo_table(grid)):
-        score = float(np.mean(np.abs(errors)))
+    # infinite scores -- keep the smaller d.
+    for d, score in zip(grid, session.loo_table(grid).mean(axis=1)):
         if score < best_score - 1e-8:
             best_score = score
             best_d = d
@@ -303,14 +301,14 @@ def error_bar(
 ) -> BoundInterval:
     """alpha%-confidence interval around the unclamped model ``estimate`` at d.
 
-    The alpha-th nearest-rank percentile q of the absolute leave-one-out
-    relative errors (at d) scales the bound gap: the interval is
-    [point - q/2*gap, point + q/2*gap] intersected with the estimate's
-    100%-confidence interval.  Requires n > P+1.
+    The alpha-th nearest-rank percentile q of ``Session.loo_table`` at d (the
+    absolute held-out errors over their bound gaps) scales the bound gap: the
+    interval is [point - q/2*gap, point + q/2*gap] intersected with the
+    estimate's 100%-confidence interval.  Requires n > P+1.
     """
     if not session.has_spare_points:
         raise UnavailableError(NO_SPARE_POINTS)
-    q_alpha = nearest_rank_percentile([abs(e) for e in session.loo_table([d])[0]], alpha)
+    q_alpha = nearest_rank_percentile(session.loo_table([d])[0], alpha)
     return alpha_interval(estimate.point, estimate.interval_100, q_alpha)
 
 

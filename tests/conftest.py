@@ -67,6 +67,14 @@ def triangle_dataset(claim=None):
     return ReachDataset.from_pairs(3, pairs)
 
 
+def nearly_disjoint_dataset():
+    """P=3 singles of 1000 that barely overlap, no universe: the held-out gaps
+    (0.007 and 0.006) are far below 1e-9 of the estimated universe (~3e8)."""
+    pairs = [("100", 1000), ("010", 1000), ("001", 1000), ("111", 2999.99)]
+    pairs += [("110", 1999.996), ("011", 1999.997)]
+    return ReachDataset.from_pairs(3, pairs)
+
+
 def five_bg_basics(union=336160.0, single=100000.0):
     """The basic points of five BGs, each single at ``single``."""
     pairs = [(m, single) for m in ["10000", "01000", "00100", "00010", "00001"]]

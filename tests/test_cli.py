@@ -13,7 +13,12 @@ from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
 from reachvenn.synth import independent_truth, true_dataset
 
-from conftest import face_solve_limit, random_consistent_dataset, triangle_dataset
+from conftest import (
+    face_solve_limit,
+    nearly_disjoint_dataset,
+    random_consistent_dataset,
+    triangle_dataset,
+)
 
 
 @pytest.fixture
@@ -223,6 +228,16 @@ class TestFitPredict:
         assert payload["alpha"] == 90.0
         inner, outer = payload["interval_alpha"], payload["interval_100"]
         assert outer["lower"] <= inner["lower"] <= inner["upper"] <= outer["upper"]
+
+    def test_alpha_interval_has_width_on_nearly_disjoint_groups(self, capsys, tmp_path):
+        data = tmp_path / "disjoint.json"
+        io.save_dataset(nearly_disjoint_dataset(), data)
+        code, out, _ = run_cli(
+            capsys, "predict", data, "--target", "101", "--alpha", "90"
+        )
+        assert code == 0
+        inner = json.loads(out)["interval_alpha"]
+        assert inner["upper"] > inner["lower"]
 
     def test_saved_model_round_trip_via_predict(self, capsys, tmp_path, rng):
         ds, _ = random_consistent_dataset(rng, 3, extra=2, universe=1000.0)

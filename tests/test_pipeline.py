@@ -18,7 +18,7 @@ from reachvenn.core import (
     enumerate_masks,
 )
 from reachvenn.experiment import training_masks
-from reachvenn.model import estimate_universe, fit, predict
+from reachvenn.model import fit, predict
 from reachvenn.pipeline import (
     NO_SPARE_POINTS,
     EstimateOptions,
@@ -29,7 +29,7 @@ from reachvenn.pipeline import (
     error_bar,
     estimate_subset,
     nearest_rank_percentile,
-    relative_error,
+    relative_errors,
     select_next_point,
     tune_d,
 )
@@ -42,7 +42,7 @@ from reachvenn.synth import (
     true_reach,
 )
 
-from conftest import random_consistent_dataset
+from conftest import nearly_disjoint_dataset, random_consistent_dataset
 
 
 def five_bg_setup():
@@ -171,25 +171,34 @@ class TestSelectNextPoint:
             assert after <= before + 1e-6 * 500000.0
 
 
+def gap_errors(predictions, truths, gaps, scale=1e6):
+    """``relative_errors`` of nested lists, as nested lists."""
+    arrays = [np.array(values, dtype=float) for values in (predictions, truths, gaps)]
+    return relative_errors(*arrays, scale).tolist()
+
+
 class TestRelativeError:
     def test_plain_substitution(self):
-        interval = BoundInterval(50.0, 250.0)
-        assert relative_error(150.0, 100.0, interval, scale=1e6) == pytest.approx(0.25)
+        assert gap_errors([150.0, 50.0], [100.0, 100.0], [200.0, 200.0]) == [0.25, 0.25]
 
     def test_exact_estimate(self):
-        interval = BoundInterval(50.0, 250.0)
-        assert relative_error(100.0, 100.0, interval, scale=1e6) == 0.0
+        assert gap_errors([100.0], [100.0], [200.0]) == [0.0]
 
     def test_degenerate_gap_matching(self):
-        interval = BoundInterval(100.0, 100.0)
-        assert relative_error(100.0, 100.0, interval, scale=1e6) == 0.0
+        assert gap_errors([100.0], [100.0], [0.0]) == [0.0]
 
-    def test_degenerate_gap_mismatch_is_signed_infinite(self):
-        interval = BoundInterval(100.0, 100.0)
-        high = relative_error(200.0, 100.0, interval, scale=1e6)
-        low = relative_error(0.0, 100.0, interval, scale=1e6)
-        assert math.isinf(high) and high > 0
-        assert math.isinf(low) and low < 0
+    def test_degenerate_gap_mismatch_is_infinite(self):
+        assert gap_errors([200.0, 0.0], [100.0, 100.0], [0.0, 0.0]) == [math.inf, math.inf]
+
+    def test_tiny_gap_beside_a_huge_scale_still_divides(self):
+        # Only a gap the bounds solver collapsed to 0 is degenerate: a real
+        # gap of 0.007 far below 1e-9 of the scale still normalizes the miss.
+        miss = abs(2000.001 - 2000.0)
+        assert gap_errors([2000.001], [2000.0], [0.007], scale=3e8) == [miss / 0.007]
+
+    def test_one_row_per_prediction_row(self):
+        errors = gap_errors([[150.0, 100.0], [50.0, 300.0]], [100.0, 100.0], [200.0, 0.0])
+        assert errors == [[0.25, 0.0], [0.25, math.inf]]
 
 
 class TestNearestRank:
@@ -199,9 +208,14 @@ class TestNearestRank:
         assert nearest_rank_percentile(values, 100.0) == 0.4
         assert nearest_rank_percentile(values, 1.0) == 0.1
 
+    def test_reads_arrays(self):
+        assert nearest_rank_percentile(np.array([0.0]), 50.0) == 0.0
+        assert nearest_rank_percentile(np.array([0.4, 0.1, 0.3, 0.2]), 50.0) == 0.2
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            nearest_rank_percentile([], 50.0)
+        for values in ([], np.array([])):
+            with pytest.raises(ValueError, match="^no values$"):
+                nearest_rank_percentile(values, 50.0)
 
 
 class TestTuneD:
@@ -215,6 +229,9 @@ class TestTuneD:
         # Exact independence fits perfectly already at the grid's d = 1.
         ds, _ = independence_p3_dataset()
         assert tune_d(Session(ds)) == 1.0
+
+    def test_tiny_real_gaps_do_not_tie_every_d(self):
+        assert tune_d(Session(nearly_disjoint_dataset())) != 1.0
 
     def test_choice_lies_on_grid_and_is_deterministic(self, rng):
         ds, _ = random_consistent_dataset(rng, 4, extra=3)
@@ -233,22 +250,28 @@ class TestSession:
         session = Session(noisy_p5_dataset(declare_universe))
         ds = session.dataset
         assert (ds.universe_size is not None) == declare_universe
-        universe = ds.universe_size or estimate_universe(ds)
         basics = {m.index for m in basic_masks(5)}
         held_out = [m for m in ds.masks() if m.index not in basics]
-        assert [mask for _, mask, _, _ in session.holdouts] == held_out
+        assert [mask for _, mask, _ in session.holdouts] == held_out
         assert len(held_out) == 8
-        for _, mask, interval, _ in session.holdouts:
+        for _, mask, interval in session.holdouts:
             fresh = BoundsSolver(ds.without(mask)).bounds(mask)
             assert interval.upper_capped == fresh.upper_capped
             assert abs(interval.lower - fresh.lower) <= 1e-12 * ds.scale
             assert abs(interval.upper - fresh.upper) <= 1e-12 * ds.scale
         for d, errors in zip(d_grid(), session.loo_table(d_grid())):
             expected = []
-            for _, mask, interval, truth in session.holdouts:
+            for _, mask, interval in session.holdouts:
                 estimate = predict(fit(ds.without(mask), d), mask)
-                expected.append(relative_error(estimate, truth, interval, universe))
-            assert errors == expected
+                expected.append(abs(estimate - ds.reach_of(mask)) / interval.gap)
+            assert errors.tolist() == expected
+
+    def test_loo_errors_of_uncollapsed_tiny_gaps_are_real(self):
+        # The held-out gaps are about 2e-11 of the estimated universe, yet the
+        # bounds solver did not collapse them, so they normalize the misses.
+        table = Session(nearly_disjoint_dataset()).loo_table(d_grid())
+        assert table.shape == (10, 2)
+        assert np.isfinite(table).all() and (table > 0).any()
 
     def test_one_segment_matrix_per_grid_d(self, monkeypatch):
         ds = noisy_p5_dataset(declare_universe=False)

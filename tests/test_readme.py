@@ -46,7 +46,7 @@ INTERNAL = {
         "segment_row",
         "segment_rows",
     ],
-    "reachvenn.pipeline": ["nearest_rank_percentile", "relative_error"],
+    "reachvenn.pipeline": ["nearest_rank_percentile", "relative_errors"],
 }
 
 
