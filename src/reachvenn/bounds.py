@@ -97,9 +97,7 @@ class BoundsSolver:
     run of the same sense stopped.  Bounds therefore depend on the targets
     asked before, but only up to round-off (under 1e-13 of the scale on
     every mask at P=11), and are bit-identical for the same sequence of
-    calls.  ``bounds_many`` orders a batch so that consecutive targets are
-    close.  Construction raises InconsistencyError when the polytope is
-    empty.
+    calls.  Construction raises InconsistencyError when the polytope is empty.
     """
 
     def __init__(self, dataset: ReachDataset):
@@ -140,6 +138,9 @@ class BoundsSolver:
 
         The targets are solved in Gray-code order of their masks, so
         consecutive solves differ by about one BG and start near their optimum.
+        Against index order, in ms per batch (min of 5, one BLAS thread, 2 vCPUs):
+        3.7 vs 5.1 and 17.9 vs 25.1 for the testing masks of repaired noisy P=6
+        and P=8 designs, 327 vs 814 for all 2047 masks of exact P=11 designs.
         """
         intervals: list[BoundInterval | None] = [None] * len(targets)
         for i in sorted(range(len(targets)), key=lambda i: _gray_rank(targets[i].bits)):
@@ -190,14 +191,13 @@ def _gray_rank(bits: int) -> int:
 
 
 def subset_bounds(dataset: ReachDataset, target: SubsetMask) -> BoundInterval:
-    """Tightest [lower, upper] for the target's reach given the observations.
+    """``BoundsSolver(dataset).bounds(target)``.
 
-    Every value in the interval is realized by some non-negative allocation
-    consistent with the data, and no value outside is.  Raises
-    InconsistencyError for inconsistent datasets; an upper bound that only
-    the cap provides (the universe size when declared, else the sum of the
-    observed reaches) carries ``upper_capped=True``.  An upper bound past the
-    float range raises UnavailableError.
+    Without a declared universe this is the tightest interval: some fitting
+    allocation reaches each value in it and none a value outside.  A declared
+    universe only caps an upper bound the observations leave open
+    (``upper_capped``), so it can leave the interval loose.  Raises
+    InconsistencyError on inconsistent data, UnavailableError past the float range.
     """
     return BoundsSolver(dataset).bounds(target)
 

@@ -90,6 +90,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _array(values, what: str) -> list:
+    """``values``, checked to be a JSON array."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a JSON array, got {json.dumps(values)}")
+    return values
+
+
 def dataset_to_dict(dataset: ReachDataset) -> dict:
     payload: dict = {"num_bgs": dataset.num_bgs}
     if dataset.universe_size is not None:
@@ -106,10 +113,8 @@ def dataset_from_dict(payload: dict) -> ReachDataset:
     universe = payload.get("universe_size")
     if universe is not None:
         universe = _number(universe, "universe_size")
-    if not isinstance(payload["observations"], list):
-        raise ValueError("a dataset's observations must be a JSON array")
     pairs = []
-    for entry in payload["observations"]:
+    for entry in _array(payload["observations"], "observations"):
         _document(entry, ("subset", "reach"), "an observation")
         subset = entry["subset"]
         if not isinstance(subset, str):
@@ -157,9 +162,7 @@ def load_allocation(path: str | Path) -> RegionAllocation:
 
 def _numbers(values, what: str) -> list[float]:
     """``values`` as floats, checked to be a JSON array of numbers."""
-    if not isinstance(values, list):
-        raise ValueError(f"{what} must be a JSON array, got {json.dumps(values)}")
-    return [_number(value, what) for value in values]
+    return [_number(value, what) for value in _array(values, what)]
 
 
 def model_to_dict(model: CiModel) -> dict:
@@ -176,15 +179,12 @@ def model_to_dict(model: CiModel) -> dict:
 def load_model(path: str | Path) -> CiModel:
     keys = tuple(f.name for f in fields(CiModel))
     payload = _document(read_json(path), keys, "a model")
-    d = payload["d"]
     return CiModel(
         num_bgs=_integer(payload["num_bgs"], "num_bgs"),
-        d=math.inf if d == "inf" else _number(d, "d"),
+        d=math.inf if payload["d"] == "inf" else _number(payload["d"], "d"),
         universe_size=_number(payload["universe_size"], "universe_size"),
         training_residual=_number(payload["training_residual"], "training_residual"),
-        single_bg_proportions=_numbers(
-            payload["single_bg_proportions"], "single_bg_proportions"
-        ),
+        single_bg_proportions=_numbers(payload["single_bg_proportions"], "single_bg_proportions"),
         weights=_numbers(payload["weights"], "weights"),
     )
 

@@ -243,6 +243,18 @@ class TestSubsetBounds:
         ds = ReachDataset.from_pairs(3, pairs, universe_size=5000.0)
         assert BoundsSolver(ds).bounds(SubsetMask.parse("111", 3)).upper <= 5000.0
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the bounds LP has no row for a declared universe",
+    )
+    def test_a_declared_universe_tightens_bounds_below_it(self):
+        # 101 and 011 at 9 = 4 + 5 keep BG 3 apart from BGs 1 and 2, so in a
+        # universe of 10, 110 <= 10 - 5.  Today the upper is 8, and clamping
+        # it at the universe would not help: min(8, 10) = 8.
+        pairs = [("100", 4.0), ("010", 4.0), ("001", 5.0), ("101", 9.0), ("011", 9.0)]
+        ds = ReachDataset.from_pairs(3, pairs, universe_size=10.0)
+        assert BoundsSolver(ds).bounds(SubsetMask.parse("110", 3)).upper <= 5 + 1e-9 * 10
+
 
 TOP = np.finfo(float).max
 PAST_THE_RANGE = {

@@ -11,6 +11,7 @@ from reachvenn import experiment, io, pipeline
 from reachvenn.bounds import BoundsSolver
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
+from reachvenn.lp import LpResult
 from reachvenn.synth import independent_truth, true_dataset
 
 from conftest import (
@@ -53,16 +54,6 @@ class TestIoRoundTrip:
         assert loaded.num_bgs == ds.num_bgs
         assert loaded.universe_size == ds.universe_size
         assert loaded.masks() == ds.masks()
-
-    def test_subset_length_validated(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {"num_bgs": 3, "observations": [{"subset": "10", "reach": 1.0}]}
-            )
-        )
-        with pytest.raises(ValueError, match="num_bgs"):
-            io.load_dataset(path)
 
     def test_ground_truth_round_trip(self, tmp_path):
         truth = independent_truth(3, 0.2, 1000.0)
@@ -515,13 +506,6 @@ class TestUsageErrors:
         assert code == 64
         assert "error" in err
 
-    def test_dataset_that_is_a_json_array(self, capsys, tmp_path):
-        path = tmp_path / "array.json"
-        path.write_text('[{"subset": "10", "reach": 1.0}]')
-        code, _, err = run_cli(capsys, "check", path)
-        assert code == 64
-        assert "JSON object" in err
-
     @pytest.mark.parametrize("argv", [("check",), ("bounds", "--all")])
     def test_dataset_with_an_empty_observation_list(self, capsys, tmp_path, argv):
         path = tmp_path / "empty.json"
@@ -549,251 +533,6 @@ class TestUsageErrors:
             assert code == 64
             assert out == ""
             assert err == "error: truth has 4 BGs, dataset 3\n"
-
-    def test_dataset_without_observations(self, capsys, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text('{"num_bgs": 2}')
-        code, _, err = run_cli(capsys, "check", path)
-        assert code == 64
-        assert "observations" in err
-
-    @pytest.mark.parametrize(
-        "document, named",
-        [
-            ({"num_bgs": 2, "observations": [{"reach": 1.0}]}, "subset"),
-            ({"num_bgs": 2, "observations": 5}, "observations"),
-        ],
-    )
-    def test_malformed_dataset(self, capsys, tmp_path, document, named):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
-        code, _, err = run_cli(capsys, "bounds", path, "--all")
-        assert code == 64
-        assert named in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "document, named",
-        [
-            ({"num_bgs": None, "observations": [{"subset": "10", "reach": 1.0}]}, "num_bgs"),
-            ({"num_bgs": 2.5, "observations": [{"subset": "10", "reach": 1.0}]}, "num_bgs"),
-            ({"num_bgs": 2, "observations": [{"subset": "10", "reach": None}]}, "reach"),
-            (
-                {
-                    "num_bgs": 2,
-                    "universe_size": {"value": 5.0},
-                    "observations": [{"subset": "10", "reach": 1.0}],
-                },
-                "universe_size",
-            ),
-            ({"num_bgs": 3, "observations": [{"subset": 100, "reach": 1.0}]}, "subset"),
-            ({"num_bgs": 2, "observations": [{"subset": None, "reach": 1.0}]}, "subset"),
-            ({"num_bgs": 2, "observations": [{"subset": "10", "reach": 10**400}]}, "reach"),
-            (
-                {
-                    "num_bgs": 2,
-                    "universe_size": 10**400,
-                    "observations": [{"subset": "10", "reach": 1.0}],
-                },
-                "universe_size",
-            ),
-        ],
-    )
-    def test_malformed_value(self, capsys, tmp_path, document, named):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document))
-        code, out, err = run_cli(capsys, "bounds", path, "--all")
-        assert code == 64
-        assert out == ""
-        assert f"{named} must be" in err
-        assert "Traceback" not in err
-
-    def test_truth_file_without_allocation(self, capsys, triangle_file):
-        code, out, err = run_cli(
-            capsys, "select", triangle_file, "--budget", "1", "--truth", triangle_file
-        )
-        assert code == 64
-        assert out == ""
-        assert "allocation" in err
-
-    def test_truth_file_with_null_num_bgs(self, capsys, tmp_path, triangle_file):
-        truth_path = tmp_path / "truth.json"
-        truth_path.write_text('{"num_bgs": null, "allocation": [0, 1, 1, 1, 1, 1, 1, 1]}')
-        code, out, err = run_cli(
-            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
-        )
-        assert code == 64
-        assert out == ""
-        assert "num_bgs must be" in err
-
-    @pytest.mark.parametrize(
-        "allocation",
-        [
-            "[1, true, 1, 1, 1, 1, 1, 1]",
-            "[null, 1, 1, 1, 1, 1, 1, 1]",
-            "[1, NaN, 1, 1, 1, 1, 1, 1]",
-            "[1, 1, 1, 1, 1, 1, 1, Infinity]",
-        ],
-    )
-    def test_truth_file_with_malformed_allocation(self, capsys, tmp_path, allocation):
-        # The P=3 basics: singles 3.0 each, union 6.0.
-        data = tmp_path / "b3.json"
-        pairs = [("100", 3.0), ("010", 3.0), ("001", 3.0), ("111", 6.0)]
-        io.save_dataset(ReachDataset.from_pairs(3, pairs), data)
-        truth_path = tmp_path / "truth.json"
-        truth_path.write_text(f'{{"num_bgs": 3, "allocation": {allocation}}}')
-        code, out, err = run_cli(
-            capsys, "select", data, "--budget", "1", "--truth", truth_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err.startswith("error: allocation")
-        assert "Traceback" not in err
-
-    def test_model_without_d(self, capsys, tmp_path, triangle_file):
-        model_path = tmp_path / "model.json"
-        model_path.write_text('{"num_bgs": 3}')
-        code, out, err = run_cli(
-            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
-        )
-        assert code == 64
-        assert out == ""
-        assert "lacks d," in err
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("d", None),
-            ("num_bgs", 3.5),
-            ("universe_size", "1000"),
-            ("training_residual", None),
-            ("weights", None),
-            ("single_bg_proportions", [0.1, None, 0.2]),
-        ],
-    )
-    def test_model_with_malformed_value(self, capsys, tmp_path, triangle_file, field, value):
-        model_path = tmp_path / "model.json"
-        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
-        assert code == 0
-        payload = json.loads(model_path.read_text())
-        payload[field] = value
-        model_path.write_text(json.dumps(payload))
-        code, out, err = run_cli(
-            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err.startswith(f"error: {field} must be")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "field, index, value",
-        [
-            ("single_bg_proportions", 1, 3.0),
-            ("single_bg_proportions", 0, math.nan),
-            ("weights", 2, math.nan),
-            ("training_residual", None, math.nan),
-        ],
-    )
-    def test_model_with_bad_value(
-        self, capsys, tmp_path, triangle_file, field, index, value
-    ):
-        model_path = tmp_path / "model.json"
-        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
-        assert code == 0
-        payload = json.loads(model_path.read_text())
-        if index is None:
-            payload[field] = value
-        else:
-            payload[field][index] = value
-        model_path.write_text(json.dumps(payload))
-        code, out, err = run_cli(
-            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err.startswith(f"error: {field} must")
-        assert "Traceback" not in err
-
-    def test_model_with_mismatched_dimensions(self, capsys, tmp_path):
-        data = tmp_path / "basics.json"
-        io.save_dataset(
-            ReachDataset.from_pairs(2, [("10", 3.0), ("01", 3.0), ("11", 5.0)]), data
-        )
-        model_path = tmp_path / "model.json"
-        model_path.write_text(
-            json.dumps(
-                {
-                    "num_bgs": 2,
-                    "d": 2.0,
-                    "universe_size": 10.0,
-                    "single_bg_proportions": [0.3, 0.3],
-                    "weights": [0.0, 0.2, 0.2],
-                    "training_residual": 0.0,
-                }
-            )
-        )
-        code, out, err = run_cli(
-            capsys, "predict", data, "--target", "11", "--model", model_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err == "error: model dimensions do not match num_bgs\n"
-
-    # The BG-count rule runs before anything sized by 2**num_bgs is built:
-    # at 10**6 that size alone would not fit in memory.
-    @pytest.mark.parametrize("num_bgs", [21, 10**6])
-    def test_model_with_out_of_range_num_bgs(
-        self, capsys, tmp_path, triangle_file, num_bgs
-    ):
-        model_path = tmp_path / "model.json"
-        code, _, _ = run_cli(capsys, "fit", triangle_file, "--d", "2", "--out", model_path)
-        assert code == 0
-        payload = json.loads(model_path.read_text())
-        payload["num_bgs"] = num_bgs
-        model_path.write_text(json.dumps(payload))
-        code, out, err = run_cli(
-            capsys, "predict", triangle_file, "--target", "101", "--model", model_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err == f"error: num_bgs must be in [2, 20], got {num_bgs}\n"
-
-    @pytest.mark.parametrize("num_bgs", [21, 10**6])
-    def test_truth_file_with_out_of_range_num_bgs(
-        self, capsys, tmp_path, triangle_file, num_bgs
-    ):
-        truth_path = tmp_path / "truth.json"
-        truth_path.write_text(
-            f'{{"num_bgs": {num_bgs}, "allocation": [0, 1, 1, 1, 1, 1, 1, 1]}}'
-        )
-        code, out, err = run_cli(
-            capsys, "select", triangle_file, "--budget", "1", "--truth", truth_path
-        )
-        assert code == 64
-        assert out == ""
-        assert err == f"error: num_bgs must be in [2, 20], got {num_bgs}\n"
-
-    # json.load raises RecursionError, a RuntimeError, on a document nested
-    # this deep; such a file is malformed all the same.
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("check", "{deep}"),
-            ("predict", "{dataset}", "--target", "101", "--model", "{deep}"),
-            ("select", "{dataset}", "--budget", "1", "--truth", "{deep}"),
-        ],
-        ids=["dataset", "model", "truth"],
-    )
-    def test_deeply_nested_json(self, capsys, tmp_path, triangle_file, argv):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100_000 + "]" * 100_000)
-        argv = [arg.format(deep=deep, dataset=triangle_file) for arg in argv]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 64
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bounds", "predict"])
     @pytest.mark.parametrize("target, message", [("100", "does not have 2 characters")])
@@ -879,6 +618,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, command, path, *flags)
         assert (code, out) == (3, "")
         assert err == "error: no finite bounds: the upper bound exceeds the float range\n"
+
+    # Each stand-in forces a solver failure that no known input causes.
+    @pytest.mark.parametrize(
+        "target, stand_in, argv, message",
+        [
+            ("reachvenn.lp._pivot", lambda *args: None, ("bounds", "--target", "101"),
+             "simplex iteration limit exceeded"),
+            ("reachvenn.lp._run_simplex", lambda *args: ("unbounded", 0, False),
+             ("bounds", "--target", "101"), "phase 1 ended unbounded"),
+            ("reachvenn.bounds.solve_lp", lambda *args: LpResult("unbounded"), ("check",),
+             "max-min region program ended unbounded"),
+        ],
+        ids=["pivot limit", "phase 1", "max-min program"],
+    )
+    def test_solver_guard_exits_three(
+        self, capsys, monkeypatch, triangle_file, target, stand_in, argv, message
+    ):
+        monkeypatch.setattr(target, stand_in)
+        code, out, err = run_cli(capsys, argv[0], triangle_file, *argv[1:])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     # Each example rewrites the file and reads all output, so the function's
     # fixtures carry nothing from one example to the next.

@@ -9,6 +9,11 @@ Six rules on the inputs each have one owner: the basic points
 CLI command that reads such an input goes through the owner, so they all give
 its one message, and the CLI exits 64 with it.  A check that runs up front
 runs no solver: no phase 1 and no least-squares fit.
+
+The document rules that ``io`` owns (a JSON object with its keys, numbers,
+integers and arrays, the BG count, nesting depth and a saved model's own
+checks) have one table per document kind: dataset, truth file and saved
+model.  Each case runs through the kind's loader and its command.
 """
 
 import json
@@ -94,9 +99,10 @@ class Run:
         assert payload["interval_alpha"] is None
         return payload["alpha_note"]
 
-    def file(self, name: str, payload: dict):
+    def file(self, name: str, payload: dict | str):
+        """``payload`` written to ``name``: a dict as JSON, a string as it is."""
         path = self.tmp_path / name
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return path
 
     def dataset_file(self, dataset: ReachDataset):
@@ -108,8 +114,9 @@ def run(tmp_path, capsys):
     return Run(tmp_path, capsys)
 
 
-def triangle_truth(run):
-    return run.file("truth.json", {"num_bgs": 3, "allocation": [1.0] * 8})
+def triangle_truth():
+    """A truth-file document of 3 BGs."""
+    return {"num_bgs": 3, "allocation": [1.0] * 8}
 
 
 # -- Basic points: every single-BG reach and the union reach ---------------
@@ -153,7 +160,8 @@ BASICS_ENTRIES = {
     ),
     "cli select": (
         lambda run, ds: run.cli(
-            "select", run.dataset_file(ds), "--budget", "1", "--truth", triangle_truth(run)
+            "select", run.dataset_file(ds), "--budget", "1",
+            "--truth", run.file("truth.json", triangle_truth()),
         ),
         True,
     ),
@@ -220,11 +228,11 @@ SUBSET_EMPTY_ONLY = {
     ),
     "cli select --exclude": lambda run, *_: run.cli(
         "select", run.dataset_file(triangle_dataset()), "--budget", "1",
-        "--truth", triangle_truth(run), "--exclude", "110,000",
+        "--truth", run.file("truth.json", triangle_truth()), "--exclude", "110,000",
     ),
     "cli select --track": lambda run, *_: run.cli(
         "select", run.dataset_file(triangle_dataset()), "--budget", "1",
-        "--truth", triangle_truth(run), "--track", "000",
+        "--truth", run.file("truth.json", triangle_truth()), "--track", "000",
     ),
 }
 
@@ -278,7 +286,7 @@ def basics_2():
     return ReachDataset.from_pairs(2, BASICS_2, universe_size=10.0)
 
 
-def basics_payload(universe):
+def basics_payload(universe=None):
     """A dataset document of the basics of 2 BGs."""
     return {
         "num_bgs": 2,
@@ -527,3 +535,132 @@ class TestOneSparePointsRule:
         if up_front:
             no_solver()
         assert call(run, session, estimate) == NO_SPARE_POINTS == SPARE
+
+
+# -- Documents: the file rules ``io`` owns, one table per document kind -------
+
+
+def edited(payload: dict, value, *path) -> dict:
+    """``payload`` with its item at ``path`` (keys and indexes) set to ``value``."""
+    item = payload
+    for key in path[:-1]:
+        item = item[key]
+    item[path[-1]] = value
+    return payload
+
+
+def data(value, *path):
+    return edited(basics_payload(), value, *path)
+
+
+def truth(value, *path):
+    return edited(triangle_truth(), value, *path)
+
+
+def saved(value, *path):
+    return edited(model_payload(), value, *path)
+
+
+# ``json.load`` raises RecursionError, a RuntimeError, on a document nested
+# this deep; ``io.read_json`` makes it a ValueError naming the file.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def too_deep(path):
+    return f"{path}: JSON nested too deeply"
+
+
+# case -> (document: a dict, or raw JSON text; its message, or the message
+# given the file's path)
+DATASET_CASES = {
+    "a JSON array": ('[{"subset": "10", "reach": 1.0}]',
+                     "a dataset document must be a JSON object"),
+    "no observations": ({"num_bgs": 2}, "a dataset document lacks observations"),
+    "subset missing": (data({"reach": 1.0}, "observations", 0), "an observation lacks subset"),
+    "observations 5": (data(5, "observations"), "observations must be a JSON array, got 5"),
+    "num_bgs null": (data(None, "num_bgs"), "num_bgs must be an integer, got null"),
+    "num_bgs 2.5": (data(2.5, "num_bgs"), "num_bgs must be an integer, got 2.5"),
+    "reach null": (data(None, "observations", 0, "reach"), "reach must be a number, got null"),
+    "universe object": (data({"value": 5.0}, "universe_size"),
+                        'universe_size must be a number, got {"value": 5.0}'),
+    "subset 100": (data(100, "observations", 0, "subset"), "subset must be a string, got 100"),
+    "subset null": (data(None, "observations", 0, "subset"),
+                    "subset must be a string, got null"),
+    "subset '100'": (data("100", "observations", 0, "subset"),
+                     "subset '100' does not have 2 characters (num_bgs=2)"),
+    "reach 1e400": (data(10**400, "observations", 0, "reach"),
+                    "reach must be within the float range"),
+    "universe 1e400": (data(10**400, "universe_size"),
+                       "universe_size must be within the float range"),
+    "nested too deeply": (DEEP, too_deep),
+}
+
+# json.dumps writes math.nan and math.inf as NaN and Infinity, which json.load
+# reads back.
+TRUTH_CASES = {
+    "no allocation": ({"num_bgs": 3}, "a truth file lacks allocation"),
+    "num_bgs null": (truth(None, "num_bgs"), "num_bgs must be an integer, got null"),
+    "allocation true": (truth(True, "allocation", 1), "allocation must be a number, got true"),
+    "allocation null": (truth(None, "allocation", 0), "allocation must be a number, got null"),
+    "allocation NaN": (truth(math.nan, "allocation", 1),
+                       "allocation entries must be finite and non-negative"),
+    "allocation Infinity": (truth(math.inf, "allocation", 7),
+                            "allocation entries must be finite and non-negative"),
+    "num_bgs 21": (truth(21, "num_bgs"), "num_bgs must be in [2, 20], got 21"),
+    "num_bgs 10**6": (truth(10**6, "num_bgs"), "num_bgs must be in [2, 20], got 1000000"),
+    "nested too deeply": (DEEP, too_deep),
+}
+
+MODEL_CASES = {
+    "no d": (
+        {"num_bgs": 3},
+        "a model lacks d, universe_size, single_bg_proportions, weights, training_residual",
+    ),
+    "d null": (saved(None, "d"), "d must be a number, got null"),
+    "num_bgs 3.5": (saved(3.5, "num_bgs"), "num_bgs must be an integer, got 3.5"),
+    "universe string": (saved("1000", "universe_size"),
+                        'universe_size must be a number, got "1000"'),
+    "residual null": (saved(None, "training_residual"),
+                      "training_residual must be a number, got null"),
+    "weights null": (saved(None, "weights"), "weights must be a JSON array, got null"),
+    "proportion null": (saved([0.1, None, 0.2], "single_bg_proportions"),
+                        "single_bg_proportions must be a number, got null"),
+    "proportion 3": (saved(3.0, "single_bg_proportions", 1),
+                     "single_bg_proportions must lie in [0, 1]"),
+    "proportion NaN": (saved(math.nan, "single_bg_proportions", 0),
+                       "single_bg_proportions must lie in [0, 1]"),
+    "weight NaN": (saved(math.nan, "weights", 2),
+                   "weights must be finite and non-negative with sum <= 1"),
+    "residual NaN": (saved(math.nan, "training_residual"),
+                     "training_residual must be finite and non-negative"),
+    "3 weights": (saved([0.0, 0.2, 0.2], "weights"), "model dimensions do not match num_bgs"),
+    # The BG-count rule runs before anything sized by 2**num_bgs is built.
+    "num_bgs 21": (saved(21, "num_bgs"), "num_bgs must be in [2, 20], got 21"),
+    "num_bgs 10**6": (saved(10**6, "num_bgs"), "num_bgs must be in [2, 20], got 1000000"),
+    "nested too deeply": (DEEP, too_deep),
+}
+
+# kind -> (its cases, its loader, the argv of the command that reads the file)
+DOCUMENT_KINDS = {
+    "dataset": (DATASET_CASES, io.load_dataset, lambda run, path: ("bounds", path, "--all")),
+    "truth": (TRUTH_CASES, io.load_allocation, lambda run, path: (
+        "select", run.dataset_file(triangle_dataset()), "--budget", "1", "--truth", path)),
+    "model": (MODEL_CASES, io.load_model, lambda run, path: (
+        "predict", run.file("ds.json", basics_payload()), "--target", "11", "--model", path)),
+}
+
+
+class TestDocumentRules:
+    @pytest.mark.parametrize(
+        "kind, case",
+        [(kind, case) for kind, (cases, *_) in DOCUMENT_KINDS.items() for case in cases],
+    )
+    def test_rejected_with_one_message(self, run, no_solver, kind, case):
+        cases, load, command = DOCUMENT_KINDS[kind]
+        document, message = cases[case]
+        path = run.file(f"{kind}.json", document)
+        if callable(message):
+            message = message(path)
+        no_solver()
+        assert run.lib(lambda: load(path)) == message
+        assert run.cli(*command(run, path)) == message

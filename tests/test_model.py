@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -386,6 +387,14 @@ class TestMinPerfectFitD:
         ds = ReachDataset.from_pairs(2, [("10", 100.0), ("01", 100.0), ("11", 300.0)])
         with pytest.raises(InconsistencyError):
             min_perfect_fit_d(ds)
+
+    def test_residual_that_never_reaches_zero_raises(self, monkeypatch):
+        # Stands in for a fit that consistent data cannot give.
+        monkeypatch.setattr(
+            "reachvenn.model.fit", lambda ds, d: SimpleNamespace(training_residual=1.0)
+        )
+        with pytest.raises(RuntimeError, match="^no finite d reached a zero residual$"):
+            min_perfect_fit_d(overlap_pair_dataset())
 
 
 class TestModelSerialization:
