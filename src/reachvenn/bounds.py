@@ -1,13 +1,13 @@
 """Model-free reach analysis via linear programming.
 
-Consistency of a partial reach Venn diagram is equivalent to the existence of
-a non-negative region allocation reproducing every observation.  That gives
-three tools: a consistency check (phase-1 feasibility of that system), tight
+A partial reach Venn diagram is consistent when a non-negative allocation of
+its 2**P regions reproduces every observation and, with a declared universe,
+sums to it (the regions partition the universe).  ``_lp_rows`` builds that
+polytope, and three tools use it: a consistency check (its phase 1), tight
 lower/upper bounds on any subset's reach (optimize the target's incidence
-functional over the feasible polytope), and a least-squares repair that
-projects noisy observations back onto the consistent set.  A bounds solver
-also bounds an observed mask under the other observations, from its own
-phase 1 (``BoundsSolver.bounds_without``): those are the leave-one-out bounds.
+functional over it), and a least-squares repair onto its observation rows.
+A bounds solver also bounds an observed mask under the other observations,
+from its own phase 1 (``BoundsSolver.bounds_without``): the leave-one-out bounds.
 """
 
 from __future__ import annotations
@@ -37,56 +37,47 @@ class ConsistencyReport:
     """Outcome of the consistency check.
 
     ``consistent`` is the phase-1 verdict that BoundsSolver also acts on.
-    ``t_star`` is the optimum of the max-min-region program in reach units,
-    negative when no non-negative allocation fits; when the data is
-    consistent, ``witness`` realizes every observation, unless a region of it
-    lies past the float range in reach units (then it is None).
+    ``witness`` is an allocation that reproduces every observation and, with a
+    declared universe, sums to it; it is None only when the data is
+    inconsistent.
     """
 
     consistent: bool
-    t_star: float
     witness: RegionAllocation | None = None
 
 
-def _incidence_rows(dataset: ReachDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The observation equalities A x = b on the proportion scale, one row
-    per observation in the dataset's (canonical) order."""
+def _lp_rows(dataset: ReachDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The equalities A x = b of the feasible polytope, on the proportion scale.
+
+    First one row per observation, in the dataset's (canonical) order; then,
+    only with a declared universe, the row sum_j x_j = U / scale (= 1) over
+    all 2**P regions, region 0 included.  The universe row goes last, so
+    observation i is row i either way.
+    """
     if dataset.n == 0:
         raise ValueError("dataset has no observations")
-    a = np.array([incidence_vector(o.subset) for o in dataset.observations])
-    b = np.array([o.reach for o in dataset.observations]) / dataset.scale
-    return a, b
+    rows = [incidence_vector(o.subset) for o in dataset.observations]
+    b = [o.reach for o in dataset.observations]
+    if dataset.universe_size is not None:
+        rows.append(np.ones(1 << dataset.num_bgs))
+        b.append(dataset.universe_size)
+    return np.array(rows), np.array(b) / dataset.scale
 
 
 def check_consistency(dataset: ReachDataset) -> ConsistencyReport:
-    """Decide whether the observations admit a non-negative region allocation.
+    """Decide whether the polytope of ``_lp_rows`` is non-empty.
 
-    The verdict is phase-1 feasibility of A x = b, x >= 0, the same test that
-    BoundsSolver runs.  ``t_star`` is max t subject to A x = b and t <= x_j
-    for every region j, with t capped at the scaled universe: the best
-    achievable minimum region reach.  Substituting x = y + t and t = 1 - s
-    gives the equality form A y - (A 1) s = b - A 1 over y, s >= 0, minimized
-    in s.  Distinct masks make A's rows independent, so that program is
-    always feasible and bounded.
+    One LP with a zero objective: its status is the verdict, the same phase 1
+    that BoundsSolver runs, and the witness is phase 1's vertex in reach units.
+    Each region of a vertex lies in a row whose right-hand side is at most 1
+    (no reach exceeds the scale), so clipping it into [0, 1] only removes
+    round-off, and the witness is always finite.
     """
-    a, b = _incidence_rows(dataset)
-    consistent = EqualityFormSolver(a, b).feasible
-    row_sums = a.sum(axis=1)
-    objective = np.zeros(a.shape[1] + 1)
-    objective[-1] = 1.0
-    result = solve_lp(np.column_stack([a, -row_sums]), b - row_sums, objective)
+    result = solve_lp(*_lp_rows(dataset), np.zeros(1 << dataset.num_bgs))
     if not result.is_optimal:
-        raise RuntimeError(f"max-min region program ended {result.status}")
-    t_scaled = 1.0 - result.value
-    witness = None
-    if consistent:
-        with np.errstate(over="ignore"):
-            regions = np.clip(result.solution[:-1] + t_scaled, 0.0, None) * dataset.scale
-        if not np.isinf(regions).any():
-            witness = RegionAllocation.from_values(dataset.num_bgs, regions)
-    return ConsistencyReport(
-        consistent=consistent, t_star=float(t_scaled * dataset.scale), witness=witness
-    )
+        return ConsistencyReport(consistent=False)
+    regions = np.clip(result.solution, 0.0, 1.0) * dataset.scale
+    return ConsistencyReport(True, RegionAllocation(dataset.num_bgs, regions))
 
 
 class BoundsSolver:
@@ -101,7 +92,7 @@ class BoundsSolver:
     """
 
     def __init__(self, dataset: ReachDataset):
-        self._solver = EqualityFormSolver(*_incidence_rows(dataset))
+        self._solver = EqualityFormSolver(*_lp_rows(dataset))
         if not self._solver.feasible:
             raise InconsistencyError(
                 "observations are inconsistent; run repair_dataset first"
@@ -114,17 +105,21 @@ class BoundsSolver:
         """Bounds of the observed ``mask`` under the other observations.
 
         They come from this solver's phase 1 (``EqualityFormSolver.without_row``),
-        solved in this solver's scale with the cap of ``dataset.without(mask)``,
-        so they equal ``BoundsSolver(dataset.without(mask)).bounds(mask)`` up to
-        round-off.
+        solved in this solver's scale with the sum of the other reaches as the
+        cap, so they equal ``BoundsSolver(dataset.without(mask)).bounds(mask)``
+        up to round-off.
         Phase 1 here leaves no artificial in the basis, so no other path is
         needed: mask S's row is 1[j within all BGs] - 1[j within S's
         complement], the indicators 1[j within T] form a basis (the zeta
         transform is unitriangular), and observed masks are distinct and
-        non-empty, so their complements are distinct and none is all BGs.
+        non-empty, so their complements are distinct and none is all BGs.  The
+        universe row is independent of them too: it is the only row that
+        covers region 0.
         """
         mask.check_observable(self.dataset.num_bgs)
-        cap = _upper_cap(self.dataset.without(mask))
+        if self.dataset.reach_of(mask) is None:
+            raise ValueError(f"mask {mask} not present")
+        cap = _upper_cap(self.dataset, without=mask)
         solver = self._solver.without_row(self.dataset.masks().index(mask))
         return _interval(solver, incidence_vector(mask), cap, self.scale)
 
@@ -148,10 +143,11 @@ class BoundsSolver:
         return intervals
 
 
-def _upper_cap(dataset: ReachDataset) -> float:
+def _upper_cap(dataset: ReachDataset, without: SubsetMask | None = None) -> float:
     """Ceiling in reach units for a target the observations leave unbounded
-    above: the universe size when declared, else the sum of the observed reaches."""
-    return dataset.universe_size or float(sum(o.reach for o in dataset.observations))
+    above: the sum of the observed reaches (but ``without``'s).  Only reached
+    without a universe, whose row bounds every target."""
+    return float(sum(o.reach for o in dataset.observations if o.subset != without))
 
 
 def _interval(
@@ -193,11 +189,12 @@ def _gray_rank(bits: int) -> int:
 def subset_bounds(dataset: ReachDataset, target: SubsetMask) -> BoundInterval:
     """``BoundsSolver(dataset).bounds(target)``.
 
-    Without a declared universe this is the tightest interval: some fitting
-    allocation reaches each value in it and none a value outside.  A declared
-    universe only caps an upper bound the observations leave open
-    (``upper_capped``), so it can leave the interval loose.  Raises
-    InconsistencyError on inconsistent data, UnavailableError past the float range.
+    The tightest interval: some allocation that reproduces the observations
+    (and sums to the universe, when one is declared) reaches each value in it
+    and none a value outside.  Without a universe, an upper bound the
+    observations leave open is the sum of the reaches (``upper_capped``).
+    Raises InconsistencyError on inconsistent data, UnavailableError past the
+    float range.
     """
     return BoundsSolver(dataset).bounds(target)
 
@@ -215,9 +212,10 @@ def repair_dataset(dataset: ReachDataset) -> ReachDataset:
     universe, and through ``nnls``, its reduction onto that solver, without.
     A repaired reach past the float range raises UnavailableError.
     """
-    a, b = _incidence_rows(dataset)
+    # The observation rows: with a universe, the simplex constraint is its row
+    # and column 0, zero here, is the unreached region.
+    a, b = (rows[: dataset.n] for rows in _lp_rows(dataset))
     universe = dataset.universe_size
-    # With a universe, column 0 is zero: the unreached region.
     x = nnls(a, b) if universe is None else simplex_lstsq(a, b)
     with np.errstate(over="ignore"):
         repaired = a @ x * dataset.scale

@@ -77,7 +77,6 @@ def cmd_check(args) -> int:
     dataset = io.load_dataset(args.dataset)
     report = check_consistency(dataset)
     print("consistent" if report.consistent else "inconsistent")
-    print(f"t_star: {report.t_star}")
     if args.repair is not None:
         io.save_dataset(repair_dataset(dataset), args.repair)
         print(f"repaired dataset written to {args.repair}")
@@ -304,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_UNAVAILABLE
-    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -286,9 +286,8 @@ class RegionAllocation:
         check_num_bgs(self.num_bgs)
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.shape != (1 << self.num_bgs,):
-            raise ValueError(
-                f"allocation needs {1 << self.num_bgs} entries, got {arr.shape}"
-            )
+            got = arr.size if arr.ndim == 1 else f"shape {arr.shape}"
+            raise ValueError(f"allocation needs {1 << self.num_bgs} entries, got {got}")
         # Written so that NaN fails it too.
         if not np.all((arr >= 0) & (arr < np.inf)):
             raise ValueError("allocation entries must be finite and non-negative")
@@ -332,9 +331,8 @@ def dataset_from_allocation(
 class BoundInterval:
     """Lower and upper reach bounds for one subset.
 
-    ``upper_capped`` marks an upper bound imposed by the cap (the universe
-    size when declared, else the sum of the observed reaches) rather than by
-    the observations.
+    ``upper_capped`` marks an upper bound that neither the observations nor a
+    declared universe impose: the cap, the sum of the observed reaches.
     """
 
     lower: float

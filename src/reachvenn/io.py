@@ -40,10 +40,13 @@ from .synth import GroundTruth, true_reach
 
 
 def read_json(path: str | Path):
-    """The JSON document in ``path``; one nested too deep to parse is a ValueError."""
+    """The JSON document in ``path``; a syntax error, or a document nested too
+    deep to parse, is a ValueError that names the file."""
     with open(path) as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

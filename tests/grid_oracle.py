@@ -1,9 +1,10 @@
 """Brute-force grid oracle for the LP bounds at desk scale.
 
 Exhaustive validation tool for small P: enumerate region allocations that
-satisfy every observation exactly, and read off the extremes of the target
-subset's reach.  The equality system is eliminated exactly over rationals so
-only the leftover free regions are swept on the grid.
+satisfy every observation exactly and fit inside a declared universe, and read
+off the extremes of the target subset's reach.  The equality system is
+eliminated exactly over rationals so only the leftover free regions are swept
+on the grid.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ def oracle_bounds_by_grid(
 
     Enumerates allocations whose free regions lie on a grid of spacing
     ``step`` (pivot regions are solved exactly from the observation
-    equalities) and keeps the non-negative ones.  Only intended as an
-    independent check of the LP bounds at desk scale.
+    equalities) and keeps the non-negative ones whose reached regions sum to
+    at most a declared universe (the unreached region 0 takes the rest).
+    Only intended as an independent check of the LP bounds at desk scale.
 
     Args:
         dataset: consistent observations, P <= 4.
@@ -96,7 +98,7 @@ def oracle_bounds_by_grid(
 
     free_cols = [j for j in range(nregions) if j not in pivots]
     # Each region is bounded by every observed subset that covers it.
-    cap = dataset.universe_size
+    universe = cap = dataset.universe_size
     if cap is None:
         cap = sum(o.reach for o in obs if o.subset.popcount == 1) or dataset.scale
     ub = []
@@ -131,7 +133,7 @@ def oracle_bounds_by_grid(
                 ok = False
                 break
             x[pcol] = val
-        if not ok:
+        if not ok or (universe is not None and sum(x) > universe):
             continue
         treach = sum(x[j] for j in range(nregions) if target_coeff[j])
         if best_lo is None or treach < best_lo:

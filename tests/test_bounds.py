@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from reachvenn import lp
 from reachvenn.bounds import (
     BoundsSolver,
+    ConsistencyReport,
     check_consistency,
     incremental_curve_bounds,
     repair_dataset,
@@ -19,6 +20,7 @@ from reachvenn.bounds import (
 from reachvenn.core import (
     InconsistencyError,
     ReachDataset,
+    RegionAllocation,
     SubsetMask,
     UnavailableError,
     dataset_from_allocation,
@@ -68,7 +70,7 @@ class TestCheckConsistency:
     def test_triangle_claim_3500_inconsistent(self):
         report = check_consistency(triangle_dataset(3500))
         assert not report.consistent
-        assert report.t_star < 0
+        assert report.witness is None
 
     def test_triangle_claim_4000_inconsistent(self):
         report = check_consistency(triangle_dataset(4000))
@@ -79,12 +81,57 @@ class TestCheckConsistency:
         assert report.consistent
         assert report.witness is not None
 
-    def test_witness_realizes_observations(self):
-        ds = triangle_dataset(5500)
-        witness = check_consistency(ds).witness
-        for obs in ds.observations:
-            realized = subset_reach_from_allocation(obs.subset, witness)
-            assert realized == pytest.approx(obs.reach, abs=1e-6 * ds.scale)
+    def test_witness_realizes_observations(self, rng):
+        datasets = [
+            triangle_dataset(5500),
+            five_bg_with_extras(),
+            # A declared universe the observations leave room in, and one
+            # that binds: 101 and 011 keep BG 3 apart from BGs 1 and 2.
+            ReachDataset.from_pairs(
+                3, [("110", 3000.0), ("011", 3000.0), ("010", 0.0)], universe_size=5000.0
+            ),
+            ReachDataset.from_pairs(
+                3,
+                [("100", 4.0), ("010", 4.0), ("001", 5.0), ("101", 9.0), ("011", 9.0)],
+                universe_size=10.0,
+            ),
+        ]
+        for universe in [None, 1.0] * 10:
+            num_bgs, extra = int(rng.integers(2, 7)), int(rng.integers(0, 6))
+            datasets.append(random_consistent_dataset(rng, num_bgs, extra, universe)[0])
+        for ds in datasets:
+            witness = check_consistency(ds).witness
+            for obs in ds.observations:
+                realized = subset_reach_from_allocation(obs.subset, witness)
+                assert realized == pytest.approx(obs.reach, abs=1e-9 * ds.scale)
+            if ds.universe_size is not None:
+                assert witness.total == pytest.approx(ds.universe_size, abs=1e-9 * ds.scale)
+
+    def test_pairs_past_the_universe_inconsistent(self):
+        # Each pair equals the sum of its singles, so the three BGs are
+        # disjoint and reach 12 users, past a universe of 10.
+        pairs = [("100", 4), ("010", 4), ("001", 4), ("110", 8), ("011", 8), ("101", 8)]
+        assert check_consistency(ReachDataset.from_pairs(3, pairs)).consistent
+        ds = ReachDataset.from_pairs(3, pairs, universe_size=10.0)
+        assert check_consistency(ds) == ConsistencyReport(consistent=False)
+        with pytest.raises(InconsistencyError):
+            BoundsSolver(ds)
+
+    @pytest.mark.parametrize("universe", [None, 10000.0])
+    @pytest.mark.parametrize("claim", [3500, 5500])
+    def test_one_solver(self, monkeypatch, universe, claim):
+        # The verdict and the witness come from a single phase 1.
+        built = []
+        init = lp.EqualityFormSolver.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(lp.EqualityFormSolver, "__init__", counted)
+        pairs = [(o.subset, o.reach) for o in triangle_dataset(claim).observations]
+        check_consistency(ReachDataset.from_pairs(3, pairs, universe_size=universe))
+        assert len(built) == 1
 
     def test_soundness_on_random_truths(self, rng):
         for _ in range(20):
@@ -213,10 +260,16 @@ class TestSubsetBounds:
         assert interval.upper == pytest.approx(18.0)
 
     def test_unbounded_capped_at_universe(self):
-        ds = ReachDataset.from_pairs(3, [("100", 10.0), ("010", 8.0)], universe_size=40.0)
-        interval = subset_bounds(ds, SubsetMask.from_string("101"))
-        assert interval.upper_capped
+        # The universe row bounds the target, so its upper bound is an LP
+        # optimum, not the cap that applies without a universe.
+        pairs = [("100", 10.0), ("010", 8.0)]
+        target = SubsetMask.from_string("101")
+        interval = subset_bounds(ReachDataset.from_pairs(3, pairs, universe_size=40.0), target)
+        assert not interval.upper_capped
         assert interval.upper == pytest.approx(40.0)
+        interval = subset_bounds(ReachDataset.from_pairs(3, pairs), target)
+        assert interval.upper_capped
+        assert interval.upper == pytest.approx(18.0)
 
     @pytest.mark.parametrize("universe", [None, 1000.0])
     @pytest.mark.parametrize("extra", [0, 3])
@@ -233,27 +286,49 @@ class TestSubsetBounds:
             intervals = BoundsSolver(ds).bounds_many(enumerate_masks(num_bgs))
             assert not any(interval.upper_capped for interval in intervals)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the bounds LP has no row for a declared universe",
-    )
     def test_a_declared_universe_bounds_an_upper_the_observations_bound(self):
         # The observations give 111 <= 110 + 011 = 6000; the universe is tighter.
         pairs = [("110", 3000.0), ("011", 3000.0), ("010", 0.0)]
         ds = ReachDataset.from_pairs(3, pairs, universe_size=5000.0)
         assert BoundsSolver(ds).bounds(SubsetMask.parse("111", 3)).upper <= 5000.0
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the bounds LP has no row for a declared universe",
-    )
     def test_a_declared_universe_tightens_bounds_below_it(self):
         # 101 and 011 at 9 = 4 + 5 keep BG 3 apart from BGs 1 and 2, so in a
-        # universe of 10, 110 <= 10 - 5.  Today the upper is 8, and clamping
-        # it at the universe would not help: min(8, 10) = 8.
+        # universe of 10, 110 <= 10 - 5.  The observations alone give 8, and
+        # clamping that at the universe would not help: min(8, 10) = 8.
         pairs = [("100", 4.0), ("010", 4.0), ("001", 5.0), ("101", 9.0), ("011", 9.0)]
         ds = ReachDataset.from_pairs(3, pairs, universe_size=10.0)
-        assert BoundsSolver(ds).bounds(SubsetMask.parse("110", 3)).upper <= 5 + 1e-9 * 10
+        interval = BoundsSolver(ds).bounds(SubsetMask.parse("110", 3))
+        assert interval.lower == pytest.approx(4.0, abs=1e-9 * 10)
+        assert interval.upper == pytest.approx(5.0, abs=1e-9 * 10)
+
+    @pytest.mark.parametrize("num_bgs, step, total", [(2, 0.125, 2), (3, 0.125, 4), (4, 0.25, 2)])
+    def test_matches_grid_oracle_inside_a_declared_universe(self, num_bgs, step, total):
+        # The full union is left out, so the universe, the truth's total with
+        # region 0, bounds how far the BGs spread: it tightens some bounds.
+        # Every other truth leaves region 0 empty, so the union fills it.
+        rng = np.random.default_rng(num_bgs)
+        full = SubsetMask.full(num_bgs)
+        pool = [m for m in enumerate_masks(num_bgs) if m.popcount > 1 and m != full]
+        tightened = 0
+        for i in range(4):
+            regions = random_allocation(rng, num_bgs, total, grid_step=step).values.copy()
+            regions[0] *= i % 2
+            alloc = RegionAllocation(num_bgs, regions)
+            picks = rng.choice(len(pool), size=len(pool) * 2 // 3, replace=False)
+            masks = [SubsetMask.single(i, num_bgs) for i in range(1, num_bgs + 1)]
+            masks += [pool[i] for i in sorted(picks)]
+            ds = dataset_from_allocation(alloc, masks, universe_size=alloc.total)
+            unbounded = BoundsSolver(dataset_from_allocation(alloc, masks))
+            solver = BoundsSolver(ds)
+            for target in enumerate_masks(num_bgs):
+                lp = solver.bounds(target)
+                grid = oracle_bounds_by_grid(ds, target, step=step)
+                assert abs(lp.lower - grid.lower) <= step + 1e-9
+                assert abs(lp.upper - grid.upper) <= step + 1e-9
+                assert lp.upper <= ds.universe_size + 1e-9
+                tightened += lp.upper < unbounded.bounds(target).upper - 1e-9
+        assert tightened
 
 
 TOP = np.finfo(float).max
@@ -265,7 +340,7 @@ PAST_THE_RANGE = {
 
 class TestPastTheFloatRange:
     """A bound or a repaired reach past the float range in reach units is
-    unavailable, and a witness past it is None; a bound just inside is kept."""
+    unavailable, a witness never is, and a bound just inside is kept."""
 
     @pytest.mark.parametrize(
         "pairs, call, what",
@@ -288,9 +363,23 @@ class TestPastTheFloatRange:
         with pytest.raises(UnavailableError, match=f"^{PAST_THE_RANGE[what]}$"):
             call(ds)
 
-    def test_witness_past_it_is_none(self):
-        report = check_consistency(ReachDataset.from_pairs(2, [("10", 1.0), ("11", TOP)]))
-        assert report.consistent and report.witness is None
+    @pytest.mark.parametrize(
+        "pairs, universe",
+        [
+            ([("10", 1.0), ("11", TOP)], None),
+            # Consistent within phase 1's tolerance; its raw vertex holds a
+            # region of -1e-8 on the proportion scale.
+            ([("10", 0.0), ("01", 0.0), ("11", 1e300)], 1e308),
+            ([("10", TOP), ("01", TOP)], TOP),
+        ],
+        ids=["union at the top", "vertex round-off", "universe at the top"],
+    )
+    def test_a_consistent_dataset_always_has_a_witness(self, pairs, universe):
+        ds = ReachDataset.from_pairs(2, pairs, universe_size=universe)
+        report = check_consistency(ds)
+        assert report.consistent
+        assert np.isfinite(report.witness.values).all()
+        assert report.witness.values.max() <= ds.scale
 
     def test_bound_inside_it_is_kept(self):
         ds = ReachDataset.from_pairs(2, [("10", 1e308), ("01", 5e307)])

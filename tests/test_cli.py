@@ -8,10 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reachvenn import experiment, io, pipeline
-from reachvenn.bounds import BoundsSolver
+from reachvenn.bounds import CURVE_MODES, BoundsSolver
 from reachvenn.cli import main
 from reachvenn.core import ReachDataset, SubsetMask, enumerate_masks
-from reachvenn.lp import LpResult
 from reachvenn.synth import independent_truth, true_dataset
 
 from conftest import (
@@ -128,6 +127,15 @@ class TestBounds:
         assert code == 2
         assert "repair" in err
 
+    def test_upper_inside_a_declared_universe(self, capsys, tmp_path):
+        # The observations alone allow 1110 up to 3000 + 1.
+        path = tmp_path / "small.json"
+        pairs = [("1100", 3000.0), ("0110", 1.0), ("0111", 1.0)]
+        path.write_text(json.dumps(document_of(pairs, universe=3000.0)))
+        code, out, _ = run_cli(capsys, "bounds", path, "--target", "1110")
+        assert code == 0
+        assert json.loads(out)["bounds"]["1110"] == {"lower": 3000.0, "upper": 3000.0}
+
 
 class TestCurve:
     def test_free_mode_csv(self, capsys, tmp_path):
@@ -153,16 +161,14 @@ class TestCurve:
         assert lines[0].endswith(",pinned")
         assert len(lines[1].split(",")) == 5
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the bounds LP has no row for a declared universe",
-    )
     def test_upper_trace_stays_inside_a_declared_universe(self, capsys, tmp_path):
-        # 1100 is pinned at its cap, the universe; without a universe row, 1110
-        # is then bounded by 3000 + 1 and pinned past it.
+        # 1100 is pinned at the universe; without the universe row, 1110 would
+        # then be bounded by 3000 + 1 and pinned past it.
         path = tmp_path / "small.json"
         path.write_text(json.dumps(document_of([("0110", 1.0), ("0111", 1.0)], universe=3000.0)))
-        assert run_cli(capsys, "curve", path, "--order", "1,2,3,4", "--mode", "upper")[0] == 0
+        code, out, _ = run_cli(capsys, "curve", path, "--order", "1,2,3,4", "--mode", "upper")
+        assert code == 0
+        assert [float(line.split(",")[-1]) for line in out.splitlines()[1:]] == [3000.0] * 2
 
 
 class TestFitPredict:
@@ -627,10 +633,10 @@ class TestExitCodes:
              "simplex iteration limit exceeded"),
             ("reachvenn.lp._run_simplex", lambda *args: ("unbounded", 0, False),
              ("bounds", "--target", "101"), "phase 1 ended unbounded"),
-            ("reachvenn.bounds.solve_lp", lambda *args: LpResult("unbounded"), ("check",),
-             "max-min region program ended unbounded"),
+            ("reachvenn.lp._run_simplex", lambda *args: ("unbounded", 0, False),
+             ("check",), "phase 1 ended unbounded"),
         ],
-        ids=["pivot limit", "phase 1", "max-min program"],
+        ids=["pivot limit", "phase 1", "check phase 1"],
     )
     def test_solver_guard_exits_three(
         self, capsys, monkeypatch, triangle_file, target, stand_in, argv, message
@@ -638,6 +644,20 @@ class TestExitCodes:
         monkeypatch.setattr(target, stand_in)
         code, out, err = run_cli(capsys, argv[0], triangle_file, *argv[1:])
         assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["check"], ["bounds", "--target", "111"]])
+    def test_pairs_past_the_universe_exit_two(self, capsys, tmp_path, argv):
+        # Each pair is the sum of its singles, so the three BGs are disjoint
+        # and reach 12 users, past the universe of 10.
+        pairs = [("100", 4), ("010", 4), ("001", 4), ("110", 8), ("011", 8), ("101", 8)]
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(document_of(pairs, universe=10)))
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 2
+        if argv == ["check"]:
+            assert out == "inconsistent\n"
+        else:
+            assert err == "error: observations are inconsistent; run repair_dataset first\n"
 
     # Each example rewrites the file and reads all output, so the function's
     # fixtures carry nothing from one example to the next.
@@ -650,12 +670,18 @@ class TestExitCodes:
     @example(case=(document_of([("10", 1.0), ("11", TOP)]), "01"))
     @example(case=(document_of([("1000", 1e308), ("0100", 1e308), ("0010", 1e308),
                                 ("0001", 1e308), ("1111", 1.7e308)]), "1100"))
+    # A phase-1 vertex with a region of -1e-8 on the proportion scale.
+    @example(case=(document_of([("10", 0.0), ("01", 0.0), ("11", 1e300)], 1e308), "11"))
+    # The prefix 1100 is pinned at the universe, 1110 then inside it.
+    @example(case=(document_of([("0110", 1.0), ("0111", 1.0)], 3000.0), "1110"))
     def test_every_document_exits_with_a_documented_code(self, capsys, tmp_path, case):
         document, target = case
         path = tmp_path / "ds.json"
         path.write_text(json.dumps(document))
         order = ",".join(str(i) for i in range(1, document["num_bgs"] + 1))
-        for argv in (["check"], ["bounds", "--all"], ["curve", "--order", order]):
+        for argv in (["check"], ["bounds", "--all"]) + tuple(
+            ["curve", "--order", order, "--mode", mode] for mode in CURVE_MODES
+        ):
             assert run_cli(capsys, argv[0], path, *argv[1:])[0] in {0, 2, 3}, argv
         # predict and fit add the input rules, which exit 64.
         for argv in (["predict", "--target", target, "--alpha", "90"], ["fit"]):

@@ -570,6 +570,10 @@ def too_deep(path):
     return f"{path}: JSON nested too deeply"
 
 
+def empty(path):
+    return f"{path}: Expecting value: line 1 column 1 (char 0)"
+
+
 # case -> (document: a dict, or raw JSON text; its message, or the message
 # given the file's path)
 DATASET_CASES = {
@@ -593,6 +597,7 @@ DATASET_CASES = {
     "universe 1e400": (data(10**400, "universe_size"),
                        "universe_size must be within the float range"),
     "nested too deeply": (DEEP, too_deep),
+    "empty file": ("", empty),
 }
 
 # json.dumps writes math.nan and math.inf as NaN and Infinity, which json.load
@@ -608,7 +613,9 @@ TRUTH_CASES = {
                             "allocation entries must be finite and non-negative"),
     "num_bgs 21": (truth(21, "num_bgs"), "num_bgs must be in [2, 20], got 21"),
     "num_bgs 10**6": (truth(10**6, "num_bgs"), "num_bgs must be in [2, 20], got 1000000"),
+    "4 entries": (truth([1.0] * 4, "allocation"), "allocation needs 8 entries, got 4"),
     "nested too deeply": (DEEP, too_deep),
+    "empty file": ("", empty),
 }
 
 MODEL_CASES = {
@@ -638,6 +645,7 @@ MODEL_CASES = {
     "num_bgs 21": (saved(21, "num_bgs"), "num_bgs must be in [2, 20], got 21"),
     "num_bgs 10**6": (saved(10**6, "num_bgs"), "num_bgs must be in [2, 20], got 1000000"),
     "nested too deeply": (DEEP, too_deep),
+    "empty file": ("", empty),
 }
 
 # kind -> (its cases, its loader, the argv of the command that reads the file)

@@ -16,6 +16,7 @@ from reachvenn.core import (
     UnavailableError,
     basic_masks,
     enumerate_masks,
+    subset_reach_from_allocation,
 )
 from reachvenn.experiment import training_masks
 from reachvenn.model import fit, predict
@@ -522,7 +523,11 @@ class TestInputOrder:
             target = next(m for m in extra if m not in masks)
             repaired = repair_dataset(given)
             reaches = {o.subset.index: o.reach for o in repaired.observations}
-            t_star = check_consistency(given).t_star
+            verdict = check_consistency(given).consistent
+            witness = check_consistency(repaired).witness
+            for o in repaired.observations:
+                realized = subset_reach_from_allocation(o.subset, witness)
+                assert abs(realized - o.reach) <= 1e-9 * universe
             intervals = BoundsSolver(repaired).bounds_many(enumerate_masks(num_bgs))
             estimate = repr(estimate_subset(given, target, options))
             for _ in range(3):
@@ -532,8 +537,11 @@ class TestInputOrder:
                 assert permuted == given
                 again = repair_dataset(permuted)
                 assert {o.subset.index: o.reach for o in again.observations} == reaches
-                assert check_consistency(permuted).t_star == t_star
+                assert check_consistency(permuted).consistent == verdict
                 rows = tuple(repaired.observations[i] for i in order)
-                solver = BoundsSolver(ReachDataset(num_bgs, repaired.universe_size, rows))
+                shuffled_repair = ReachDataset(num_bgs, repaired.universe_size, rows)
+                again_witness = check_consistency(shuffled_repair).witness
+                assert np.array_equal(again_witness.values, witness.values)
+                solver = BoundsSolver(shuffled_repair)
                 assert solver.bounds_many(enumerate_masks(num_bgs)) == intervals
                 assert repr(estimate_subset(permuted, target, options)) == estimate
