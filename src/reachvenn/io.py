@@ -20,9 +20,10 @@ with an infinite d written as the string "inf"::
 
 Every file's ``num_bgs`` lies in [2, ``core.MAX_BGS``], a subset string is
 read by ``SubsetMask.parse``, a dataset or model universe by ``check_positive``.
-Every file is read by ``read_json``; every JSON document the package writes,
-to a file or stdout, by ``write_json``: strict JSON, where a number JSON cannot
-spell (an infinite d, q90 or error) is the string "inf" (``json_float``).
+Every file is read, as UTF-8, by ``read_json``; every JSON document the
+package writes, to a file or stdout, by ``write_json``: strict JSON, where a
+number JSON cannot spell (an infinite d, q90 or error) is the string "inf"
+(``json_float``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ from .synth import GroundTruth, true_reach
 
 
 def read_json(path: str | Path):
-    """The JSON document in ``path``; a syntax error, or a document nested too
-    deep to parse, is a ValueError that names the file."""
-    with open(path) as handle:
+    """The JSON document in the UTF-8 file ``path``; bytes that are not UTF-8,
+    a syntax error, or a document nested too deep to parse, is a ValueError
+    that names the file."""
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
         except RecursionError:

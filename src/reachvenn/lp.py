@@ -5,8 +5,8 @@ switch to Bland's rule whenever the objective stalls, so degenerate problems
 cannot cycle.  The tableaux are short and wide: the bounds LP has one row per
 observation and one column per Venn region, 2**P of them (2048 at P=11, up
 to 2**20 at ``core.MAX_BGS``).  Phase 2 allocates little: each solve writes
-its cost row into the tableau in place, and each pivot's ratio test divides
-into one buffer reused for the whole solve.
+its cost row into the tableau in place, and each pivot's ratio test reads the
+pivot column and the right-hand side once, as Python floats.
 
 A pivot changes only the rows whose pivot-column factor is non-zero (Hall &
 McKinnon, Comput. Optim. Appl. 32, 2005), and the width of the tableau picks
@@ -73,10 +73,9 @@ def _pivot(tableau: np.ndarray, row: int, col: int, basis: np.ndarray) -> None:
     pivot_row = tableau[row]
     if tableau.shape[1] > _ROW_WISE_WIDTH:
         # Only rows with a non-zero factor change, by the broadcast's arithmetic.
-        factors = tableau[:, col]
-        for i in factors.nonzero()[0].tolist():
-            if i != row:
-                tableau[i] -= factors[i] * pivot_row
+        for i, factor in enumerate(tableau[:, col].tolist()):
+            if factor and i != row:
+                tableau[i] -= factor * pivot_row
     else:
         factors = tableau[:, col].copy()
         factors[row] = 0.0
@@ -99,8 +98,6 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[st
     bland = False
     stall = 0
     last_obj = cost[-1]
-    rhs = tableau[:m, -1]
-    ratios = np.empty(m)
     for pivots in range(200 * (m + ncols) + 1000):
         reduced = cost[:ncols]
         if bland:
@@ -112,15 +109,18 @@ def _run_simplex(tableau: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[st
             col = int(reduced.argmin())
             if reduced[col] >= -_COST_TOL:
                 return OPTIMAL, pivots, bland
-        colvals = tableau[:m, col]
-        pos = colvals > _PIVOT_TOL
-        if not pos.any():
+        rhs = tableau[:m, -1].tolist()
+        ratios = {
+            i: rhs[i] / value
+            for i, value in enumerate(tableau[:m, col].tolist())
+            if value > _PIVOT_TOL
+        }
+        if not ratios:
             return UNBOUNDED, pivots, bland
-        ratios.fill(np.inf)
-        np.divide(rhs, colvals, out=ratios, where=pos)
-        ties = (ratios <= ratios.min() + 1e-12).nonzero()[0]
+        least = min(ratios.values()) + 1e-12
+        ties = [i for i, ratio in ratios.items() if ratio <= least]
         # Among ratio ties, leave the smallest basis index (Bland-compatible).
-        row = int(ties[0] if ties.size == 1 else ties[basis[ties].argmin()])
+        row = min(ties, key=basis.__getitem__)
         _pivot(tableau, row, col, basis)
         # The cost row stores -objective, so it rises on real progress.
         if cost[-1] <= last_obj + 1e-12:

@@ -1,20 +1,25 @@
-"""Shared fixtures: random ground truths, the hand-made datasets several
-files use, the projected-gradient oracle, and the per-problem start rule, the
-residual and a face-solve limit of the least-squares solver."""
+"""Shared fixtures: random ground truths, the hand-made and noisy datasets
+several files use, random least-squares stacks, the projected-gradient oracle,
+and the per-problem start rule, the residual, a face-solve limit and a call
+recorder of the least-squares solver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from reachvenn import lsq
+from reachvenn import bounds, lsq, model
 from reachvenn.core import (
     ReachDataset,
+    ReachObservation,
     RegionAllocation,
     SubsetMask,
     basic_masks,
     dataset_from_allocation,
+    enumerate_masks,
 )
+from reachvenn.experiment import training_masks
+from reachvenn.synth import GeneratorSpec, add_measurement_noise, generate, true_reach
 
 
 def random_allocation(
@@ -73,6 +78,32 @@ def nearly_disjoint_dataset():
     pairs = [("100", 1000), ("010", 1000), ("001", 1000), ("111", 2999.99)]
     pairs += [("110", 1999.996), ("011", 1999.997)]
     return ReachDataset.from_pairs(3, pairs)
+
+
+def noisy_design_dataset(num_bgs, seed, declare, *, kind, alpha, noise_seed):
+    """Noisy reaches of the 2P+1 design of a ``kind`` truth (Dirichlet
+    ``alpha``) at U = 1e6; with ``declare``, the universe is declared and every
+    reach is clipped at it."""
+    universe = 1e6
+    truth = generate(GeneratorSpec(kind, num_bgs, universe, seed=seed, alpha=alpha))
+    clean = [ReachObservation(m, true_reach(truth, m)) for m in training_masks(num_bgs)]
+    noisy = add_measurement_noise(clean, noise_seed)
+    if declare:
+        noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
+    return ReachDataset(num_bgs, universe if declare else None, tuple(noisy))
+
+
+def noisy_p5_dataset(declare_universe: bool) -> ReachDataset:
+    """Noisy reaches of the basics and 8 more masks of a P=5 ci_groups truth."""
+    universe = 100000.0
+    truth = generate(GeneratorSpec("ci_groups", 5, universe, seed=17))
+    masks = basic_masks(5) + [m for m in enumerate_masks(5) if m.popcount == 2][:8]
+    clean = [ReachObservation(m, true_reach(truth, m)) for m in masks]
+    noisy = [
+        ReachObservation(o.subset, min(o.reach, universe))
+        for o in add_measurement_noise(clean, seed=18)
+    ]
+    return ReachDataset(5, universe if declare_universe else None, tuple(noisy))
 
 
 def five_bg_basics(union=336160.0, single=100000.0):
@@ -134,6 +165,45 @@ def squared_residual(a: np.ndarray, b: np.ndarray, v: np.ndarray):
     """||a v - b||^2 at a solution, or one per problem for a stack."""
     resid = b - (a @ v[..., None])[..., 0]
     return (resid * resid).sum(axis=-1)
+
+
+def random_stack(rng, kind, count, rows, cols):
+    """A stack of problems: uniform entries, 0/1 incidence-like entries (ties
+    and repeated columns), uniform entries with a repeated column and a zero
+    slack column, or normal entries scaled by up to 1e3 either way, each
+    problem by its own power of ten, so that their KKT tolerances differ."""
+    if kind == "incidence":
+        a = rng.integers(0, 2, size=(count, rows, cols)).astype(float)
+    elif kind == "scaled":
+        scales = 10.0 ** rng.integers(-3, 4, size=(count, 1, 1))
+        a = rng.normal(size=(count, rows, cols)) * scales
+    else:
+        a = rng.uniform(0, 1, size=(count, rows, cols))
+    if kind == "slack":
+        a[:, :, -1] = 0.0
+        a[:, :, 0] = a[:, :, cols // 2]
+    if rng.random() < 0.5:  # attainable targets
+        b = (a @ rng.dirichlet(np.ones(cols), size=count)[:, :, None])[:, :, 0]
+    else:
+        b = rng.uniform(0, 1.2, size=(count, rows))
+    return a, b
+
+
+def record_stacks_of_one(monkeypatch):
+    """Route every ``simplex_lstsq`` call of the library through a spy that
+    keeps each 2-D call's problem and answer."""
+    calls = []
+    simplex_lstsq = lsq.simplex_lstsq
+
+    def spy(a, b):
+        v = simplex_lstsq(a, b)
+        if np.ndim(a) == 2:
+            calls.append((np.array(a, dtype=float), np.array(b, dtype=float), v))
+        return v
+
+    for module in (lsq, model, bounds):
+        monkeypatch.setattr(module, "simplex_lstsq", spy)
+    return calls
 
 
 def face_solve_limit(monkeypatch, limit: int) -> None:

@@ -25,7 +25,6 @@ from reachvenn.core import (
     UnavailableError,
     dataset_from_allocation,
     enumerate_masks,
-    incidence_vector,
     subset_reach_from_allocation,
 )
 from reachvenn.experiment import training_masks
@@ -546,90 +545,8 @@ class TestBoundsProperties:
             assert interval.contains(subset_reach_from_allocation(target, alloc), tol)
 
 
-def gray_order(num_bgs):
-    """Every non-empty mask along the reflected binary Gray code."""
-    return [SubsetMask(r ^ (r >> 1), num_bgs) for r in range(1, 1 << num_bgs)]
-
-
-class TestWarmStartedBounds:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(2, 6),
-        extra=st.integers(0, 8),
-        universe=st.sampled_from([1.0, None]),
-    )
-    def test_visiting_order_does_not_change_bounds(self, seed, num_bgs, extra, universe):
-        ds, _ = random_consistent_dataset(
-            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
-        )
-        masks = enumerate_masks(num_bgs)
-        cold = {m.index: BoundsSolver(ds).bounds(m) for m in masks}
-        solver = BoundsSolver(ds)
-        passes = [
-            {m.index: solver.bounds(m) for m in order}
-            for order in (masks, masks[::-1], gray_order(num_bgs))
-        ]
-        passes.append(dict(zip([m.index for m in masks], solver.bounds_many(masks))))
-        tol = 1e-9 * ds.scale
-        for warm in passes:
-            for m in masks:
-                assert abs(warm[m.index].lower - cold[m.index].lower) <= tol
-                assert abs(warm[m.index].upper - cold[m.index].upper) <= tol
-                assert warm[m.index].upper_capped == cold[m.index].upper_capped
-
-    def test_bounds_many_keeps_input_order(self, rng):
-        ds, _ = random_consistent_dataset(rng, 4, extra=3, universe=None)
-        targets = [SubsetMask(j, 4) for j in (9, 1, 15, 6, 9, 12)]
-        got = BoundsSolver(ds).bounds_many(targets)
-        assert len(got) == len(targets)
-        for target, interval in zip(targets, got):
-            cold = BoundsSolver(ds).bounds(target)
-            assert interval.lower == pytest.approx(cold.lower, abs=1e-9 * ds.scale)
-            assert interval.upper == pytest.approx(cold.upper, abs=1e-9 * ds.scale)
-        assert BoundsSolver(ds).bounds_many([]) == []
-
-
 class TestBoundsWithout:
-    @pytest.mark.parametrize("num_bgs", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("universe", [1000.0, None])
-    def test_every_mask_matches_a_fresh_solver(self, rng, num_bgs, universe):
-        # Basic masks included: dropping a single changes the cap, and
-        # dropping the union can change the scale.
-        pool = (1 << num_bgs) - 2 - num_bgs
-        for extra in sorted({0, pool // 2, pool}):
-            ds, _ = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
-            fresh = [BoundsSolver(ds.without(mask)).bounds(mask) for mask in ds.masks()]
-            solver = BoundsSolver(ds)
-            for _ in range(2):
-                for mask, b in zip(ds.masks(), fresh):
-                    a = solver.bounds_without(mask)
-                    assert a.upper_capped == b.upper_capped
-                    assert abs(a.lower - b.lower) <= 1e-12 * ds.scale
-                    assert abs(a.upper - b.upper) <= 1e-12 * ds.scale
-                # Again after a sweep has moved both senses off phase 1's
-                # basis, where the held-out program then starts.
-                solver.bounds_many(enumerate_masks(num_bgs))
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), num_bgs=st.integers(2, 6), data=st.data())
-    def test_distinct_masks_never_need_another_path(self, seed, num_bgs, data):
-        # Distinct non-empty masks have independent incidence rows, so phase 1
-        # leaves no artificial in the basis and each held-out program derives from it.
-        indices = data.draw(st.sets(st.integers(1, (1 << num_bgs) - 1), min_size=2))
-        masks = [SubsetMask(j, num_bgs) for j in sorted(indices)]
-        a = np.array([incidence_vector(m) for m in masks])
-        assert np.linalg.matrix_rank(a) == len(masks)
-        universe = data.draw(st.sampled_from([1000.0, None]))
-        alloc = random_allocation(np.random.default_rng(seed), num_bgs, 1000.0)
-        ds = dataset_from_allocation(alloc, masks, universe_size=universe)
-        solver = BoundsSolver(ds)
-        for mask in masks:
-            got = solver.bounds_without(mask)
-            want = BoundsSolver(ds.without(mask)).bounds(mask)
-            assert got.upper_capped == want.upper_capped
-            assert abs(got.lower - want.lower) <= 1e-9 * ds.scale
-            assert abs(got.upper - want.upper) <= 1e-9 * ds.scale
+    """Held-out bounds against a fresh solver's: test_solver_contracts.py."""
 
     def test_unobserved_mask_rejected(self):
         with pytest.raises(ValueError, match="not present"):

@@ -10,9 +10,9 @@ CLI command that reads such an input goes through the owner, so they all give
 its one message, and the CLI exits 64 with it.  A check that runs up front
 runs no solver: no phase 1 and no least-squares fit.
 
-The document rules that ``io`` owns (a JSON object with its keys, numbers,
-integers and arrays, the BG count, nesting depth and a saved model's own
-checks) have one table per document kind: dataset, truth file and saved
+The document rules that ``io`` owns (UTF-8 text, a JSON object with its keys,
+numbers, integers and arrays, the BG count, nesting depth and a saved model's
+own checks) have one table per document kind: dataset, truth file and saved
 model.  Each case runs through the kind's loader and its command.
 """
 
@@ -99,10 +99,11 @@ class Run:
         assert payload["interval_alpha"] is None
         return payload["alpha_note"]
 
-    def file(self, name: str, payload: dict | str):
-        """``payload`` written to ``name``: a dict as JSON, a string as it is."""
+    def file(self, name: str, payload: dict | str | bytes):
+        """``payload`` written to ``name``: a dict as JSON, text or bytes as they are."""
         path = self.tmp_path / name
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        text = json.dumps(payload) if isinstance(payload, dict) else payload
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
         return path
 
     def dataset_file(self, dataset: ReachDataset):
@@ -574,8 +575,16 @@ def empty(path):
     return f"{path}: Expecting value: line 1 column 1 (char 0)"
 
 
-# case -> (document: a dict, or raw JSON text; its message, or the message
-# given the file's path)
+# A UTF-16 byte order mark: byte 0xff never occurs in UTF-8.
+NOT_UTF8 = b"\xff\xfe"
+
+
+def not_utf8(path):
+    return f"{path}: not UTF-8: invalid start byte at byte 0"
+
+
+# case -> (document: a dict, raw JSON text or raw bytes; its message, or the
+# message given the file's path)
 DATASET_CASES = {
     "a JSON array": ('[{"subset": "10", "reach": 1.0}]',
                      "a dataset document must be a JSON object"),
@@ -598,6 +607,7 @@ DATASET_CASES = {
                        "universe_size must be within the float range"),
     "nested too deeply": (DEEP, too_deep),
     "empty file": ("", empty),
+    "not UTF-8": (NOT_UTF8, not_utf8),
 }
 
 # json.dumps writes math.nan and math.inf as NaN and Infinity, which json.load
@@ -616,6 +626,7 @@ TRUTH_CASES = {
     "4 entries": (truth([1.0] * 4, "allocation"), "allocation needs 8 entries, got 4"),
     "nested too deeply": (DEEP, too_deep),
     "empty file": ("", empty),
+    "not UTF-8": (NOT_UTF8, not_utf8),
 }
 
 MODEL_CASES = {
@@ -646,6 +657,7 @@ MODEL_CASES = {
     "num_bgs 10**6": (saved(10**6, "num_bgs"), "num_bgs must be in [2, 20], got 1000000"),
     "nested too deeply": (DEEP, too_deep),
     "empty file": ("", empty),
+    "not UTF-8": (NOT_UTF8, not_utf8),
 }
 
 # kind -> (its cases, its loader, the argv of the command that reads the file)

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachvenn import bounds, experiment, lsq, model, pipeline, synth
-from reachvenn.core import ReachDataset, ReachObservation
+from reachvenn import bounds, lsq, pipeline, synth
 from reachvenn.lsq import nnls, simplex_lstsq
 
 from conftest import (
     face_solve_limit,
+    noisy_design_dataset,
     pgd_simplex_lstsq,
+    random_stack,
+    record_stacks_of_one,
     reference_start,
     refuse,
     squared_residual,
@@ -142,28 +144,6 @@ class TestSimplexLstsq:
         assert squared_residual(a, b, w) < 1e-16
 
 
-def random_stack(rng, kind, count, rows, cols):
-    """A stack of problems: uniform entries, 0/1 incidence-like entries (ties
-    and repeated columns), uniform entries with a repeated column and a zero
-    slack column, or normal entries scaled by up to 1e3 either way, each
-    problem by its own power of ten, so that their KKT tolerances differ."""
-    if kind == "incidence":
-        a = rng.integers(0, 2, size=(count, rows, cols)).astype(float)
-    elif kind == "scaled":
-        scales = 10.0 ** rng.integers(-3, 4, size=(count, 1, 1))
-        a = rng.normal(size=(count, rows, cols)) * scales
-    else:
-        a = rng.uniform(0, 1, size=(count, rows, cols))
-    if kind == "slack":
-        a[:, :, -1] = 0.0
-        a[:, :, 0] = a[:, :, cols // 2]
-    if rng.random() < 0.5:  # attainable targets
-        b = (a @ rng.dirichlet(np.ones(cols), size=count)[:, :, None])[:, :, 0]
-    else:
-        b = rng.uniform(0, 1.2, size=(count, rows))
-    return a, b
-
-
 class TestStackedSimplexLstsq:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -173,13 +153,13 @@ class TestStackedSimplexLstsq:
         cols=st.integers(1, 12),
         kind=st.sampled_from(["uniform", "incidence", "slack", "scaled"]),
     )
-    def test_each_problem_solves_as_if_alone(self, seed, count, rows, cols, kind):
+    def test_each_problem_is_optimal(self, seed, count, rows, cols, kind):
+        # Each problem's bits against solving it alone: test_solver_contracts.py.
         rng = np.random.default_rng(seed)
         a, b = random_stack(rng, kind, count, rows, cols)
         v = simplex_lstsq(a, b)
         assert v.shape == (count, cols)
         for i in range(count):
-            assert np.array_equal(v[i], simplex_lstsq(a[i], b[i]))
             assert v[i].min() >= 0.0
             assert v[i].sum() == pytest.approx(1.0, abs=1e-12)
             # KKT: no column's gradient undercuts the support's, up to the
@@ -323,81 +303,26 @@ class TestStart:
                 assert start[i] == 0  # the first of the two nearest columns
 
 
-class TestStackOrder:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(2, 7),
-        rows=st.integers(1, 9),
-        cols=st.integers(1, 12),
-        kind=st.sampled_from(["uniform", "incidence", "slack", "scaled"]),
-    )
-    def test_permuting_the_stack_permutes_the_solutions(
-        self, seed, count, rows, cols, kind
-    ):
-        rng = np.random.default_rng(seed)
-        a, b = random_stack(rng, kind, count, rows, cols)
-        order = rng.permutation(count)
-        v = simplex_lstsq(a, b)
-        assert simplex_lstsq(a[order], b[order]).tobytes() == v[order].tobytes()
-
-
-def noisy_dataset(num_bgs, seed, declare):
-    """The 2P+1 training design of a Dirichlet truth with measurement noise,
-    the universe declared or not, as the benchmark's estimation ops build it."""
-    universe = 1e6
-    truth = synth.generate(synth.GeneratorSpec("dirichlet", num_bgs, universe, seed=seed))
-    clean = [
-        ReachObservation(mask, synth.true_reach(truth, mask))
-        for mask in experiment.training_masks(num_bgs)
-    ]
-    noisy = synth.add_measurement_noise(clean, synth.noise_seed(seed))
-    if declare:
-        noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
-    return ReachDataset(num_bgs, universe if declare else None, tuple(noisy))
-
-
-def record_stacks_of_one(monkeypatch):
-    """Route every ``simplex_lstsq`` call of the library through a spy that
-    keeps each 2-D call's problem and answer."""
-    calls = []
-
-    def spy(a, b):
-        v = simplex_lstsq(a, b)
-        if np.ndim(a) == 2:
-            calls.append((np.array(a, dtype=float), np.array(b, dtype=float), v))
-        return v
-
-    for module in (lsq, model, bounds):
-        monkeypatch.setattr(module, "simplex_lstsq", spy)
-    return calls
-
-
-def assert_same_in_a_stack_of_three(calls):
-    """Each recorded problem, solved at position 1 of a stack of 3, gets the
-    bits it got alone."""
-    for a, b, v in calls:
-        stacked = simplex_lstsq(
-            np.stack([a[::-1], a, a]), np.stack([b[::-1], b, 0.5 * b])
-        )
-        assert stacked[1].tobytes() == v.tobytes()
-
-
 class TestWorkloadShapes:
-    """Stack order on the problems the estimation path really solves: the
-    segment fits of a P=6 and a P=8 session and both branches of the repair."""
+    """The problems the estimation path really solves: the segment fits of a
+    P=6 and a P=8 session and both branches of the repair, on the 2P+1 design
+    of a noisy Dirichlet truth as the benchmark's estimation ops build it.
+    Their bits in a stack: test_solver_contracts.py."""
 
     @pytest.mark.parametrize("num_bgs", [6, 8])
     @pytest.mark.parametrize("declare", [True, False])
     def test_session_fits(self, monkeypatch, num_bgs, declare):
         calls = record_stacks_of_one(monkeypatch)
-        session = pipeline.Session(noisy_dataset(num_bgs, 100 + num_bgs, declare))
+        seed = 100 + num_bgs
+        ds = noisy_design_dataset(
+            num_bgs, seed, declare, kind="dirichlet", alpha=2.0, noise_seed=synth.noise_seed(seed)
+        )
+        session = pipeline.Session(ds)
         before = len(calls)  # the repair, when the data are inconsistent
         weights = [session.model(d).weights for d in pipeline.d_grid()]
         assert len(calls) - before == len(weights)
         for fitted, (_, _, v) in zip(weights, calls[before:]):
             assert fitted.tobytes() == v[:-1].tobytes()
-        assert_same_in_a_stack_of_three(calls)
 
     @pytest.mark.parametrize("num_bgs", [6, 8])
     @pytest.mark.parametrize("declare", [True, False])
@@ -405,10 +330,13 @@ class TestWorkloadShapes:
         # With a universe the repair calls simplex_lstsq itself; without,
         # it goes through nnls.
         calls = record_stacks_of_one(monkeypatch)
-        bounds.repair_dataset(noisy_dataset(num_bgs, 200 + num_bgs, declare))
+        seed = 200 + num_bgs
+        ds = noisy_design_dataset(
+            num_bgs, seed, declare, kind="dirichlet", alpha=2.0, noise_seed=synth.noise_seed(seed)
+        )
+        bounds.repair_dataset(ds)
         [(a, _, _)] = calls
         assert (a[:, 0] == 0).all()  # the unreached region, or nnls's slack
-        assert_same_in_a_stack_of_three(calls)
 
 
 def logged_counts(caplog):

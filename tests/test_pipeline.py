@@ -14,7 +14,6 @@ from reachvenn.core import (
     ReachObservation,
     SubsetMask,
     UnavailableError,
-    basic_masks,
     enumerate_masks,
     subset_reach_from_allocation,
 )
@@ -43,7 +42,12 @@ from reachvenn.synth import (
     true_reach,
 )
 
-from conftest import nearly_disjoint_dataset, random_consistent_dataset
+from conftest import (
+    nearly_disjoint_dataset,
+    noisy_design_dataset,
+    noisy_p5_dataset,
+    random_consistent_dataset,
+)
 
 
 def five_bg_setup():
@@ -51,30 +55,6 @@ def five_bg_setup():
     truth = independent_truth(5, 0.2, 500000.0)
     masks = [m for m in enumerate_masks(5) if m.popcount in (1, 5)]
     return truth, true_dataset(truth, masks)
-
-
-def noisy_p5_dataset(declare_universe: bool) -> ReachDataset:
-    """Noisy reaches of the basics and 8 more masks of a P=5 ci_groups truth."""
-    universe = 100000.0
-    truth = generate(GeneratorSpec("ci_groups", 5, universe, seed=17))
-    masks = basic_masks(5) + [m for m in enumerate_masks(5) if m.popcount == 2][:8]
-    clean = [ReachObservation(m, true_reach(truth, m)) for m in masks]
-    noisy = [
-        ReachObservation(o.subset, min(o.reach, universe))
-        for o in add_measurement_noise(clean, seed=18)
-    ]
-    return ReachDataset(5, universe if declare_universe else None, tuple(noisy))
-
-
-def noisy_design_dataset(num_bgs, seed, declare_universe, kind="dirichlet"):
-    """Noisy reaches of the 2P+1 design of a ci_groups or Dirichlet(0.5) truth."""
-    universe = 1e6
-    truth = generate(GeneratorSpec(kind, num_bgs, universe, seed=seed, alpha=0.5))
-    clean = [ReachObservation(m, true_reach(truth, m)) for m in training_masks(num_bgs)]
-    noisy = add_measurement_noise(clean, seed=seed + 100)
-    if declare_universe:
-        noisy = [ReachObservation(o.subset, min(o.reach, universe)) for o in noisy]
-    return ReachDataset(num_bgs, universe if declare_universe else None, tuple(noisy))
 
 
 def counting(monkeypatch, name, modules):
@@ -242,31 +222,6 @@ class TestTuneD:
 
 
 class TestSession:
-    @pytest.mark.parametrize("declare_universe", [True, False])
-    def test_loo_errors_equal_refitting_each_rest(self, declare_universe):
-        # Each held-out fit drops one row of the session's matrix; the
-        # reference refits the dataset without that point anew.  The
-        # held-out bounds come from the session's solver without a new phase
-        # 1, so they match a fresh solver of the rest up to round-off.
-        session = Session(noisy_p5_dataset(declare_universe))
-        ds = session.dataset
-        assert (ds.universe_size is not None) == declare_universe
-        basics = {m.index for m in basic_masks(5)}
-        held_out = [m for m in ds.masks() if m.index not in basics]
-        assert [mask for _, mask, _ in session.holdouts] == held_out
-        assert len(held_out) == 8
-        for _, mask, interval in session.holdouts:
-            fresh = BoundsSolver(ds.without(mask)).bounds(mask)
-            assert interval.upper_capped == fresh.upper_capped
-            assert abs(interval.lower - fresh.lower) <= 1e-12 * ds.scale
-            assert abs(interval.upper - fresh.upper) <= 1e-12 * ds.scale
-        for d, errors in zip(d_grid(), session.loo_table(d_grid())):
-            expected = []
-            for _, mask, interval in session.holdouts:
-                estimate = predict(fit(ds.without(mask), d), mask)
-                expected.append(abs(estimate - ds.reach_of(mask)) / interval.gap)
-            assert errors.tolist() == expected
-
     def test_loo_errors_of_uncollapsed_tiny_gaps_are_real(self):
         # The held-out gaps are about 2e-11 of the estimated universe, yet the
         # bounds solver did not collapse them, so they normalize the misses.
@@ -312,7 +267,10 @@ class TestIndependenceModel:
     @pytest.mark.parametrize("declare_universe", [True, False])
     def test_fits_at_one_are_the_closed_form(self, num_bgs, declare_universe):
         for seed in (1, 2, 3):
-            session = Session(noisy_design_dataset(num_bgs, seed, declare_universe))
+            ds = noisy_design_dataset(
+                num_bgs, seed, declare_universe, kind="dirichlet", alpha=0.5, noise_seed=seed + 100
+            )
+            session = Session(ds)
             ds, universe = session.dataset, session.universe_size
             singles = [SubsetMask.single(i + 1, num_bgs) for i in range(num_bgs)]
             r = [ds.reach_of(single) / universe for single in singles]
@@ -476,7 +434,9 @@ class TestEstimateSubset:
         # scale by exactly 2**k, and d and the repair stay.
         options = EstimateOptions(alpha=90)
         for seed in (31, 32):
-            ds = noisy_design_dataset(num_bgs, seed, declare, kind)
+            ds = noisy_design_dataset(
+                num_bgs, seed, declare, kind=kind, alpha=0.5, noise_seed=seed + 100
+            )
             targets = [m for m in enumerate_masks(num_bgs) if ds.reach_of(m) is None]
             for target in targets[::7]:
                 before = estimate_subset(ds, target, options)
