@@ -11,14 +11,21 @@ minimizer is exactly zero off the face, so a round's sign tests and step
 lengths read it without a face mask.  So each problem gets the same bits in
 any stack and in any stack order.
 
+A KKT check reads the residual a w - b that the face solve which produced
+its point returned with w (a product with the face's reduced system, not
+with A), so the check's one product with A is the gradient.  Its
+certificate is for that unclipped w: the point kept is w with its
+coordinates above -1e-13 clipped at zero and rescaled to sum 1, so they
+differ by round-off.
+
 ``nnls`` (v >= 0 only, for a non-negative A) is a reduction onto it: A's
 columns, scaled so that the sum constraint never binds, and a zero column.
 
 The solver runs to a KKT tolerance that puts the squared-residual objective
 within ~1e-10 of the true constrained optimum on unit-scale data, and raises
 RuntimeError when a problem's 6 n + 60 face solves end before that.
-It logs each call's problems, rounds and face solves at DEBUG level on this
-module's logger, which is silent by default.
+It logs each call's problems, rounds, face solves and KKT checks at DEBUG
+level on this module's logger, which is silent by default.
 """
 
 from __future__ import annotations
@@ -101,18 +108,21 @@ def _solve_faces(
     norms: np.ndarray,
     free: np.ndarray,
     problems: np.ndarray,
-) -> np.ndarray:
-    """Exact minimizers of ||a_F v_F - b||^2 with sum(v_F) == 1 (sign-free),
-    one for each listed problem of the stack, F being its row of ``free``.
-    Each minimizer is exactly zero off its face.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizers w of ||a_F v_F - b||^2 with sum(v_F) == 1 (sign-free),
+    one for each listed problem of the stack, F being its row of ``free``,
+    and their residuals a w - b.  Each minimizer is exactly zero off its face.
 
     The face column with the largest norm (the anchor) is eliminated through
     the equality.  The other face columns minus the anchor, in ascending
-    order, then zero columns up to width m, then b minus the anchor form an
-    m x (m + 1) matrix whose R factor carries the reduced least-squares
-    problem, solved by back substitution over the face's rows.  Every
-    problem has that width whatever its face size, so its arithmetic does
-    not depend on the rest of the stack.
+    order, then zero columns up to width m (together C), then b minus the
+    anchor form an m x (m + 1) matrix whose R factor carries the reduced
+    least-squares problem, solved by back substitution over the face's rows
+    for u, the weights of C's columns.  The residual a w - b is
+    C u - (b - anchor): that matrix, which the QR leaves intact, times u
+    with a last entry of -1, one m x (m + 1) product instead of one with a.
+    Every problem has that width whatever its face size, so its arithmetic
+    does not depend on the rest of the stack.
     """
     m, n = a.shape[1:]
     count = problems.size
@@ -138,14 +148,15 @@ def _solve_faces(
     # Back substitution over the live rows; the padded coefficients stay
     # zero.  Row k's products sum over the fixed length m - k - 1 (the
     # padded ones are zero), whatever the face sizes in the stack.
-    u = np.zeros((count, m))
+    u = np.zeros((count, m + 1))
+    u[:, m] = -1.0
     for k in range(width.max() - 1, -1, -1):
-        s = np.add.reduce(h[:, k + 1 : m, k] * u[:, k + 1 :], axis=1)
+        s = np.add.reduce(h[:, k + 1 : m, k] * u[:, k + 1 : m], axis=1)
         np.divide(h[:, m, k] - s, h[:, k, k], out=u[:, k], where=live[:, k])
     w = np.zeros((count, n))
     w[problem, column] = u[problem, slot]
-    w[slots, anchor] = 1.0 - u.sum(axis=1)
-    return w
+    w[slots, anchor] = 1.0 - u[:, :m].sum(axis=1)
+    return w, (reduced @ u[:, :, None])[:, :, 0]
 
 
 def _lock_step(
@@ -155,29 +166,35 @@ def _lock_step(
     start: np.ndarray,
     tol: np.ndarray,
     max_iter: int,
-) -> tuple[np.ndarray, int, int]:
-    """A stack's solutions, rounds and face solves.  Each round, every
-    unfinished problem takes its own next step, and the round's face solves
-    are one stacked QR and one back substitution."""
+) -> tuple[np.ndarray, int, int, int]:
+    """A stack's solutions, rounds, face solves and KKT checks.  Each round,
+    every unfinished problem takes its own next step, and the round's face
+    solves are one stacked QR and one back substitution.
+
+    A KKT check only ever follows the start or a face solve that landed
+    inside, so each problem's residual row holds its start column minus b,
+    then the residual of its latest face solve.  A check then costs one
+    m x n product, the gradient."""
     count, m, n = a.shape
     problems = np.arange(count)
     v = np.zeros((count, n))
     v[problems, start] = 1.0
+    resid = a[problems, :, start] - b
     free = np.zeros((count, n), dtype=bool)
     free[problems, start] = True
     live = np.ones(count, dtype=bool)
     on_face = np.zeros(count, dtype=bool)  # a face solve is due, not a KKT check
     solves = np.zeros(count, dtype=np.intp)  # face solves per problem
-    rounds = 0
+    rounds = checks = 0
 
     while live.any():
         rounds += 1
         check = np.flatnonzero(live & ~on_face)
         if check.size:
+            checks += check.size
             # One slab of the stack, a view: the checked problems and those between.
             lo, hi = check[0], check[-1] + 1
-            resid = (a[lo:hi] @ v[lo:hi, :, None])[:, :, 0] - b[lo:hi]
-            grad = (resid[:, None, :] @ a[lo:hi])[:, 0, :]
+            grad = (resid[lo:hi, None, :] @ a[lo:hi])[:, 0, :]
             if check.size < hi - lo:
                 grad = grad[check - lo]
             face = free[check]
@@ -196,7 +213,8 @@ def _lock_step(
         solves[solve] += 1
         if solves[solve].max() > max_iter:
             raise RuntimeError(_ITERATION_LIMIT)
-        w = _solve_faces(a, b, norms, free, solve)
+        w, r = _solve_faces(a, b, norms, free, solve)
+        resid[solve] = r  # a blocked problem solves again before its next check
         # w is zero off each face, so its sign tests need no face mask.
         inside = (w > -_ZERO_TOL).all(axis=1)
 
@@ -222,7 +240,7 @@ def _lock_step(
         x /= x.sum(axis=1, keepdims=True)
         v[stop] = x
         free[stop] &= ~(blocking & (x <= _ZERO_TOL))
-    return v, rounds, int(solves.sum())
+    return v, rounds, int(solves.sum()), checks
 
 
 def simplex_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,10 +272,10 @@ def simplex_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if n == 0:
         raise ValueError("need at least one column")
     norms, start, tol = _start(a, b)
-    v, rounds, face_solves = _lock_step(a, b, norms, start, tol, 6 * n + 60)
+    v, rounds, face_solves, checks = _lock_step(a, b, norms, start, tol, 6 * n + 60)
     if _logger.isEnabledFor(logging.DEBUG):
         _logger.debug(
-            "simplex_lstsq: %d problems, %d rounds, %d face solves",
-            count, rounds, face_solves,
+            "simplex_lstsq: %d problems, %d rounds, %d face solves, %d KKT checks",
+            count, rounds, face_solves, checks,
         )
     return v[0] if single else v

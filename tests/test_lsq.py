@@ -208,11 +208,13 @@ def reference_solve_face(a, b, norms, face):
 
 
 def solve_one_face(a, b, face):
-    """The stacked face solver on one problem and its column list ``face``."""
+    """The stacked face solver on one problem and its column list ``face``:
+    the face's minimizer w and the residual the solver returns with it."""
     free = np.zeros((1, a.shape[1]), dtype=bool)
     free[0, face] = True
     norms = lsq._start(a[None], b[None])[0]
-    return lsq._solve_faces(a[None], b[None], norms, free, np.zeros(1, dtype=np.intp))[0]
+    w, resid = lsq._solve_faces(a[None], b[None], norms, free, np.zeros(1, dtype=np.intp))
+    return w[0], resid[0]
 
 
 class TestSolveFaces:
@@ -233,8 +235,12 @@ class TestSolveFaces:
             if zero_column and 0 not in face:
                 face[0] = 0
             face = sorted(face.tolist())
-            w = solve_one_face(a, b, face)
+            w, resid = solve_one_face(a, b, face)
             assert w.tobytes() == reference_solve_face(a, b, norms[0], face).tobytes()
+            # The KKT check reads this residual in place of a @ w - b; the
+            # scale is the largest term of that sum.
+            scale = np.abs(a).max() * np.abs(w).sum() + np.abs(b).max()
+            assert np.abs(resid - (a @ w - b)).max() <= 1e-12 * scale
 
     def test_two_zero_columns_are_a_singular_face(self):
         a = np.random.default_rng(3).uniform(0, 1, size=(4, 6))
@@ -342,7 +348,7 @@ class TestWorkloadShapes:
 def logged_counts(caplog):
     [record] = caplog.records
     found = re.fullmatch(
-        r"simplex_lstsq: (\d+) problems, (\d+) rounds, (\d+) face solves",
+        r"simplex_lstsq: (\d+) problems, (\d+) rounds, (\d+) face solves, (\d+) KKT checks",
         record.getMessage(),
     )
     return tuple(map(int, found.groups()))
@@ -369,17 +375,23 @@ class TestLogging:
     def test_debug_reports_problems_rounds_and_face_solves(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="reachvenn.lsq"):
             simplex_lstsq(*self.stack())
-        problems, rounds, face_solves = logged_counts(caplog)
+        problems, rounds, face_solves, checks = logged_counts(caplog)
         # Each optimum holds all four columns: three entries, then a last check.
+        # Every check but each problem's last enters a column, which a face
+        # solve follows.
         assert problems == 3
         assert rounds >= 4
         assert face_solves >= 9
+        assert checks >= 12
+        assert face_solves >= checks - problems
 
     def test_debug_reports_a_stack_of_one(self, caplog):
         a, b = self.stack()
         with caplog.at_level(logging.DEBUG, logger="reachvenn.lsq"):
             simplex_lstsq(a[1], b[1])
-        problems, rounds, face_solves = logged_counts(caplog)
+        problems, rounds, face_solves, checks = logged_counts(caplog)
         assert problems == 1
         assert rounds >= 4
         assert face_solves >= 3
+        assert checks >= 4
+        assert face_solves >= checks - problems

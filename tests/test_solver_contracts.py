@@ -38,6 +38,7 @@ from conftest import (
     random_consistent_dataset,
     random_stack,
     record_stacks_of_one,
+    reference_start,
 )
 
 
@@ -56,6 +57,17 @@ def random_stacks(data):
     count, rows, cols = (data.draw(st.integers(1, top)) for top in (7, 9, 12))
     kind = data.draw(st.sampled_from(["uniform", "incidence", "slack", "scaled"]))
     return [(*random_stack(rng, kind, count, rows, cols), rng.permutation(count))]
+
+
+def scaled_stack(data):
+    """A fixed "scaled" ``random_stack`` of seven problems whose KKT
+    tolerances span about seven decades, so that a stack-wide tolerance would
+    stop its small-scale problems early on every run."""
+    rng = np.random.default_rng(3)
+    a, b = random_stack(rng, "scaled", 7, 9, 12)
+    tols = [reference_start(a[i], b[i])[2] for i in range(len(a))]
+    assert max(tols) >= 1e6 * min(tols)
+    return [(a, b, rng.permutation(len(a)))]
 
 
 def workload_stacks(solve, num_bgs, declare, data):
@@ -78,7 +90,7 @@ def workload_stacks(solve, num_bgs, declare, data):
     return [(a, b, [1, 2, 0]) for a, b in stacks]
 
 
-STACKS = {"random": random_stacks} | {
+STACKS = {"random": random_stacks, "scaled": scaled_stack} | {
     case: build
     for solve in ("session", "repair")
     for num_bgs in (6, 8)
@@ -201,6 +213,20 @@ def bounds_without_distinct_masks(data):
     return [(solver.bounds_without(m), f, 1e-9 * ds.scale) for m, f in zip(masks, fresh)]
 
 
+def bounds_without_capped(data):
+    """Exact observations of a random P=4 truth's singles and two pairs, with
+    neither the full union nor a universe.  No other observation covers BG 4,
+    so its single held out is bounded above only by the cap, the sum of the
+    other reaches."""
+    alloc = random_allocation(np.random.default_rng(20240817), 4, 1000.0)
+    masks = [SubsetMask.from_string(s) for s in ("1000", "0100", "0010", "0001", "1100", "0110")]
+    ds = dataset_from_allocation(alloc, masks, universe_size=None)
+    solver = BoundsSolver(ds)
+    fresh = [BoundsSolver(ds.without(mask)).bounds(mask) for mask in masks]
+    assert [f.upper_capped for f in fresh] == [False, False, False, True, False, False]
+    return [(solver.bounds_without(m), f, 1e-12 * ds.scale) for m, f in zip(masks, fresh)]
+
+
 def session_holdouts(declare, data):
     """A session's held-out bounds, on noisy observations of the basics and 8
     pairs of a P=5 truth: the 8 pairs, held out in the dataset's order."""
@@ -223,6 +249,7 @@ HELD_OUT_BOUNDS = {
         ).items()
     },
     "bounds_without-distinct-masks": bounds_without_distinct_masks,
+    "bounds_without-capped": bounds_without_capped,
     **per_universe("holdouts", session_holdouts),
 }
 
