@@ -5,6 +5,8 @@ recorder of the least-squares solver."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,12 @@ def five_bg_basics(union=336160.0, single=100000.0):
     pairs = [(m, single) for m in ["10000", "01000", "00100", "00010", "00001"]]
     pairs.append(("11111", union))
     return ReachDataset.from_pairs(5, pairs)
+
+
+def per_universe(name, build, *args):
+    """``build`` with a declared universe and without one, by case id."""
+    ids = {True: "universe", False: "no-universe"}
+    return {f"{name}-{ids[declare]}": functools.partial(build, *args, declare) for declare in ids}
 
 
 def refuse(*args, **kwargs):

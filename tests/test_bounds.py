@@ -1,6 +1,5 @@
 """Consistency detection, subset bounds, repair, and curve tracing."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -28,7 +27,7 @@ from reachvenn.core import (
     subset_reach_from_allocation,
 )
 from reachvenn.experiment import training_masks
-from reachvenn.pipeline import EstimateOptions, estimate_subset
+from reachvenn.pipeline import estimate_subset
 
 from conftest import (
     five_bg_basics,
@@ -132,12 +131,6 @@ class TestCheckConsistency:
         check_consistency(ReachDataset.from_pairs(3, pairs, universe_size=universe))
         assert len(built) == 1
 
-    def test_soundness_on_random_truths(self, rng):
-        for _ in range(20):
-            num_bgs = int(rng.integers(2, 6))
-            ds, _ = random_consistent_dataset(rng, num_bgs, extra=int(rng.integers(0, 4)))
-            assert check_consistency(ds).consistent
-
     def test_single_observation_consistent(self):
         ds = ReachDataset.from_pairs(2, [("10", 5.0)])
         assert check_consistency(ds).consistent
@@ -236,15 +229,6 @@ class TestSubsetBounds:
         interval = subset_bounds(ds, SubsetMask.from_string("011"))
         assert interval.lower == pytest.approx(5000.0, abs=1e-3)
         assert interval.gap <= 1e-7 * ds.scale + 1e-9
-
-    def test_truth_always_inside_bounds(self, rng):
-        for _ in range(15):
-            num_bgs = int(rng.integers(2, 6))
-            ds, alloc = random_consistent_dataset(rng, num_bgs, extra=2)
-            solver = BoundsSolver(ds)
-            for target in enumerate_masks(num_bgs):
-                truth = subset_reach_from_allocation(target, alloc)
-                assert solver.bounds(target).contains(truth, tol=1e-6 * ds.scale)
 
     def test_inconsistent_dataset_raises(self):
         with pytest.raises(InconsistencyError, match="repair_dataset"):
@@ -385,164 +369,6 @@ class TestPastTheFloatRange:
         interval = BoundsSolver(ds).bounds(SubsetMask.full(2))
         assert interval.lower == 1e308
         assert interval.upper == pytest.approx(1.5e308, rel=1e-12)
-
-
-def relabelled(mask, perm):
-    """``mask`` with BG i + 1 renamed to BG perm[i] + 1."""
-    bits = sum(1 << perm[i] for i in range(mask.num_bgs) if mask.bits >> i & 1)
-    return SubsetMask(bits, mask.num_bgs)
-
-
-def relabelled_dataset(ds, perm):
-    """``ds`` with every observation's mask relabelled by ``perm``."""
-    return ReachDataset.from_pairs(
-        ds.num_bgs,
-        [(relabelled(o.subset, perm), o.reach) for o in ds.observations],
-        universe_size=ds.universe_size,
-    )
-
-
-def noisy_dataset(rng, num_bgs, extra, universe):
-    """A random consistent dataset with 10% relative noise on every reach,
-    kept inside the declared universe; usually inconsistent."""
-    ds, _ = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
-    cap = ds.universe_size or np.inf
-    return ds.replace_reaches(
-        [
-            min(cap, max(0.0, o.reach * (1 + 0.1 * rng.standard_normal())))
-            for o in ds.observations
-        ]
-    )
-
-
-class TestBoundsProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(2, 5),
-        extra=st.integers(0, 6),
-        universe=st.sampled_from([1.0, None]),
-        perm_seed=st.integers(0, 2**32 - 1),
-    )
-    def test_relabelling_bgs_permutes_bounds(
-        self, seed, num_bgs, extra, universe, perm_seed
-    ):
-        ds, _ = random_consistent_dataset(
-            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
-        )
-        perm = np.random.default_rng(perm_seed).permutation(num_bgs).tolist()
-        renamed = relabelled_dataset(ds, perm)
-        solver, renamed_solver = BoundsSolver(ds), BoundsSolver(renamed)
-        tol = 1e-9 * ds.scale
-        for target in enumerate_masks(num_bgs):
-            before = solver.bounds(target)
-            after = renamed_solver.bounds(relabelled(target, perm))
-            assert abs(after.lower - before.lower) <= tol
-            assert abs(after.upper - before.upper) <= tol
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(2, 5),
-        extra=st.integers(0, 6),
-        universe=st.sampled_from([1.0, None]),
-        factor=st.sampled_from([1e-6, 1e9]),
-    )
-    def test_scaling_reaches_scales_bounds(self, seed, num_bgs, extra, universe, factor):
-        ds, _ = random_consistent_dataset(
-            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
-        )
-        scaled = ReachDataset.from_pairs(
-            num_bgs,
-            [(o.subset, o.reach * factor) for o in ds.observations],
-            universe_size=None if universe is None else universe * factor,
-        )
-        solver, scaled_solver = BoundsSolver(ds), BoundsSolver(scaled)
-        tol = 1e-9 * scaled.scale
-        for target in enumerate_masks(num_bgs):
-            before = solver.bounds(target)
-            after = scaled_solver.bounds(target)
-            assert abs(after.lower - before.lower * factor) <= tol
-            assert abs(after.upper - before.upper * factor) <= tol
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(2, 5),
-        extra=st.integers(0, 6),
-        universe=st.sampled_from([1000.0, None]),
-        perm_seed=st.integers(0, 2**32 - 1),
-    )
-    def test_relabelling_bgs_permutes_repair_and_batch_bounds(
-        self, seed, num_bgs, extra, universe, perm_seed
-    ):
-        # Without a universe repair runs nnls, with one simplex_lstsq; either
-        # way its values are the unique fitted values, so they permute.
-        ds = noisy_dataset(np.random.default_rng(seed), num_bgs, extra, universe)
-        perm = np.random.default_rng(perm_seed).permutation(num_bgs).tolist()
-        repaired = repair_dataset(ds)
-        renamed = repair_dataset(relabelled_dataset(ds, perm))
-        tol = 1e-9 * ds.scale
-        for o in repaired.observations:
-            assert abs(renamed.reach_of(relabelled(o.subset, perm)) - o.reach) <= tol
-        # bounds_many visits the targets in Gray-code order of their masks,
-        # which relabelling changes.
-        masks = enumerate_masks(num_bgs)
-        before = BoundsSolver(repaired).bounds_many(masks)
-        after = BoundsSolver(relabelled_dataset(repaired, perm)).bounds_many(
-            [relabelled(m, perm) for m in masks]
-        )
-        for b, a in zip(before, after):
-            assert abs(a.lower - b.lower) <= tol
-            assert abs(a.upper - b.upper) <= tol
-            assert a.upper_capped == b.upper_capped
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(3, 6),
-        extra=st.integers(0, 4),
-        added=st.integers(1, 3),
-        universe=st.sampled_from([1.0, None]),
-    )
-    def test_adding_observations_only_narrows_bounds(
-        self, seed, num_bgs, extra, added, universe
-    ):
-        rng = np.random.default_rng(seed)
-        # Leave at least one mask unobserved to add.
-        extra = min(extra, (1 << num_bgs) - num_bgs - 3)
-        ds, alloc = random_consistent_dataset(rng, num_bgs, extra=extra, universe=universe)
-        observed = {m.index for m in ds.masks()}
-        unobserved = [m for m in enumerate_masks(num_bgs) if m.index not in observed]
-        grown = ds
-        for i in rng.choice(len(unobserved), size=min(added, len(unobserved)), replace=False):
-            mask = unobserved[i]
-            grown = grown.with_observation(mask, subset_reach_from_allocation(mask, alloc))
-        masks = enumerate_masks(num_bgs)
-        before = BoundsSolver(ds).bounds_many(masks)
-        after = BoundsSolver(grown).bounds_many(masks)
-        tol = 1e-9 * ds.scale
-        for b, a in zip(before, after):
-            assert a.lower >= b.lower - tol
-            assert a.upper <= b.upper + tol
-
-    @settings(max_examples=12, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_bgs=st.integers(2, 6),
-        extra=st.integers(0, 8),
-        universe=st.sampled_from([1.0, None]),
-    )
-    def test_truth_lies_in_estimate_interval(self, seed, num_bgs, extra, universe):
-        ds, alloc = random_consistent_dataset(
-            np.random.default_rng(seed), num_bgs, extra=extra, universe=universe
-        )
-        # interval_100 is model-free; a given d skips the cross-validation.
-        options = EstimateOptions(d=math.inf)
-        tol = 1e-9 * ds.scale
-        for target in enumerate_masks(num_bgs):
-            interval = estimate_subset(ds, target, options).interval_100
-            assert interval.contains(subset_reach_from_allocation(target, alloc), tol)
 
 
 class TestBoundsWithout:

@@ -185,6 +185,11 @@ class TestDataset:
         assert ds.reach_of(SubsetMask.from_string("11")) == 3.0
         assert ds.without(SubsetMask.from_string("11")).reach_of(SubsetMask.full(2)) is None
 
+    def test_without_an_absent_mask_rejected(self):
+        ds = ReachDataset.from_pairs(2, [("10", 1.0), ("11", 2.0)])
+        with pytest.raises(ValueError, match="^mask 01 not present$"):
+            ds.without(SubsetMask.from_string("01"))
+
     def test_scale(self):
         ds = ReachDataset.from_pairs(2, [("10", 50)], universe_size=100.0)
         assert ds.scale == 100.0

@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from reachvenn import model, pipeline
-from reachvenn.bounds import BoundsSolver, check_consistency, repair_dataset
+from reachvenn.bounds import BoundsSolver
 from reachvenn.core import (
     BoundInterval,
     ReachDataset,
-    ReachObservation,
     SubsetMask,
     UnavailableError,
     enumerate_masks,
-    subset_reach_from_allocation,
 )
-from reachvenn.experiment import training_masks
 from reachvenn.model import fit, predict
 from reachvenn.pipeline import (
     NO_SPARE_POINTS,
@@ -33,14 +30,7 @@ from reachvenn.pipeline import (
     select_next_point,
     tune_d,
 )
-from reachvenn.synth import (
-    GeneratorSpec,
-    add_measurement_noise,
-    generate,
-    independent_truth,
-    true_dataset,
-    true_reach,
-)
+from reachvenn.synth import independent_truth, true_dataset, true_reach
 
 from conftest import (
     nearly_disjoint_dataset,
@@ -137,19 +127,6 @@ class TestSelectNextPoint:
         state = select_next_point(state, lambda m: true_reach(truth, m))
         pair_indices = [m.index for m in enumerate_masks(3) if m.popcount == 2]
         assert state.chosen[-1].index == min(pair_indices)
-
-    def test_gap_never_widens_across_rounds(self):
-        truth, ds = five_bg_setup()
-        state = SelectionState.initial(ds)
-        from reachvenn.bounds import BoundsSolver
-
-        probe = SubsetMask.from_string("11110")
-        gaps = []
-        for _ in range(6):
-            gaps.append(BoundsSolver(state.measurements).bounds(probe).gap)
-            state = select_next_point(state, lambda m: true_reach(truth, m))
-        for before, after in zip(gaps, gaps[1:]):
-            assert after <= before + 1e-6 * 500000.0
 
 
 def gap_errors(predictions, truths, gaps, scale=1e6):
@@ -424,84 +401,3 @@ class TestEstimateSubset:
         est = estimate_subset(ds, SubsetMask.from_string("10"))
         assert est.repaired
         assert est.point == pytest.approx(350.0 / 3.0, rel=1e-4)
-
-    @pytest.mark.parametrize("num_bgs", [4, 5])
-    @pytest.mark.parametrize("kind", ["ci_groups", "dirichlet"])
-    @pytest.mark.parametrize("declare", [False, True])
-    def test_scaling_reaches_scales_estimates(self, num_bgs, kind, declare):
-        # A power of two scales every reach exactly, and the estimate's
-        # arithmetic with it: the point, both intervals and the universe
-        # scale by exactly 2**k, and d and the repair stay.
-        options = EstimateOptions(alpha=90)
-        for seed in (31, 32):
-            ds = noisy_design_dataset(
-                num_bgs, seed, declare, kind=kind, alpha=0.5, noise_seed=seed + 100
-            )
-            targets = [m for m in enumerate_masks(num_bgs) if ds.reach_of(m) is None]
-            for target in targets[::7]:
-                before = estimate_subset(ds, target, options)
-                for k in (-3, 10):
-                    factor = 2.0**k
-                    scaled = ReachDataset.from_pairs(
-                        num_bgs,
-                        [(o.subset, o.reach * factor) for o in ds.observations],
-                        universe_size=ds.universe_size * factor if declare else None,
-                    )
-                    after = estimate_subset(scaled, target, options)
-                    assert (after.d, after.repaired) == (before.d, before.repaired)
-                    assert after.point == before.point * factor
-                    assert after.universe_size == before.universe_size * factor
-                    for interval in ("interval_100", "interval_alpha"):
-                        ends = getattr(before, interval)
-                        assert getattr(after, interval) == BoundInterval(
-                            ends.lower * factor, ends.upper * factor, ends.upper_capped
-                        )
-
-
-class TestInputOrder:
-    """A dataset is a set: listing its observations in another order changes
-    no bit of any result."""
-
-    @pytest.mark.parametrize("num_bgs", [4, 5, 6, 7])
-    @pytest.mark.parametrize("declare", [False, True])
-    def test_permuted_observations_give_identical_results(self, num_bgs, declare):
-        universe = 1e6
-        options = EstimateOptions(alpha=90)
-        rng = np.random.default_rng((num_bgs, declare))
-        for kind in ("ci_groups", "dirichlet"):
-            seed = int(rng.integers(2**31))
-            truth = generate(GeneratorSpec(kind, num_bgs, universe, seed=seed))
-            masks = training_masks(num_bgs)
-            extra = [m for m in enumerate_masks(num_bgs) if m not in masks]
-            masks += [extra[i] for i in rng.choice(len(extra), size=2, replace=False)]
-            clean = [ReachObservation(m, true_reach(truth, m)) for m in masks]
-            noisy = [
-                ReachObservation(o.subset, min(o.reach, universe))
-                for o in add_measurement_noise(clean, seed=seed + 1)
-            ]
-            given = ReachDataset(num_bgs, universe if declare else None, tuple(noisy))
-            target = next(m for m in extra if m not in masks)
-            repaired = repair_dataset(given)
-            reaches = {o.subset.index: o.reach for o in repaired.observations}
-            verdict = check_consistency(given).consistent
-            witness = check_consistency(repaired).witness
-            for o in repaired.observations:
-                realized = subset_reach_from_allocation(o.subset, witness)
-                assert abs(realized - o.reach) <= 1e-9 * universe
-            intervals = BoundsSolver(repaired).bounds_many(enumerate_masks(num_bgs))
-            estimate = repr(estimate_subset(given, target, options))
-            for _ in range(3):
-                order = rng.permutation(len(noisy))
-                shuffled = tuple(noisy[i] for i in order)
-                permuted = ReachDataset(given.num_bgs, given.universe_size, shuffled)
-                assert permuted == given
-                again = repair_dataset(permuted)
-                assert {o.subset.index: o.reach for o in again.observations} == reaches
-                assert check_consistency(permuted).consistent == verdict
-                rows = tuple(repaired.observations[i] for i in order)
-                shuffled_repair = ReachDataset(num_bgs, repaired.universe_size, rows)
-                again_witness = check_consistency(shuffled_repair).witness
-                assert np.array_equal(again_witness.values, witness.values)
-                solver = BoundsSolver(shuffled_repair)
-                assert solver.bounds_many(enumerate_masks(num_bgs)) == intervals
-                assert repr(estimate_subset(permuted, target, options)) == estimate

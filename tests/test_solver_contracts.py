@@ -34,18 +34,13 @@ from reachvenn.pipeline import Session, d_grid
 from conftest import (
     noisy_design_dataset,
     noisy_p5_dataset,
+    per_universe,
     random_allocation,
     random_consistent_dataset,
     random_stack,
     record_stacks_of_one,
     reference_start,
 )
-
-
-def per_universe(name, build, *args):
-    """``build`` with a declared universe and without one, by case id."""
-    ids = {True: "universe", False: "no-universe"}
-    return {f"{name}-{ids[declare]}": functools.partial(build, *args, declare) for declare in ids}
 
 
 # -- 1. A fit problem keeps its bits in any stack and stack order -----------
